@@ -24,19 +24,13 @@ from .errors import (
     NotALieElementError,
     OutOfDepthError,
     StreamParseError,
+    TimeCapError,
 )
 from .expected_sig import GridDomain, mc_expected_sig, parse_domain, solve_recurrence
 from .lie_algebra import tensor_to_lie_coords
 from .logode import LinearSystem, LogOdeSchedule, VectorFieldSystem, solve
-from .streams import (
-    dp_distance_estimate,
-    ingest_csv,
-    lead_lag,
-    signature,
-    time_augment,
-    write_csv,
-)
-from .tensor_algebra import coeff_map, tensor_log, to_json_dict, words_of_degree
+from .streams import TRANSFORMS, dp_distance_estimate, ingest_csv, signature, write_csv
+from .tensor_algebra import TruncatedTensor, coeff_map, tensor_log, to_json_dict
 
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR = 2, 3, 4
 
@@ -48,7 +42,7 @@ _DATA_ERRORS = (
     json.JSONDecodeError,
     KeyError,
 )
-_NUMERIC_ERRORS = (DivergenceError, NotALieElementError)
+_NUMERIC_ERRORS = (DivergenceError, NotALieElementError, TimeCapError)
 
 
 def _emit(payload: dict, out_path) -> None:
@@ -59,28 +53,11 @@ def _emit(payload: dict, out_path) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _load_stream(path, transform: str = "none"):
-    s = ingest_csv(path)
-    if transform == "time":
-        return time_augment(s)
-    if transform == "leadlag":
-        return lead_lag(s)
-    return s
-
-
-def _word_values(levels, dim) -> dict[str, float]:
-    out = {}
-    for k, lvl in enumerate(levels):
-        for word, value in zip(words_of_degree(dim, k), lvl):
-            out[str(word)] = float(value)
-    return out
-
-
 # -- subcommand handlers -------------------------------------------------------
 
 
 def _cmd_sig(args) -> int:
-    sig = signature(_load_stream(args.stream, args.transform), args.depth)
+    sig = signature(TRANSFORMS[args.transform](ingest_csv(args.stream)), args.depth)
     payload = to_json_dict(sig)
     payload["coefficients"] = coeff_map(sig)
     _emit(payload, args.output)
@@ -88,7 +65,7 @@ def _cmd_sig(args) -> int:
 
 
 def _cmd_logsig(args) -> int:
-    sig = signature(_load_stream(args.stream, args.transform), args.depth)
+    sig = signature(TRANSFORMS[args.transform](ingest_csv(args.stream)), args.depth)
     coords = tensor_to_lie_coords(tensor_log(sig))
     pairs = coords.as_pairs()
     payload = {
@@ -162,7 +139,7 @@ def _cmd_expsig(args) -> int:
         "depth": args.depth,
         "boundary": args.boundary,
         "center": [float(v) for v in grid.descriptor.anchor],
-        "values": _word_values(center.levels, 2),
+        "values": coeff_map(center),
     }
     _emit(payload, args.output)
     return 0
@@ -183,8 +160,8 @@ def _cmd_expsig_mc(args) -> int:
         "paths": args.paths,
         "dt": args.dt,
         "seed": args.seed,
-        "mean": _word_values(out.mean.levels, 2),
-        "stderr": _word_values(out.stderr, 2),
+        "mean": coeff_map(out.mean),
+        "stderr": coeff_map(TruncatedTensor(2, args.depth, out.stderr)),
     }
     _emit(payload, args.output)
     return 0
@@ -203,16 +180,18 @@ def _read_manifest(manifest_path):
 
 
 def _read_labels(path, expected):
-    values = [
-        float(line.strip())
-        for line in Path(path).read_text().splitlines()
-        if line.strip()
-    ]
+    lines = [line.strip() for line in Path(path).read_text().splitlines()]
+    try:
+        values = np.array([float(line) for line in lines if line])
+    except ValueError as exc:
+        raise DomainError(f"{path}: {exc}") from None
     if len(values) != expected:
         raise DimensionMismatchError(
             f"{path}: {len(values)} labels for {expected} streams"
         )
-    return np.array(values)
+    if not np.all(np.isfinite(values) & (values == np.round(values))):
+        raise DomainError(f"{path}: labels must be integers")
+    return values
 
 
 def _cmd_fit(args) -> int:
@@ -311,14 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sig", help="truncated signature of a stream CSV")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--transform", choices=["none", "time", "leadlag"], default="none")
+    p.add_argument("--transform", choices=list(TRANSFORMS), default="none")
     p.add_argument("stream")
     add_output(p)
     p.set_defaults(handler=_cmd_sig)
 
     p = sub.add_parser("logsig", help="Lyndon-coordinate log-signature")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--transform", choices=["none", "time", "leadlag"], default="none")
+    p.add_argument("--transform", choices=list(TRANSFORMS), default="none")
     p.add_argument("stream")
     add_output(p)
     p.set_defaults(handler=_cmd_logsig)
@@ -368,9 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--method", choices=["ridge", "lasso"], required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--transform", choices=["none", "time", "leadlag"], default="none")
+    p.add_argument("--transform", choices=list(TRANSFORMS), default="none")
     p.add_argument("train", help="manifest: one stream CSV path per line")
-    p.add_argument("labels", help="one numeric label per line")
+    p.add_argument("labels", help="one integer label per line")
     p.add_argument("-o", "--output", required=True, help="model JSON path")
     p.set_defaults(handler=_cmd_fit)
 

@@ -40,3 +40,7 @@ class StreamParseError(ValueError):
 
 class DegenerateReportError(ValueError):
     """Classification report requested on single-class data."""
+
+
+class TimeCapError(RuntimeError):
+    """Monte Carlo paths were still running when the simulated time cap ran out."""

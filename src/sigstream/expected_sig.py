@@ -16,8 +16,8 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import DimensionMismatchError, DomainError
-from .tensor_algebra import TruncatedTensor
+from .errors import DimensionMismatchError, DomainError, TimeCapError
+from .tensor_algebra import TruncatedTensor, chen_fold
 
 __all__ = [
     "DiskDomain",
@@ -39,8 +39,8 @@ class DiskDomain:
     """Open disk of radius r; the default centre is the origin."""
 
     def __init__(self, radius: float, center=(0.0, 0.0)):
-        if radius <= 0:
-            raise DomainError("radius must be positive")
+        if not 0 < radius < math.inf:
+            raise DomainError(f"radius must be positive and finite, got {radius}")
         self.radius = float(radius)
         self.center = np.asarray(center, dtype=float)
 
@@ -90,6 +90,8 @@ class PolygonDomain:
         pts = np.asarray(vertices, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
             raise DomainError("polygon needs at least three 2-D vertices")
+        if not np.all(np.isfinite(pts)):
+            raise DomainError("polygon vertices must be finite")
         if np.allclose(pts[0], pts[-1]):
             pts = pts[:-1]
         self.vertices = pts
@@ -107,14 +109,22 @@ class PolygonDomain:
 
     def contains(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        px, py = pts[:, 0], pts[:, 1]
         a, b = self._edges
         inside = np.zeros(pts.shape[0], dtype=bool)
+        on_edge = np.zeros(pts.shape[0], dtype=bool)
         for (x0, y0), (x1, y1) in zip(a, b):  # even-odd ray casting
-            crosses = (y0 > pts[:, 1]) != (y1 > pts[:, 1])
+            crosses = (y0 > py) != (y1 > py)
             with np.errstate(divide="ignore", invalid="ignore"):
-                x_cross = x0 + (pts[:, 1] - y0) * (x1 - x0) / (y1 - y0)
-            inside ^= crosses & (pts[:, 0] < x_cross)
-        return inside
+                x_cross = x0 + (py - y0) * (x1 - x0) / (y1 - y0)
+            inside ^= crosses & (px < x_cross)
+            # the domain is open: ray casting alone keeps some edges inside
+            on_edge |= (
+                ((x1 - x0) * (py - y0) == (y1 - y0) * (px - x0))
+                & (np.minimum(x0, x1) <= px) & (px <= np.maximum(x0, x1))
+                & (np.minimum(y0, y1) <= py) & (py <= np.maximum(y0, y1))
+            )
+        return inside & ~on_edge
 
     def _ray_hits(self, origins, directions):
         """Smallest positive fraction along each ray to any polygon edge."""
@@ -155,11 +165,16 @@ class PolygonDomain:
 def parse_domain(text: str):
     """Parse CLI domain descriptors: ``disk:R`` or ``polygon:x1,y1;x2,y2;...``."""
     kind, _, rest = text.partition(":")
-    if kind == "disk":
-        return DiskDomain(float(rest))
-    if kind == "polygon":
-        vertices = [tuple(map(float, pair.split(","))) for pair in rest.split(";")]
-        return PolygonDomain(vertices)
+    try:
+        if kind == "disk":
+            return DiskDomain(float(rest))
+        if kind == "polygon":
+            vertices = [[float(v) for v in pair.split(",")] for pair in rest.split(";")]
+            if any(len(v) != 2 for v in vertices):
+                raise ValueError("vertices must be x,y pairs")
+            return PolygonDomain(vertices)
+    except ValueError as exc:
+        raise DomainError(f"malformed domain descriptor {text!r}: {exc}") from None
     raise DomainError(f"unknown domain descriptor {text!r}")
 
 
@@ -177,8 +192,8 @@ class GridDomain:
     """
 
     def __init__(self, descriptor, h: float, boundary: str = "exact"):
-        if h <= 0:
-            raise DomainError("grid spacing must be positive")
+        if not 0 < h < math.inf:
+            raise DomainError(f"grid spacing must be positive and finite, got {h}")
         if boundary not in ("exact", "snap"):
             raise DomainError("boundary must be 'exact' or 'snap'")
         self.descriptor = descriptor
@@ -371,69 +386,6 @@ class McExpectedSignature:
     seed: int
 
 
-def _chen_block_combine(levels, block, depth, d):
-    """S <- S (x) B for batched level arrays (paths, d**k)."""
-    out = [levels[0]]
-    for k in range(1, depth + 1):
-        acc = levels[k] + block[k]
-        for i in range(1, k):
-            acc = acc + np.einsum(
-                "pa,pb->pab", levels[i], block[k - i]
-            ).reshape(levels[k].shape)
-        out.append(acc)
-    return out
-
-
-def _increment_powers(x, depth):
-    """Per-path levels of exp(increment): x^j / j! for one batch of increments."""
-    p, d = x.shape
-    powers = [np.ones((p, 1)), x]
-    for j in range(2, depth + 1):
-        powers.append(
-            np.einsum("pa,pb->pab", powers[-1], x).reshape(p, d**j) / j
-        )
-    return powers
-
-
-def _chen_step(levels, x, depth, d):
-    """One Chen update of batched signature levels by increments x (paths, d)."""
-    powers = _increment_powers(x, depth)
-    new = [levels[0]]
-    for k in range(1, depth + 1):
-        acc = levels[k] + powers[k]
-        for i in range(1, k):
-            acc = acc + np.einsum(
-                "pa,pb->pab", levels[i], powers[k - i]
-            ).reshape(levels[k].shape)
-        new.append(acc)
-    return new
-
-
-def _block_signature_depth3(x):
-    """Signature levels (identity-based) of a block of increments x: (paths, K, 2).
-
-    Closed prefix-sum forms of the per-step Chen recursion, valid to depth 3:
-    the level-3 update sums (S2_prefix + S1_prefix (x) x/2 + x(x)x/6) (x) x
-    over the block, which is one batched matrix product.
-    """
-    p, steps, d = x.shape
-    csum = np.cumsum(x, axis=1)
-    prev = np.empty_like(csum)
-    prev[:, 0] = 0.0
-    prev[:, 1:] = csum[:, :-1]
-    b1 = csum[:, -1].copy()
-    xx = x[:, :, :, None] * x[:, :, None, :]  # (p, t, d, d)
-    px = prev[:, :, :, None] * x[:, :, None, :]
-    g2 = px + 0.5 * xx  # per-step level-2 increments
-    b2 = g2.sum(axis=1).reshape(p, d * d)
-    d2_prev = np.empty_like(g2)
-    d2_prev[:, 0] = 0.0
-    np.cumsum(g2[:, :-1], axis=1, out=d2_prev[:, 1:])
-    combo = (d2_prev + 0.5 * px + xx / 6.0).reshape(p, steps, d * d)
-    b3 = np.matmul(combo.transpose(0, 2, 1), x).reshape(p, d**3)
-    return [np.ones((p, 1)), b1, b2, b3]
-
-
 def mc_expected_sig(
     domain,
     start,
@@ -448,16 +400,19 @@ def mc_expected_sig(
     Paths advance by Gaussian increments of variance dt until the first
     sampled position leaves the domain; the exit point interpolates the
     crossing segment onto the analytic boundary (no exponential-exit
-    correction, so the discretisation bias is O(sqrt(dt))).  Signatures are
-    accumulated per path and averaged with elementwise standard errors.
-    Fixed seed implies byte-identical output.
+    correction, so the discretisation bias is O(sqrt(dt))).  Increments are
+    drawn in blocks of ``block_steps`` for all live paths, and each block
+    updates every live path's signature with one ``chen_fold`` call; a path
+    that exits in the block has its exit step cut at the boundary and its
+    later steps zeroed.  Stopped signatures are averaged with elementwise
+    standard errors.  Fixed seed implies byte-identical output.
     """
     descriptor = domain.descriptor if isinstance(domain, GridDomain) else domain
     start = np.asarray(start, dtype=float)
     if not bool(descriptor.contains(start[None, :])[0]):
         raise DomainError(f"start point {start} is not strictly interior")
-    if paths < 1 or dt <= 0:
-        raise DomainError("need paths >= 1 and dt > 0")
+    if paths < 1 or not 0 < dt < math.inf:
+        raise DomainError("need paths >= 1 and a finite dt > 0")
     d = 2
     rng = np.random.default_rng(seed)
     sizes = [d**k for k in range(depth + 1)]
@@ -469,12 +424,7 @@ def mc_expected_sig(
     std = math.sqrt(dt)
     max_blocks = int(np.ceil(80.0 / dt / block_steps))
 
-    def finalize(final_levels, rows):
-        for k in range(depth + 1):
-            vals = final_levels[k][rows]
-            sum_levels[k] += vals.sum(axis=0)
-            sumsq_levels[k] += (vals**2).sum(axis=0)
-
+    steps = np.arange(block_steps)
     for _ in range(max_blocks):
         alive = pos.shape[0]
         if alive == 0:
@@ -484,61 +434,29 @@ def mc_expected_sig(
         inside = descriptor.contains(positions.reshape(-1, d)).reshape(
             alive, block_steps
         )
-        survives = inside.all(axis=1)
-
-        # paths that stay inside take the whole block in closed form
-        safe = np.nonzero(survives)[0]
-        if safe.size:
-            if depth <= 3:
-                blk = _block_signature_depth3(x[safe])[: depth + 1]
-                upd = _chen_block_combine(
-                    [lvl[safe] for lvl in levels], blk, depth, d
-                )
-            else:
-                upd = [lvl[safe] for lvl in levels]
-                for t in range(block_steps):
-                    upd = _chen_step(upd, x[safe, t], depth, d)
+        # a path stops at its first sampled position outside the domain: that
+        # step is cut at the boundary and later steps become exp(0), the unit
+        exit_step = np.where(inside.all(axis=1), block_steps, inside.argmin(axis=1))
+        exits = np.nonzero(exit_step < block_steps)[0]
+        if exits.size:
+            t = exit_step[exits]
+            before = np.where((t > 0)[:, None], positions[exits, t - 1], pos[exits])
+            frac = descriptor.crossing_fraction(before, positions[exits, t])
+            x[exits, t] *= frac[:, None]
+            x[steps > exit_step[:, None]] = 0.0
+        levels = chen_fold(levels, x)
+        pos = positions[:, -1]
+        if exits.size:
             for k in range(depth + 1):
-                levels[k][safe] = upd[k]
-            pos[safe] = positions[safe, -1, :]
-
-        # paths that exit somewhere in the block step through it one dt at a time
-        risky = np.nonzero(~survives)[0]
-        if risky.size:
-            sub_levels = [lvl[risky] for lvl in levels]
-            sub_pos = pos[risky].copy()
-            done = np.zeros(risky.size, dtype=bool)
-            for t in range(block_steps):
-                active = ~done
-                if not active.any():
-                    break
-                step = x[risky, t].copy()
-                new_pos = sub_pos + step
-                crossed = active & ~descriptor.contains(new_pos)
-                if crossed.any():
-                    frac = descriptor.crossing_fraction(
-                        sub_pos[crossed], new_pos[crossed]
-                    )
-                    step[crossed] *= frac[:, None]
-                upd = _chen_step(
-                    [lvl[active] for lvl in sub_levels], step[active], depth, d
-                )
-                for k in range(depth + 1):
-                    sub_levels[k][active] = upd[k]
-                sub_pos[active] += step[active]
-                done |= crossed
-            finalize(sub_levels, np.nonzero(done)[0])
-            for k in range(depth + 1):
-                levels[k][risky] = sub_levels[k]
-            pos[risky] = sub_pos
-            exited = risky[done]
-            if exited.size:
-                keep_rows = np.ones(alive, dtype=bool)
-                keep_rows[exited] = False
-                pos = pos[keep_rows]
-                levels = [lvl[keep_rows] for lvl in levels]
+                vals = levels[k][exits]
+                sum_levels[k] += vals.sum(axis=0)
+                sumsq_levels[k] += (vals**2).sum(axis=0)
+            keep_rows = np.ones(alive, dtype=bool)
+            keep_rows[exits] = False
+            pos = pos[keep_rows]
+            levels = [lvl[keep_rows] for lvl in levels]
     if pos.shape[0] > 0:
-        raise RuntimeError(
+        raise TimeCapError(
             f"{pos.shape[0]} paths still running after the time cap; "
             "dt is too coarse for this domain"
         )

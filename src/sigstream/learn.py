@@ -16,7 +16,7 @@ import numpy as np
 import scipy.stats
 
 from .errors import DegenerateReportError, DimensionMismatchError, DomainError
-from .streams import Stream, lead_lag, log_signature, signature, time_augment
+from .streams import TRANSFORMS, Stream, log_signature, signature
 from .tensor_algebra import Word, words_of_degree
 
 __all__ = [
@@ -37,12 +37,6 @@ __all__ = [
     "two_class_streams",
     "stability_selection",
 ]
-
-_TRANSFORMS = {
-    "none": lambda s: s,
-    "time": time_augment,
-    "leadlag": lead_lag,
-}
 
 
 def feature_words(dim: int, depth: int) -> list[Word]:
@@ -96,7 +90,7 @@ def featurize_logsig(streams, depth: int, transform: str = "none") -> FeatureMat
 
 
 def _transformed(streams, transform):
-    if transform not in _TRANSFORMS:
+    if transform not in TRANSFORMS:
         raise DomainError(f"unknown transform {transform!r}")
     streams = list(streams)
     if not streams:
@@ -104,7 +98,7 @@ def _transformed(streams, transform):
     dims = {s.dimension for s in streams}
     if len(dims) != 1:
         raise DimensionMismatchError(f"streams have mixed dimensions {sorted(dims)}")
-    return [_TRANSFORMS[transform](s) for s in streams]
+    return [TRANSFORMS[transform](s) for s in streams]
 
 
 @dataclass(eq=False)

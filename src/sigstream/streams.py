@@ -2,7 +2,8 @@
 
 A stream is a timestamped sequence of points in R^d, read as the piecewise
 linear path through them.  Signatures are computed exactly (up to rounding)
-as the ordered product of per-segment exponentials, via Chen's identity.
+as the ordered product of per-segment exponentials, via Chen's identity, in
+one call to ``tensor_algebra.chen_fold`` whatever the stream's length.
 Also provides CSV ingestion, the canonical time-augmentation and lead-lag
 transforms, and a computable lower-bound profile for the p-variation
 signature metric.
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import lie_algebra
 from .errors import DimensionMismatchError, DomainError, StreamParseError
-from .tensor_algebra import TruncatedTensor, tensor_log
+from .tensor_algebra import TruncatedTensor, chen_fold, tensor_log
 
 __all__ = [
     "Stream",
@@ -33,10 +34,6 @@ __all__ = [
     "log_signature",
     "dp_distance_estimate",
 ]
-
-# prefix arrays above this size fall back to the per-segment loop
-_VECTOR_BUDGET = 2**24
-
 
 class Stream:
     """Timestamped samples of a d-dimensional path, piecewise-linear in between."""
@@ -202,6 +199,14 @@ def lead_lag(s: Stream) -> Stream:
     return Stream(times, np.hstack([lead, lag]))
 
 
+# stream transforms by name, as featurize and the CLI's --transform take them
+TRANSFORMS = {
+    "none": lambda s: s,
+    "time": time_augment,
+    "leadlag": lead_lag,
+}
+
+
 # -- path surgery -------------------------------------------------------------
 
 
@@ -243,67 +248,14 @@ def restrict(s: Stream, t0: float, t1: float) -> Stream:
 # -- signatures ---------------------------------------------------------------
 
 
-def _segment_exp_levels(x: np.ndarray, depth: int) -> list[np.ndarray]:
-    """Levels of exp(x) for a level-1 increment x: x^k / k!."""
-    levels = [np.ones(1)]
-    for k in range(1, depth + 1):
-        levels.append(np.multiply.outer(levels[-1], x).reshape(-1) / k)
-    return levels
-
-
-def _signature_stepwise(increments: np.ndarray, depth: int) -> list[np.ndarray]:
-    d = increments.shape[1]
-    levels = [np.ones(1)] + [np.zeros(d**k) for k in range(1, depth + 1)]
-    for x in increments:
-        seg = _segment_exp_levels(x, depth)
-        new = []
-        for k in range(depth + 1):
-            acc = np.zeros(d**k)
-            for i in range(k + 1):
-                acc += np.multiply.outer(levels[i], seg[k - i]).reshape(-1)
-            new.append(acc)
-        levels = new
-    return levels
-
-
-def _signature_prefix(increments: np.ndarray, depth: int) -> list[np.ndarray]:
-    """Vectorized Chen product over all segments via prefix signatures."""
-    n, d = increments.shape
-    # per-segment exponential levels P[j]: (n, d^j)
-    powers = [np.ones((n, 1))]
-    for j in range(1, depth + 1):
-        nxt = np.einsum("ta,tb->tab", powers[-1], increments).reshape(n, -1) / j
-        powers.append(nxt)
-    # prefix[k][t]: level-k signature of the first t segments
-    prefix = [np.ones(n + 1)]
-    for k in range(1, depth + 1):
-        contrib = np.zeros((n, d**k))
-        for j in range(1, k + 1):
-            if k - j == 0:
-                contrib += powers[j]
-            else:
-                lower = prefix[k - j][:-1]
-                contrib += np.einsum("ta,tb->tab", lower, powers[j]).reshape(n, -1)
-        level = np.zeros((n + 1, d**k))
-        np.cumsum(contrib, axis=0, out=level[1:])
-        prefix.append(level)
-    return [np.ones(1)] + [prefix[k][-1] for k in range(1, depth + 1)]
-
-
 def signature(s: Stream, depth: int) -> TruncatedTensor:
     """Truncated signature of the stream: the ordered product of segment exponentials."""
     if depth < 1:
         raise DomainError("depth must be >= 1")
     d = s.dimension
-    increments = s.increments()
-    if increments.shape[0] == 0:
-        unit = TruncatedTensor.unit(d, depth)
-        return TruncatedTensor(d, depth, unit.levels, grouplike=True)
-    if (increments.shape[0] + 1) * d**depth <= _VECTOR_BUDGET:
-        levels = _signature_prefix(increments, depth)
-    else:
-        levels = _signature_stepwise(increments, depth)
-    return TruncatedTensor(d, depth, levels, grouplike=True)
+    unit = [np.ones((1, 1))] + [np.zeros((1, d**k)) for k in range(1, depth + 1)]
+    levels = chen_fold(unit, s.increments()[None])
+    return TruncatedTensor(d, depth, [lvl[0] for lvl in levels], grouplike=True)
 
 
 def log_signature(s: Stream, depth: int) -> lie_algebra.LieCoordinates:
@@ -355,8 +307,8 @@ def dp_distance_estimate(
         raise DimensionMismatchError(
             f"streams have dimensions {a.dimension} and {b.dimension}"
         )
-    if p < 1:
-        raise DomainError("p must be >= 1")
+    if not 1 <= p < np.inf:
+        raise DomainError(f"p must be finite and >= 1, got {p}")
     if max_level < 1:
         raise DomainError("max_level must be >= 1")
     a, b = _unit_time(a), _unit_time(b)

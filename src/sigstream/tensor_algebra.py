@@ -33,6 +33,10 @@ __all__ = [
     "from_json_dict",
 ]
 
+# chen_fold takes steps in chunks so that one level's temporaries hold about this
+# many floats (32 MB): a 10^5-path Monte Carlo block of 8 steps at depth 3 is one chunk
+_CHUNK_ELEMENTS = 2**22
+
 
 @dataclass(frozen=True)
 class Word:
@@ -225,6 +229,47 @@ def tensor_mul(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
     return TruncatedTensor(
         a.dim, a.depth, levels, grouplike=a.grouplike and b.grouplike
     )
+
+
+def chen_fold(levels, increments):
+    """S (x) exp(x_1) (x) ... (x) exp(x_T) for a batch of running levels S.
+
+    ``levels[k]`` has shape (batch, d^k) for k = 0..N and ``increments`` has
+    shape (batch, steps, d); returns the product's levels in the same shapes.
+    Each segment exponential enters in Horner form: level k of S (x) exp(x)
+    gains (...((S^0 x/k + S^1) x/(k-1) + S^2) ... + S^(k-1)) x, with S^i the
+    running level i just before the step.  Levels below N keep their prefix
+    over the steps; level N only needs its sum over the steps, which is one
+    matmul.  Steps are taken in chunks so that no temporary holds more than
+    about _CHUNK_ELEMENTS floats per level.
+    """
+    depth = len(levels) - 1
+    batch, steps, d = increments.shape
+    out = list(levels)
+    chunk = max(1, _CHUNK_ELEMENTS // (batch * d ** (depth - 1)))
+    for lo in range(0, steps, chunk):
+        x = increments[:, lo : lo + chunk]
+        n = x.shape[1]
+        x_over = {j: x[:, :, None, :] / j for j in range(2, depth + 1)}
+        prefix = [np.repeat(out[0][:, None, :], n, axis=1)]
+        for k in range(1, depth + 1):
+            acc = prefix[0]
+            for i in range(1, k):
+                acc = acc[..., None] * x_over[k - i + 1]
+                acc = acc.reshape(batch, n, -1)
+                acc += prefix[i]
+            if k < depth:
+                # running level k before each step: S^k, then partial sums of its gains
+                run = np.empty((batch, n + 1, d ** (k - 1), d))
+                run[:, 0] = out[k].reshape(batch, -1, d)
+                np.multiply(acc[..., None], x[:, :, None, :], out=run[:, 1:])
+                np.cumsum(run, axis=1, out=run)
+                run = run.reshape(batch, n + 1, -1)
+                out[k] = run[:, -1].copy()
+                prefix.append(run[:, :-1])
+        top = np.matmul(acc.transpose(0, 2, 1), x)
+        out[depth] = out[depth] + top.reshape(batch, -1)
+    return out
 
 
 def tensor_exp(a: TruncatedTensor, assume_lie: bool | None = None) -> TruncatedTensor:

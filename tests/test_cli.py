@@ -107,10 +107,11 @@ class TestDpdist:
         assert payload["estimates"] == [0.0, 0.0, 0.0]
 
     def test_bad_p_is_data_error(self, capsys, square_csv):
-        code, _, err = run(
-            capsys, "dpdist", "--p", 0.5, "--levels", 2, square_csv, square_csv
-        )
-        assert code == 3
+        for p in (0.5, "nan", "inf"):
+            code, _, err = run(
+                capsys, "dpdist", "--p", p, "--levels", 2, square_csv, square_csv
+            )
+            assert code == 3, p
 
 
 class TestLogode:
@@ -196,6 +197,36 @@ class TestExpsig:
         assert payload["values"]["1,2"] == pytest.approx(0.0, abs=1e-12)
         assert payload["values"][""] == 1.0
 
+    def test_malformed_inputs_are_data_errors(self, capsys):
+        mc = ("--depth", 2, "--paths", 2, "--seed", 1)
+        for argv in (
+            *(
+                ("expsig", "--domain", domain, "--h", h, "--depth", 2)
+                for domain, h in (
+                    ("disk:abc", 0.1),
+                    ("polygon:0,0;1", 0.1),
+                    ("polygon:0,0;1,0;inf,1", 0.1),
+                    ("disk:inf", 0.1),
+                    ("disk:nan", 0.1),
+                    ("disk:1", "nan"),
+                    ("disk:1", "inf"),
+                )
+            ),
+            ("expsig-mc", "--domain", "disk:abc", "--dt", 0.01, *mc),
+            ("expsig-mc", "--domain", "disk:1", "--dt", "nan", *mc),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 3, argv
+            assert "data error" in err
+
+    def test_mc_time_cap_is_numerical_failure(self, capsys):
+        code, _, err = run(
+            capsys, "expsig-mc", "--domain", "disk:100", "--depth", 2,
+            "--paths", 2, "--dt", 0.5, "--seed", 1,
+        )
+        assert code == 4
+        assert "time cap" in err
+
     def test_mc_deterministic(self, capsys):
         args = (
             "expsig-mc", "--domain", "disk:1.0", "--depth", 2,
@@ -211,6 +242,25 @@ class TestExpsig:
 
 
 class TestLearnPipeline:
+    def test_non_integer_labels_are_data_errors(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        run(
+            capsys, "gen-synth", "--out", data,
+            "--n-per-class", 2, "--steps", 8, "--seed", 1,
+        )
+        model = tmp_path / "model.json"
+        code, _, _ = run(
+            capsys, "fit", "--depth", 2, "--method", "ridge", "--lambda", 0.1,
+            data / "manifest.txt", data / "labels.txt", "-o", model,
+        )
+        assert code == 0
+        labels = tmp_path / "labels.txt"
+        for bad in ("0.7", "nan", "one"):
+            labels.write_text(f"0\n1\n{bad}\n1\n")
+            code, _, err = run(capsys, "score", model, data / "manifest.txt", labels)
+            assert code == 3, bad
+            assert "data error" in err
+
     def test_gen_fit_score(self, capsys, tmp_path):
         train_dir = tmp_path / "train"
         test_dir = tmp_path / "test"

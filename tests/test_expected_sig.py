@@ -51,8 +51,28 @@ class TestDomains:
         assert isinstance(d, DiskDomain) and d.radius == 2.5
         p = parse_domain("polygon:0,0;1,0;1,1")
         assert isinstance(p, PolygonDomain)
-        with pytest.raises(DomainError):
-            parse_domain("torus:1")
+        for bad in ("torus:1", "disk:abc", "disk:inf", "polygon:0,0;1", "polygon:0,0;1,0;nan,1"):
+            with pytest.raises(DomainError):
+                parse_domain(bad)
+
+    def test_polygon_edges_and_vertices_are_outside(self):
+        square = PolygonDomain([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+        edge = np.array([[-1.0, 0.3], [1.0, -0.2], [0.4, -1.0], [-0.7, 1.0]])
+        corners = square.vertices
+        assert not square.contains(edge).any()
+        assert not square.contains(corners).any()
+        assert square.contains(0.999 * edge).all()
+        triangle = PolygonDomain([(0, 0), (2, 0), (0, 2)])
+        assert not triangle.contains(np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])).any()
+        assert triangle.contains(np.array([[0.5, 0.5]])).all()
+
+    def test_non_finite_sizes_rejected(self):
+        for radius in (math.inf, math.nan, 0.0):
+            with pytest.raises(DomainError):
+                DiskDomain(radius)
+        for h in (math.inf, math.nan, -0.1):
+            with pytest.raises(DomainError):
+                GridDomain(DISK, h)
 
 
 class TestGrid:
@@ -109,6 +129,19 @@ class TestRecurrence:
             for k in range(2):
                 assert lvl4[i, i, k, k] == pytest.approx(1 / 64, abs=2e-4)
         assert abs(lvl4[0, 1, 0, 1]) < 1e-10
+
+    def test_square_center_level2_torsion_series(self):
+        # E<S^2,(1,1)> at the centre of [-1,1]^2 is the torsion function w(0),
+        # with Laplacian w = -1 and w = 0 on the edges; at h = 0.02 the edges
+        # lie on grid lines, which must count as boundary, not interior
+        h = 0.02
+        torsion = 0.5 - 16 / math.pi**3 * sum(
+            (-1) ** ((n - 1) // 2) / (n**3 * math.cosh(n * math.pi / 2))
+            for n in range(1, 60, 2)
+        )
+        square = PolygonDomain([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+        c = solve_recurrence(GridDomain(square, h), 2).center_values()
+        assert abs(c.levels[2][0] - torsion) <= 0.5 * h**2
 
     def test_snap_mode_coarser_but_sane(self):
         grid = GridDomain(DISK, 0.05, boundary="snap")

@@ -149,16 +149,6 @@ class TestSignature:
         area = 0.5 * (inner(Word((1, 2)), sig) - inner(Word((2, 1)), sig))
         assert area == pytest.approx(shoelace_area(UNIT_SQUARE.points), abs=1e-13)
 
-    def test_prefix_matches_stepwise(self):
-        from sigstream.streams import _signature_prefix, _signature_stepwise
-
-        rng = np.random.default_rng(2)
-        inc = rng.standard_normal((13, 3)) * 0.4
-        fast = _signature_prefix(inc, 4)
-        slow = _signature_stepwise(inc, 4)
-        for a, b in zip(fast, slow):
-            assert np.abs(a - b).max() < 1e-13
-
     def test_chen_identity_random(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from sigstream import tensor_algebra
 from sigstream.errors import DimensionMismatchError, DomainError, OutOfDepthError
 from sigstream.tensor_algebra import (
     EMPTY_WORD,
     TruncatedTensor,
     Word,
+    chen_fold,
     coeff_map,
     from_json_dict,
     grade_norms,
@@ -161,6 +166,60 @@ class TestExpLog:
             back2 = tensor_exp(tensor_log(a))
             scale2 = max(np.abs(x).max() for x in a.levels)
             assert max_abs_diff(back2, a) <= 1e-10 * scale2
+
+
+@st.composite
+def fold_inputs(draw):
+    """Running levels S (batch, d^k) and two runs of increments (batch, steps, d)."""
+    d = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, 4))
+    batch = draw(st.integers(1, 3))
+    values = st.floats(-1.0, 1.0, allow_nan=False)
+    levels = [draw(arrays(float, (batch, d**k), elements=values)) for k in range(depth + 1)]
+    a, b = (
+        draw(arrays(float, (batch, draw(st.integers(0, 6)), d), elements=values))
+        for _ in range(2)
+    )
+    return levels, a, b
+
+
+def close_levels(got, want):
+    scale = max(1.0, max(float(np.abs(lvl).max()) for lvl in want))
+    return all(np.abs(g - w).max() <= 1e-12 * scale for g, w in zip(got, want))
+
+
+class TestChenFold:
+    @settings(max_examples=60, deadline=None)
+    @given(fold_inputs())
+    def test_matches_product_of_segment_exponentials(self, inputs):
+        levels, inc, _ = inputs
+        batch, _, d = inc.shape
+        depth = len(levels) - 1
+        got = chen_fold(levels, inc)
+        for row in range(batch):
+            want = TruncatedTensor(d, depth, [lvl[row] for lvl in levels])
+            for x in inc[row]:
+                want = tensor_mul(want, tensor_exp(TruncatedTensor.from_level1(x, depth)))
+            assert close_levels([lvl[row] for lvl in got], want.levels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fold_inputs())
+    def test_folding_twice_equals_folding_the_concatenation(self, inputs):
+        levels, a, b = inputs
+        twice = chen_fold(chen_fold(levels, a), b)
+        once = chen_fold(levels, np.concatenate([a, b], axis=1))
+        assert close_levels(twice, once)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fold_inputs())
+    def test_many_chunks_match_one(self, inputs):
+        levels, a, b = inputs
+        inc = np.concatenate([a, b], axis=1)
+        whole = chen_fold(levels, inc)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor_algebra, "_CHUNK_ELEMENTS", 1)  # one step per chunk
+            chunked = chen_fold(levels, inc)
+        assert close_levels(chunked, whole)
 
 
 class TestInner:
