@@ -27,10 +27,11 @@ from .errors import (
     TimeCapError,
 )
 from .expected_sig import GridDomain, mc_expected_sig, parse_domain, solve_recurrence
-from .lie_algebra import tensor_to_lie_coords
 from .logode import LinearSystem, LogOdeSchedule, VectorFieldSystem, solve
-from .streams import TRANSFORMS, dp_distance_estimate, ingest_csv, signature, write_csv
-from .tensor_algebra import TruncatedTensor, coeff_map, tensor_log, to_json_dict
+from .streams import (
+    TRANSFORMS, dp_distance_estimate, ingest_csv, log_signature, signature, write_csv
+)
+from .tensor_algebra import TruncatedTensor, coeff_map, to_json_dict
 
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR = 2, 3, 4
 
@@ -41,6 +42,8 @@ _DATA_ERRORS = (
     FileNotFoundError,
     json.JSONDecodeError,
     KeyError,
+    DomainError,
+    DegenerateReportError,
 )
 _NUMERIC_ERRORS = (DivergenceError, NotALieElementError, TimeCapError)
 
@@ -65,8 +68,8 @@ def _cmd_sig(args) -> int:
 
 
 def _cmd_logsig(args) -> int:
-    sig = signature(TRANSFORMS[args.transform](ingest_csv(args.stream)), args.depth)
-    coords = tensor_to_lie_coords(tensor_log(sig))
+    stream = TRANSFORMS[args.transform](ingest_csv(args.stream))
+    coords = log_signature(stream, args.depth)
     pairs = coords.as_pairs()
     payload = {
         "d": coords.dim,
@@ -147,11 +150,7 @@ def _cmd_expsig(args) -> int:
 
 def _cmd_expsig_mc(args) -> int:
     domain = parse_domain(args.domain)
-    start = (
-        np.array([float(tok) for tok in args.start.split(",")])
-        if args.start
-        else domain.anchor
-    )
+    start = _parse_point(args.start) if args.start else domain.anchor
     out = mc_expected_sig(domain, start, args.depth, args.paths, args.dt, args.seed)
     payload = {
         "domain": args.domain,
@@ -165,6 +164,13 @@ def _cmd_expsig_mc(args) -> int:
     }
     _emit(payload, args.output)
     return 0
+
+
+def _parse_point(text):
+    try:
+        return np.array([float(tok) for tok in text.split(",")])
+    except ValueError:
+        raise DomainError(f"malformed point {text!r}; expected x,y") from None
 
 
 def _read_manifest(manifest_path):
@@ -383,9 +389,6 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
     except _DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except (DomainError, DegenerateReportError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -12,14 +12,13 @@ expectation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 from .streams import Stream
-from .tensor_algebra import TruncatedTensor
+from .tensor_algebra import TruncatedTensor, _exp_tail, _represent
 
 __all__ = [
     "UnitaryPolicy",
@@ -146,29 +145,12 @@ def evaluate_signature(policy: UnitaryPolicy, sig: TruncatedTensor) -> np.ndarra
     """
     if sig.dim != policy.driver_dim:
         raise DimensionMismatchError("signature and policy driver dimensions differ")
-    d, u = policy.driver_dim, policy.size
-    total = sig.levels[0][0] * np.eye(u, dtype=complex)
-    words = np.eye(u, dtype=complex)[None, :, :]
-    step = 1j * policy.generators
-    for k in range(1, sig.depth + 1):
-        # matrix for w'j is (matrix for w') @ iH_j; flat order w'*d + j
-        words = np.einsum("wab,jbc->wjac", words, step).reshape(d**k, u, u)
-        total = total + np.tensordot(sig.levels[k], words, axes=(0, 0))
-    return total
+    return _represent(sig, 1j * policy.generators)
 
 
 def development_tail_bound(policy: UnitaryPolicy, l1_length: float, depth: int) -> float:
     """Operator-norm bound sum_{k > depth} (max_j |H_j| L)^k / k! on the truncation."""
-    x = policy.max_generator_norm() * l1_length
-    term = x ** (depth + 1) / math.factorial(depth + 1)
-    total, k = 0.0, depth + 1
-    while True:
-        total += term
-        k += 1
-        term *= x / k
-        if term <= 1e-17 * total or k > 10_000:
-            break
-    return total
+    return _exp_tail(policy.max_generator_norm() * l1_length, depth)
 
 
 def random_policy(size: int, driver_dim: int, seed=None) -> UnitaryPolicy:

@@ -17,7 +17,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import DimensionMismatchError, DomainError, TimeCapError
-from .tensor_algebra import TruncatedTensor, chen_fold
+from .tensor_algebra import TruncatedTensor, chen_fold, grade_norms
 
 __all__ = [
     "DiskDomain",
@@ -33,9 +33,30 @@ __all__ = [
 ]
 
 _THETA_FLOOR = 1e-8
+_BLOCK_STEPS = 8  # Monte Carlo steps drawn and folded per block
 
 
-class DiskDomain:
+class _RayDomain:
+    """Segment crossings and boundary distances from one ray-hit primitive.
+
+    Subclasses provide ``_ray_hits(origins, directions)``: for each ray from
+    an interior origin, the smallest positive t with origin + t * direction
+    on the boundary (non-finite where the ray does not hit it).
+    """
+
+    def crossing_fraction(self, p0, p1) -> np.ndarray:
+        """Fraction a in (0, 1] where the segment p0 -> p1 first hits the boundary."""
+        p0 = np.atleast_2d(p0)
+        t = self._ray_hits(p0, np.atleast_2d(p1) - p0)
+        return np.clip(np.where(np.isfinite(t), t, 1.0), 0.0, 1.0)
+
+    def boundary_distance(self, point, direction) -> float:
+        """Distance from an interior point to the boundary along a unit direction."""
+        t = self._ray_hits(np.asarray(point)[None, :], np.asarray(direction)[None, :])
+        return float(t[0])
+
+
+class DiskDomain(_RayDomain):
     """Open disk of radius r; the default centre is the origin."""
 
     def __init__(self, radius: float, center=(0.0, 0.0)):
@@ -59,31 +80,22 @@ class DiskDomain:
         dy = pts[:, 1] - self.center[1]
         return dx * dx + dy * dy < self.radius**2
 
-    def crossing_fraction(self, p0, p1) -> np.ndarray:
-        """Fraction a in (0, 1] where the segment p0 -> p1 first hits the circle."""
-        p = np.atleast_2d(p0) - self.center
-        d = np.atleast_2d(p1) - np.atleast_2d(p0)
+    def _ray_hits(self, origins, directions):
+        """Larger root t of |origin + t * direction - center| = radius, per ray."""
+        p = np.atleast_2d(origins) - self.center
+        d = np.atleast_2d(directions)
         a = (d**2).sum(axis=1)
         b = (p * d).sum(axis=1)
         c = (p**2).sum(axis=1) - self.radius**2
         disc = np.maximum(b**2 - a * c, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            alpha = (-b + np.sqrt(disc)) / a
-        return np.clip(np.nan_to_num(alpha, nan=1.0), 0.0, 1.0)
-
-    def boundary_distance(self, point, direction) -> float:
-        """Distance from an interior point to the boundary along a unit direction."""
-        p = np.asarray(point, dtype=float) - self.center
-        d = np.asarray(direction, dtype=float)
-        b = float(p @ d)
-        c = float(p @ p) - self.radius**2
-        return -b + math.sqrt(b * b - c)
+            return (-b + np.sqrt(disc)) / a
 
     def __str__(self):
         return f"disk:{self.radius:g}"
 
 
-class PolygonDomain:
+class PolygonDomain(_RayDomain):
     """Open simple polygon given by its vertex loop (closing edge implied)."""
 
     def __init__(self, vertices):
@@ -146,16 +158,6 @@ class PolygonDomain:
             ok = np.isfinite(t) & (t > 0) & (u >= 0.0) & (u <= 1.0)
             best = np.where(ok & (t < best), t, best)
         return best
-
-    def crossing_fraction(self, p0, p1) -> np.ndarray:
-        p0 = np.atleast_2d(p0)
-        d = np.atleast_2d(p1) - p0
-        t = self._ray_hits(p0, d)
-        return np.clip(np.where(np.isfinite(t), t, 1.0), 0.0, 1.0)
-
-    def boundary_distance(self, point, direction) -> float:
-        t = self._ray_hits(np.asarray(point)[None, :], np.asarray(direction)[None, :])
-        return float(t[0])
 
     def __str__(self):
         flat = ";".join(f"{x:g},{y:g}" for x, y in self.vertices)
@@ -237,14 +239,11 @@ class GridDomain:
             idx[in_grid] = self.index_grid[oi[in_grid], oj[in_grid]]
             neighbour[:, k] = idx
             if self.boundary == "exact":
-                cut = idx < 0
-                if cut.any():
-                    direction = _DIRECTIONS[k]
-                    for row in np.nonzero(cut)[0]:
-                        dist = self.descriptor.boundary_distance(
-                            self.points[row], direction
-                        )
-                        theta[row, k] = min(max(dist / self.h, _THETA_FLOOR), 1.0)
+                cut = np.nonzero(idx < 0)[0]
+                dist = self.descriptor._ray_hits(
+                    self.points[cut], np.broadcast_to(_DIRECTIONS[k], (cut.size, 2))
+                )
+                theta[cut, k] = np.clip(dist / self.h, _THETA_FLOOR, 1.0)
         self.neighbour = neighbour
         self.theta = theta
 
@@ -393,7 +392,6 @@ def mc_expected_sig(
     paths: int,
     dt: float,
     seed: int,
-    block_steps: int = 8,
 ) -> McExpectedSignature:
     """Monte Carlo expected signature of Brownian motion stopped at the boundary.
 
@@ -401,7 +399,8 @@ def mc_expected_sig(
     sampled position leaves the domain; the exit point interpolates the
     crossing segment onto the analytic boundary (no exponential-exit
     correction, so the discretisation bias is O(sqrt(dt))).  Increments are
-    drawn in blocks of ``block_steps`` for all live paths, and each block
+    drawn in blocks of ``_BLOCK_STEPS`` steps (a module constant) for all
+    live paths, and each block
     updates every live path's signature with one ``chen_fold`` call; a path
     that exits in the block has its exit step cut at the boundary and its
     later steps zeroed.  Stopped signatures are averaged with elementwise
@@ -409,10 +408,12 @@ def mc_expected_sig(
     """
     descriptor = domain.descriptor if isinstance(domain, GridDomain) else domain
     start = np.asarray(start, dtype=float)
+    if start.shape != (2,):
+        raise DomainError(f"start must be one 2-D point, got shape {start.shape}")
     if not bool(descriptor.contains(start[None, :])[0]):
         raise DomainError(f"start point {start} is not strictly interior")
-    if paths < 1 or not 0 < dt < math.inf:
-        raise DomainError("need paths >= 1 and a finite dt > 0")
+    if depth < 1 or paths < 1 or seed < 0 or not 0 < dt < math.inf:
+        raise DomainError("need depth >= 1, paths >= 1, seed >= 0 and a finite dt > 0")
     d = 2
     rng = np.random.default_rng(seed)
     sizes = [d**k for k in range(depth + 1)]
@@ -422,22 +423,22 @@ def mc_expected_sig(
     pos = np.tile(start, (paths, 1))
     levels = [np.ones((paths, 1))] + [np.zeros((paths, sz)) for sz in sizes[1:]]
     std = math.sqrt(dt)
-    max_blocks = int(np.ceil(80.0 / dt / block_steps))
+    max_blocks = int(np.ceil(80.0 / dt / _BLOCK_STEPS))
 
-    steps = np.arange(block_steps)
+    steps = np.arange(_BLOCK_STEPS)
     for _ in range(max_blocks):
         alive = pos.shape[0]
         if alive == 0:
             break
-        x = std * rng.standard_normal((alive, block_steps, d))
+        x = std * rng.standard_normal((alive, _BLOCK_STEPS, d))
         positions = pos[:, None, :] + np.cumsum(x, axis=1)
         inside = descriptor.contains(positions.reshape(-1, d)).reshape(
-            alive, block_steps
+            alive, _BLOCK_STEPS
         )
         # a path stops at its first sampled position outside the domain: that
         # step is cut at the boundary and later steps become exp(0), the unit
-        exit_step = np.where(inside.all(axis=1), block_steps, inside.argmin(axis=1))
-        exits = np.nonzero(exit_step < block_steps)[0]
+        exit_step = np.where(inside.all(axis=1), _BLOCK_STEPS, inside.argmin(axis=1))
+        exits = np.nonzero(exit_step < _BLOCK_STEPS)[0]
         if exits.size:
             t = exit_step[exits]
             before = np.where((t > 0)[:, None], positions[exits, t - 1], pos[exits])
@@ -507,8 +508,8 @@ def radius_diagnostic(source, point=None) -> RadiusDiagnostic:
         )
     if tensor.depth < 3:
         raise DomainError("radius diagnostic needs depth >= 3")
-    l1 = np.array([float(np.abs(lvl).sum()) for lvl in tensor.levels])
-    l2 = np.array([float(np.linalg.norm(lvl)) for lvl in tensor.levels])
+    l1 = grade_norms(tensor, "l1").values
+    l2 = grade_norms(tensor, "l2").values
     zero = l1 == 0.0
 
     def ratios(a):

@@ -10,6 +10,7 @@ synthetic two-class stream task used to exercise the pipeline end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,13 +80,9 @@ def featurize_logsig(streams, depth: int, transform: str = "none") -> FeatureMat
     shuffle-product linearity of pointwise products no longer applies.
     """
     mapped = _transformed(streams, transform)
-    first = log_signature(mapped[0], depth)
-    rows = np.empty((len(mapped), 1 + first.values.size))
-    rows[:, 0] = 1.0
-    rows[0, 1:] = first.values
-    for i, s in enumerate(mapped[1:], start=1):
-        rows[i, 1:] = log_signature(s, depth).values
-    words = (Word(()),) + tuple(b.word for b in first.basis)
+    coords = [log_signature(s, depth) for s in mapped]
+    rows = np.array([np.concatenate([[1.0], c.values]) for c in coords])
+    words = (Word(()),) + tuple(b.word for b in coords[0].basis)
     return FeatureMatrix(rows, words, mapped[0].dimension, depth, transform)
 
 
@@ -111,8 +108,6 @@ class LinearModel:
     words: tuple | None = None
     converged: bool = True
     n_iter: int = 0
-    feature_means: np.ndarray | None = None
-    feature_scales: np.ndarray | None = None
 
     def predict(self, X) -> np.ndarray:
         X = X.X if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=float)
@@ -131,28 +126,39 @@ def _words_of(X):
     return X.words if isinstance(X, FeatureMatrix) else None
 
 
-def fit_ridge(X, y, lam: float = 0.0) -> LinearModel:
-    """Ridge regression with the intercept (empty-word column) unpenalized.
+def _check_lam(lam):
+    if not 0.0 <= lam < math.inf:
+        raise DomainError(f"lam must be finite and >= 0, got {lam}")
 
-    Solved through the SVD of the centred feature block, so lam = 0 returns
-    the minimum-norm least-squares solution on rank-deficient inputs.
+
+def _ridge(body, Y, lam):
+    """(intercept, beta) of the ridge fit of Y (1-D or 2-D) on ``body``.
+
+    The intercept is unpenalized.  Solved through the SVD of the centred
+    body, so lam = 0 returns the minimum-norm least-squares solution on
+    rank-deficient inputs.
     """
-    A = _as_array(X)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if A.shape[0] != y.size:
-        raise DimensionMismatchError("row count of X must match len(y)")
-    if lam < 0:
-        raise DomainError("lam must be >= 0")
-    body = A[:, 1:]
+    _check_lam(lam)
     mu = body.mean(axis=0)
-    yc = y - y.mean()
+    y_mean = Y.mean(axis=0)
     u, s, vt = np.linalg.svd(body - mu, full_matrices=False)
     if lam == 0.0:
         filt = np.divide(1.0, s, out=np.zeros_like(s), where=s > s.max(initial=0) * 1e-12)
     else:
         filt = s / (s**2 + lam)
-    beta = vt.T @ (filt * (u.T @ yc))
-    coef = np.concatenate([[y.mean() - mu @ beta], beta])
+    filt = filt.reshape((-1,) + (1,) * (Y.ndim - 1))
+    beta = vt.T @ (filt * (u.T @ (Y - y_mean)))
+    return y_mean - mu @ beta, beta
+
+
+def fit_ridge(X, y, lam: float = 0.0) -> LinearModel:
+    """Ridge regression, intercept (empty-word column) unpenalized; lam = 0 is min-norm OLS."""
+    A = _as_array(X)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if A.shape[0] != y.size:
+        raise DimensionMismatchError("row count of X must match len(y)")
+    intercept, beta = _ridge(A[:, 1:], y, lam)
+    coef = np.concatenate([[intercept], beta])
     return LinearModel(coef, "ridge", lam, words=_words_of(X))
 
 
@@ -181,8 +187,8 @@ def fit_lasso(
     """LASSO by cyclic coordinate descent with soft thresholding.
 
     Objective: (1/2n) |y - X beta|^2 + lam |beta|_1 over standardized
-    feature columns (intercept unpenalized; standardization recorded and
-    inverted on output).  Iterates until the largest coefficient change per
+    feature columns (intercept unpenalized; the standardization is inverted
+    on output).  Iterates until the largest coefficient change per
     sweep drops below ``tol``; if ``max_iter`` sweeps do not converge the
     model is returned with ``converged=False``.
     """
@@ -190,8 +196,7 @@ def fit_lasso(
     y = np.asarray(y, dtype=float).reshape(-1)
     if A.shape[0] != y.size:
         raise DimensionMismatchError("row count of X must match len(y)")
-    if lam < 0:
-        raise DomainError("lam must be >= 0")
+    _check_lam(lam)
     n = y.size
     z, mu, sigma, usable = _standardize(A)
     yc = y - y.mean()
@@ -228,8 +233,6 @@ def fit_lasso(
         words=_words_of(X),
         converged=converged,
         n_iter=sweeps,
-        feature_means=mu,
-        feature_scales=sigma,
     )
 
 
@@ -358,20 +361,9 @@ def fit_conditional_law(
         raise DomainError("need at least two stream pairs")
     inputs = featurize([a for a, _ in pairs], depth_in, transform)
     outputs = featurize([b for _, b in pairs], depth_out, transform)
-    A, Y = inputs.X, outputs.X
-    body = A[:, 1:]
-    mu = body.mean(axis=0)
-    y_mean = Y.mean(axis=0)
-    u, s, vt = np.linalg.svd(body - mu, full_matrices=False)
-    if lam == 0.0:
-        filt = np.divide(1.0, s, out=np.zeros_like(s), where=s > s.max(initial=0) * 1e-12)
-    else:
-        filt = s / (s**2 + lam)
-    beta = vt.T @ (filt[:, None] * (u.T @ (Y - y_mean)))
-    intercept = y_mean - mu @ beta
-    coef = np.vstack([intercept, beta])
+    intercept, beta = _ridge(inputs.X[:, 1:], outputs.X, lam)
     return ConditionalLawModel(
-        coef,
+        np.vstack([intercept, beta]),
         inputs.dim,
         depth_in,
         outputs.dim,

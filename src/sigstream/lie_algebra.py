@@ -28,6 +28,10 @@ __all__ = [
     "render_bracketing",
 ]
 
+# Lie-membership tolerance of tensor_to_lie_coords: relative to |a|, plus a floor
+_LIE_RTOL = 1e-9
+_LIE_ATOL = 1e-12
+
 
 @dataclass(frozen=True)
 class LyndonBasisElement:
@@ -223,20 +227,18 @@ def _coord_key(key):
     raise TypeError(f"cannot address a coordinate with {type(key).__name__}")
 
 
-def tensor_to_lie_coords(
-    a: TruncatedTensor, rtol: float = 1e-9, atol: float = 1e-12
-) -> LieCoordinates:
+def tensor_to_lie_coords(a: TruncatedTensor) -> LieCoordinates:
     """Project a Lie element onto Lyndon coordinates, level by level.
 
     Raises NotALieElementError when any level's least-squares residual
-    exceeds ``rtol * |a| + atol``; this residual test is the Lie-membership
-    check.  The absolute floor keeps rounding-level residue from rejecting
-    elements that are themselves at rounding scale (e.g. the log-signature
-    of a path concatenated with its own reversal).
+    exceeds ``_LIE_RTOL * |a| + _LIE_ATOL``; this residual test is the
+    Lie-membership check.  The absolute floor keeps rounding-level residue
+    from rejecting elements that are themselves at rounding scale (e.g. the
+    log-signature of a path concatenated with its own reversal).
     """
     if float(a.levels[0][0]) != 0.0:
         raise DomainError("a Lie element has zero level-0 coefficient")
-    tolerance = rtol * a.norm() + atol
+    tolerance = _LIE_RTOL * a.norm() + _LIE_ATOL
     coords = []
     for degree in range(1, a.depth + 1):
         _, matrix, pinv = _level_expansion(a.dim, degree)

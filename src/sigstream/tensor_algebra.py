@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,14 +161,14 @@ class TruncatedTensor:
     # -- linear-space arithmetic -------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other, self)
+        other = _coerce(other)
         a, b = _promote(self, other)
         return TruncatedTensor(
             a.dim, a.depth, [x + y for x, y in zip(a.levels, b.levels)]
         )
 
     def __sub__(self, other):
-        other = _coerce(other, self)
+        other = _coerce(other)
         a, b = _promote(self, other)
         return TruncatedTensor(
             a.dim, a.depth, [x - y for x, y in zip(a.levels, b.levels)]
@@ -196,7 +197,7 @@ class TruncatedTensor:
         return float(np.sqrt(sum(float(x @ x) for x in self.levels)))
 
 
-def _coerce(other, like):
+def _coerce(other):
     if isinstance(other, TruncatedTensor):
         return other
     raise TypeError(f"expected TruncatedTensor, got {type(other).__name__}")
@@ -270,6 +271,34 @@ def chen_fold(levels, increments):
         top = np.matmul(acc.transpose(0, 2, 1), x)
         out[depth] = out[depth] + top.reshape(batch, -1)
     return out
+
+
+def _represent(a: TruncatedTensor, mats: np.ndarray) -> np.ndarray:
+    """sum_w a_w M_{w_1} ... M_{w_k}: the algebra map e_j -> M_j, truncated at a.depth.
+
+    ``mats`` holds M_1..M_d with shape (d, m, m); the result is m x m.
+    """
+    d, m = mats.shape[0], mats.shape[1]
+    words = np.eye(m, dtype=mats.dtype)[None, :, :]  # level-0 word matrix
+    total = a.levels[0][0] * words[0]
+    for k in range(1, a.depth + 1):
+        # matrix for w'j is (matrix for w') @ M_j; flat order w'*d + j
+        words = np.einsum("wab,jbc->wjac", words, mats).reshape(d**k, m, m)
+        total = total + np.tensordot(a.levels[k], words, axes=(0, 0))
+    return total
+
+
+def _exp_tail(x: float, depth: int) -> float:
+    """sum_{k > depth} x^k / k!, the remainder of exp(x) after its depth-N partial sum."""
+    term = x ** (depth + 1) / math.factorial(depth + 1)
+    total, k = 0.0, depth + 1
+    while True:
+        total += term
+        k += 1
+        term *= x / k
+        if term <= 1e-17 * total or k > 10_000:
+            break
+    return total
 
 
 def tensor_exp(a: TruncatedTensor, assume_lie: bool | None = None) -> TruncatedTensor:

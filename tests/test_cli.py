@@ -214,6 +214,17 @@ class TestExpsig:
             ),
             ("expsig-mc", "--domain", "disk:abc", "--dt", 0.01, *mc),
             ("expsig-mc", "--domain", "disk:1", "--dt", "nan", *mc),
+            *(
+                ("expsig-mc", "--domain", "disk:1", "--dt", 0.01, *mc, *extra)
+                for extra in (
+                    ("--depth", 0),
+                    ("--seed", -1),
+                    ("--start", "a,b"),
+                    ("--start", 0),
+                    ("--start", "0,0,0"),
+                    ("--start", "nan,0"),
+                )
+            ),
         ):
             code, _, err = run(capsys, *argv)
             assert code == 3, argv
@@ -260,6 +271,23 @@ class TestLearnPipeline:
             code, _, err = run(capsys, "score", model, data / "manifest.txt", labels)
             assert code == 3, bad
             assert "data error" in err
+
+    def test_bad_lambda_is_data_error(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        run(
+            capsys, "gen-synth", "--out", data,
+            "--n-per-class", 2, "--steps", 8, "--seed", 1,
+        )
+        model = tmp_path / "model.json"
+        for method in ("ridge", "lasso"):
+            for lam in ("nan", "inf", -1):
+                code, _, err = run(
+                    capsys, "fit", "--depth", 2, "--method", method, "--lambda", lam,
+                    data / "manifest.txt", data / "labels.txt", "-o", model,
+                )
+                assert code == 3, (method, lam)
+                assert "data error" in err
+                assert not model.exists()
 
     def test_gen_fit_score(self, capsys, tmp_path):
         train_dir = tmp_path / "train"

@@ -195,6 +195,17 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             mc_expected_sig(DISK, (2.0, 0.0), 2, paths=10, dt=1e-2, seed=1)
 
+    def test_malformed_arguments_rejected(self):
+        for start, depth, seed in (
+            ((0.0,), 2, 1),
+            ((0.0, 0.0, 0.0), 2, 1),
+            ((np.nan, 0.0), 2, 1),
+            ((0.0, 0.0), 0, 1),
+            ((0.0, 0.0), 2, -1),
+        ):
+            with pytest.raises(DomainError):
+                mc_expected_sig(DISK, start, depth, paths=10, dt=1e-2, seed=seed)
+
     def test_polygon_domain_runs(self):
         square = PolygonDomain([(-1, -1), (1, -1), (1, 1), (-1, 1)])
         out = mc_expected_sig(square, (0.0, 0.0), 2, paths=400, dt=2e-3, seed=3)

@@ -114,6 +114,20 @@ class TestRidge:
         assert np.abs(model.coefficients[1:] - beta).max() < 1e-8
         assert model.coefficients[0] == pytest.approx(intercept, abs=1e-8)
 
+    def test_lambda_must_be_finite_and_non_negative(self):
+        rng = np.random.default_rng(7)
+        streams = random_streams(rng, 6, 2, 5)
+        X = featurize(streams, 2)
+        y = rng.standard_normal(6)
+        pairs = list(zip(streams, streams))
+        for lam in (-1.0, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                fit_ridge(X, y, lam)
+            with pytest.raises(DomainError):
+                fit_lasso(X, y, lam)
+            with pytest.raises(DomainError):
+                fit_conditional_law(pairs, 2, 2, lam=lam)
+
     def test_shrinkage_monotonicity(self):
         rng = np.random.default_rng(6)
         X = featurize(random_streams(rng, 40, 2, 8), 3)

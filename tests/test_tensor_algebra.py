@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sigstream import tensor_algebra
 from sigstream.errors import DimensionMismatchError, DomainError, OutOfDepthError
+from sigstream.streams import Stream, signature
 from sigstream.tensor_algebra import (
     EMPTY_WORD,
     TruncatedTensor,
@@ -220,6 +222,58 @@ class TestChenFold:
             mp.setattr(tensor_algebra, "_CHUNK_ELEMENTS", 1)  # one step per chunk
             chunked = chen_fold(levels, inc)
         assert close_levels(chunked, whole)
+
+
+@st.composite
+def nilpotent_mats(draw):
+    """Depth N and strictly upper-triangular M_1..M_d of size N + 1.
+
+    N + 1 is the largest size at which truncation at depth N loses nothing,
+    and the one where the order of non-commuting factors shows most often.
+    """
+    d = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, 4))
+    m = depth + 1
+    values = st.floats(-1.0, 1.0, allow_nan=False)
+    return depth, np.triu(draw(arrays(float, (d, m, m), elements=values)), k=1)
+
+
+def assert_close_matrices(got, want):
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
+
+
+class TestRepresent:
+    """_represent is the algebra map e_j -> M_j; with M_j strictly upper-triangular
+    of size m <= N + 1 every word longer than N maps to zero, so truncation is exact."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(nilpotent_mats(), st.data())
+    def test_multiplicative(self, case, data):
+        depth, mats = case
+        d = mats.shape[0]
+        values = st.floats(-1.0, 1.0, allow_nan=False)
+        a, b = (
+            TruncatedTensor(
+                d, depth, [data.draw(arrays(float, d**k, elements=values)) for k in range(depth + 1)]
+            )
+            for _ in range(2)
+        )
+        rep = tensor_algebra._represent
+        assert_close_matrices(rep(tensor_mul(a, b), mats), rep(a, mats) @ rep(b, mats))
+
+    @settings(max_examples=100, deadline=None)
+    @given(nilpotent_mats(), st.data())
+    def test_signature_maps_to_product_of_segment_exponentials(self, case, data):
+        depth, mats = case
+        d, m = mats.shape[0], mats.shape[1]
+        n = data.draw(st.integers(1, 6))
+        points = data.draw(arrays(float, (n, d), elements=st.floats(-1.0, 1.0)))
+        stream = Stream(np.arange(n, dtype=float), points)
+        want = np.eye(m)
+        for x in stream.increments():
+            want = want @ scipy.linalg.expm(np.tensordot(x, mats, axes=(0, 0)))
+        got = tensor_algebra._represent(signature(stream, depth), mats)
+        assert_close_matrices(got, want)
 
 
 class TestInner:
