@@ -96,6 +96,8 @@ def _cmd_dpdist(args) -> int:
 
 def _cmd_logode(args) -> int:
     spec = json.loads(Path(args.system).read_text())
+    if not isinstance(spec, dict):
+        raise DomainError("system file must hold a JSON object {m, d, matrices, y0}")
     lin = LinearSystem(np.asarray(spec["matrices"], dtype=float))
     if lin.state_dim != int(spec["m"]) or lin.driver_dim != int(spec["d"]):
         raise DimensionMismatchError("system spec m/d fields disagree with matrices")

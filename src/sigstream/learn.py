@@ -407,6 +407,12 @@ def two_class_streams(
     """
     if not 0.0 <= strength <= 1.0:
         raise DomainError("strength must lie in [0, 1]")
+    if n_per_class < 1:
+        raise DomainError("n_per_class must be >= 1")
+    if n_steps < 2:
+        raise DomainError("n_steps must be >= 2 to standardize the increments")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, 1.0, n_steps + 1)
     streams, labels = [], []

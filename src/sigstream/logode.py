@@ -73,6 +73,10 @@ class VectorFieldSystem:
     brackets of degree k need k - 1.  When ``validate_at`` points are given,
     each Jacobian is checked against central finite differences of its field
     at those points (1e-5 relative).
+
+    Brackets of degree >= 3 of general fields take nested central differences
+    with step ``_FD_SCALE * (1 + |y|)``; ``from_linear`` systems instead cache
+    each bracket as an exact m x m matrix.
     """
 
     def __init__(
@@ -92,6 +96,7 @@ class VectorFieldSystem:
         self.jacobians = tuple(jacobians)
         self.smoothness = smoothness
         self._tree_cache: dict = {}
+        self._matrices = None  # A_1..A_d when built by from_linear
         if validate_at is not None:
             self._validate_jacobians(validate_at)
 
@@ -103,13 +108,15 @@ class VectorFieldSystem:
             return (lambda y: a @ y), (lambda y: a)
 
         pairs = [make(a) for a in mats]
-        return cls(
+        vfs = cls(
             lin.state_dim,
             lin.driver_dim,
             [f for f, _ in pairs],
             [j for _, j in pairs],
             smoothness=10**9,
         )
+        vfs._matrices = mats
+        return vfs
 
     def _validate_jacobians(self, points):
         for y in np.atleast_2d(np.asarray(points, dtype=float)):
@@ -130,11 +137,21 @@ class VectorFieldSystem:
     # -- bracket fields -----------------------------------------------------
 
     def _field_for_tree(self, tree):
-        """Evaluable field (and exact Jacobian when available) for a bracket tree."""
+        """Evaluable field (and exact Jacobian when available) for a bracket tree.
+
+        Linear systems give (y -> M y, M) with M_[L,R] = M_R M_L - M_L M_R.
+        """
         cached = self._tree_cache.get(tree)
         if cached is not None:
             return cached
-        if isinstance(tree, int):
+        if self._matrices is not None:
+            if isinstance(tree, int):
+                mat = self._matrices[tree - 1]
+            else:
+                left, right = (self._field_for_tree(t)[1] for t in tree)
+                mat = right @ left - left @ right
+            out = ((lambda y, a=mat: a @ y), mat)
+        elif isinstance(tree, int):
             out = (self.fields[tree - 1], self.jacobians[tree - 1])
         else:
             f_left, jac_left = self._field_for_tree(tree[0])
@@ -166,14 +183,8 @@ def _directional(f, jac, y, w):
     return (plus - minus) * (norm_w / (2.0 * h))
 
 
-def lie_extend_evaluate(
-    vfs: VectorFieldSystem, coords: LieCoordinates, y
-) -> np.ndarray:
-    """Evaluate the Lie extension of the field map at the given coordinates.
-
-    Returns sum_b lambda_b B_b(y) where B_b is the iterated vector-field
-    bracket following each basis element's bracketing.
-    """
+def _frozen_field(vfs: VectorFieldSystem, coords: LieCoordinates):
+    """The frozen field y -> sum_b lambda_b B_b(y); y -> (sum_b lambda_b M_b) y if linear."""
     if coords.dim != vfs.driver_dim:
         raise DomainError(
             f"coordinates are {coords.dim}-dimensional, fields expect {vfs.driver_dim}"
@@ -184,14 +195,22 @@ def lie_extend_evaluate(
             f"degree-{top} brackets need {top - 1} derivatives; "
             f"system declares {vfs.smoothness}"
         )
-    y = np.asarray(y, dtype=float)
-    out = np.zeros(vfs.state_dim)
-    for element, lam in zip(coords.basis, coords.values):
-        if lam == 0.0:
-            continue
-        field, _ = vfs._field_for_tree(element.bracketing)
-        out += lam * np.asarray(field(y), dtype=float)
-    return out
+    pairs = zip(coords.values, coords.basis)
+    terms = [(lam, vfs._field_for_tree(b.bracketing)) for lam, b in pairs if lam != 0.0]
+    if vfs._matrices is not None:
+        K = sum((lam * mat for lam, (_, mat) in terms), np.zeros((vfs.state_dim,) * 2))
+        return lambda y: K @ y
+    zero = np.zeros(vfs.state_dim)
+    return lambda y: sum((lam * np.asarray(f(y), dtype=float) for lam, (f, _) in terms), zero)
+
+
+def lie_extend_evaluate(vfs: VectorFieldSystem, coords: LieCoordinates, y) -> np.ndarray:
+    """Evaluate the Lie extension of the field map at the given coordinates.
+
+    Returns sum_b lambda_b B_b(y) where B_b is the iterated vector-field
+    bracket following each basis element's bracketing.
+    """
+    return _frozen_field(vfs, coords)(np.asarray(y, dtype=float))
 
 
 def logode_step(
@@ -200,13 +219,14 @@ def logode_step(
     """Integrate the frozen log-signature field over unit time with RK4."""
     if substeps < 1:
         raise DomainError("substeps must be >= 1")
+    field = _frozen_field(vfs, coords)
     y = np.asarray(y0, dtype=float).copy()
     dt = 1.0 / substeps
     for step in range(substeps):
-        k1 = lie_extend_evaluate(vfs, coords, y)
-        k2 = lie_extend_evaluate(vfs, coords, y + 0.5 * dt * k1)
-        k3 = lie_extend_evaluate(vfs, coords, y + 0.5 * dt * k2)
-        k4 = lie_extend_evaluate(vfs, coords, y + dt * k3)
+        k1 = field(y)
+        k2 = field(y + 0.5 * dt * k1)
+        k3 = field(y + 0.5 * dt * k2)
+        k4 = field(y + dt * k3)
         y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(y)):
             raise DivergenceError(
@@ -234,6 +254,8 @@ class LogOdeSchedule:
 
     @classmethod
     def uniform(cls, stream: Stream, steps: int, depth: int, substeps: int = 16):
+        if steps < 1:
+            raise DomainError("steps must be >= 1")
         t0, t1 = stream.interval
         return cls(np.linspace(t0, t1, steps + 1), depth, substeps)
 
@@ -246,8 +268,10 @@ def solve(
     bounds = schedule.boundaries
     if bounds[0] < t0 - 1e-9 or bounds[-1] > t1 + 1e-9:
         raise DomainError("schedule boundaries leave the stream's interval")
-    states = np.empty((bounds.size, vfs.state_dim))
     y = np.asarray(y0, dtype=float)
+    if y.shape != (vfs.state_dim,) or not np.all(np.isfinite(y)):
+        raise DomainError(f"y0 must hold {vfs.state_dim} finite numbers")
+    states = np.empty((bounds.size, vfs.state_dim))
     states[0] = y
     for i in range(bounds.size - 1):
         piece = restrict(stream, bounds[i], bounds[i + 1])

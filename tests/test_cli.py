@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigstream.cli import main
 from sigstream.streams import Stream, signature, write_csv
@@ -197,9 +203,33 @@ class TestExpsig:
         assert payload["values"]["1,2"] == pytest.approx(0.0, abs=1e-12)
         assert payload["values"][""] == 1.0
 
-    def test_malformed_inputs_are_data_errors(self, capsys):
+    def test_malformed_inputs_are_data_errors(self, capsys, tmp_path):
         mc = ("--depth", 2, "--paths", 2, "--seed", 1)
+        driver = tmp_path / "driver.csv"
+        driver.write_text(TWO_SEGMENT)
+        zeros = np.zeros((2, 2, 2)).tolist()
+        logode = []
+        for i, (steps, spec) in enumerate((
+            (2, {"m": 2, "d": 2, "matrices": zeros, "y0": [1.0]}),
+            (2, {"m": 2, "d": 2, "matrices": zeros, "y0": [1.0, float("nan")]}),
+            (2, [1, 2]),
+            (-3, {"m": 2, "d": 2, "matrices": zeros, "y0": [1.0, 0.0]}),
+        )):
+            system = tmp_path / f"system{i}.json"
+            system.write_text(json.dumps(spec))
+            logode.append(("logode", "--depth", 2, "--steps", steps, "--system", system, driver))
+        synth = ("gen-synth", "--out", tmp_path / "synth", "--seed", 1)
         for argv in (
+            *logode,
+            *(
+                (*synth, *extra)
+                for extra in (
+                    ("--n-per-class", 2, "--seed", -1),
+                    ("--n-per-class", 2, "--steps", 0),
+                    ("--n-per-class", 2, "--steps", 1),
+                    ("--n-per-class", 0),
+                )
+            ),
             *(
                 ("expsig", "--domain", domain, "--h", h, "--depth", 2)
                 for domain, h in (
@@ -318,3 +348,53 @@ class TestLearnPipeline:
         assert report["auc"] > 0.9
         assert 0.0 <= report["ks"] <= 1.0
         assert report["accuracy"] > 0.8
+
+
+@st.composite
+def fuzz_case(draw):
+    """Small argv for logode or gen-synth; for logode also the system JSON it reads
+    and the dimension of its driver."""
+    small = st.one_of(st.integers(1, 5), st.integers(-3, 5))
+    if draw(st.booleans()):
+        sizes = ("--n-per-class", "--steps", "--seed")
+        return ["gen-synth", *(x for flag in sizes for x in (flag, draw(small)))], None, None
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    fault = draw(st.sampled_from([None, None, None, "m", "d", "y0", "nan", "list", "scalar"]))
+    mats = draw(st.lists(st.floats(-1.0, 1.0), min_size=d * m * m, max_size=d * m * m))
+    y0 = draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
+    if fault == "y0":
+        y0 = draw(st.sampled_from([y0[:-1], y0 + [0.0]]))
+    if fault == "nan":
+        y0[draw(st.integers(0, m - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    spec = {
+        "m": m + (fault == "m"),
+        "d": d - (fault == "d"),
+        "matrices": np.reshape(mats, (d, m, m)).tolist(),
+        "y0": y0,
+    }
+    system = {"list": [m, d], "scalar": m}.get(fault, spec)
+    sizes = ("--depth", "--steps", "--substeps")
+    argv = ["logode", *(x for flag in sizes for x in (flag, draw(small)))]
+    return argv, system, d
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(fuzz_case())
+    def test_documented_exit_codes_only(self, case):
+        argv, system, d = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            if argv[0] == "logode":
+                (tmp / "system.json").write_text(json.dumps(system))
+                # a unit-step staircase through the d axes
+                steps = Stream(np.arange(d + 1.0), np.tril(np.ones((d + 1, d)), -1))
+                write_csv(steps, tmp / "driver.csv")
+                argv += ["--system", tmp / "system.json", tmp / "driver.csv"]
+            else:
+                argv += ["--out", tmp / "synth"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([str(a) for a in argv])
+        assert code in (0, 2, 3, 4), (argv, system, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -303,6 +303,16 @@ class TestSynthetic:
         for a, b in zip(a_streams, b_streams):
             assert np.array_equal(a.points, b.points)
 
+    def test_malformed_arguments_rejected(self):
+        for kwargs in (
+            {"n_per_class": 0},
+            {"n_per_class": 2, "n_steps": 1},
+            {"n_per_class": 2, "n_steps": 0},
+            {"n_per_class": 2, "seed": -1},
+        ):
+            with pytest.raises(DomainError):
+                two_class_streams(**kwargs)
+
     def test_balanced_and_standardized(self):
         streams, labels = two_class_streams(20, n_steps=32, strength=0.7, seed=5)
         assert labels.sum() == 20

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from sigstream import logode
 from sigstream.errors import CapabilityError, DivergenceError, DomainError
 from sigstream.lie_algebra import LieCoordinates, lyndon_basis
 from sigstream.logode import (
@@ -14,7 +18,8 @@ from sigstream.logode import (
     series_tail_bound,
     solve,
 )
-from sigstream.streams import Stream, signature
+from sigstream.streams import Stream, log_signature, signature
+from sigstream.tensor_algebra import _represent
 
 from oracles import expm
 
@@ -104,6 +109,53 @@ class TestLieExtend:
         )
         with pytest.raises(CapabilityError):
             lie_extend_evaluate(vfs, coords_on(2, 3, "[1,[1,2]]"), np.zeros(1))
+
+
+@st.composite
+def linear_cases(draw):
+    """A linear system, Lie coordinates over d letters up to depth 5, and a state."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    depth = draw(st.integers(1, 5))
+    values = st.floats(-1.0, 1.0, allow_nan=False)
+    A = draw(arrays(float, (d, m, m), elements=values))
+    lam = draw(arrays(float, len(lyndon_basis(d, depth)), elements=values))
+    y = draw(arrays(float, m, elements=values))
+    return A, LieCoordinates(d, depth, lam), y
+
+
+class TestCompiledLinearField:
+    @settings(max_examples=60, deadline=None)
+    @given(linear_cases())
+    def test_brackets_match_word_representation(self, case):
+        # the Lie extension of e_i -> A_i y is the word map restricted to Lie elements
+        A, coords, y = case
+        got = lie_extend_evaluate(VectorFieldSystem.from_linear(LinearSystem(A)), coords, y)
+        want = _represent(coords.to_tensor(), A.transpose(0, 2, 1)).T @ y
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
+
+    def test_general_route_agrees_at_depth_4(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        A = 0.5 * rng.standard_normal((2, 3, 3))
+        compiled = VectorFieldSystem.from_linear(LinearSystem(A))
+        by_hand = VectorFieldSystem(
+            3,
+            2,
+            [lambda y, a=a: a @ y for a in A],
+            [lambda y, a=a: a for a in A],
+            smoothness=10,
+        )
+        piece = random_stream(rng, 2, 5, scale=0.4)
+        coords = log_signature(piece, 4)
+        y0 = rng.standard_normal(3)
+        general = logode_step(by_hand, y0, coords, 16)
+
+        def no_fd(*args):
+            raise AssertionError("linear systems take no finite differences")
+
+        monkeypatch.setattr(logode, "_directional", no_fd)
+        exact = logode_step(compiled, y0, coords, 16)
+        assert np.abs(general - exact).max() < 1e-9
 
 
 class TestStep:
@@ -214,6 +266,20 @@ class TestSolve:
         traj = solve(vfs, s, y0, sched)
         norms = np.linalg.norm(traj, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-10
+
+    def test_initial_state_checked(self):
+        vfs = VectorFieldSystem.from_linear(LinearSystem(np.ones((1, 2, 2))))
+        s = Stream([0.0, 1.0], [[0.0], [1.0]])
+        sched = LogOdeSchedule.uniform(s, 2, depth=1)
+        for y0 in ([1.0], [1.0, 2.0, 3.0], [1.0, np.nan], [np.inf, 0.0]):
+            with pytest.raises(DomainError, match="y0"):
+                solve(vfs, s, np.array(y0), sched)
+
+    def test_uniform_needs_a_step(self):
+        s = Stream([0.0, 1.0], [[0.0], [1.0]])
+        for steps in (0, -3):
+            with pytest.raises(DomainError, match="steps"):
+                LogOdeSchedule.uniform(s, steps, depth=1)
 
     def test_boundaries_checked(self):
         vfs = VectorFieldSystem.from_linear(LinearSystem(np.ones((1, 1, 1))))
