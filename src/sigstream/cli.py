@@ -95,13 +95,11 @@ def _cmd_dpdist(args) -> int:
 
 
 def _cmd_logode(args) -> int:
-    spec = json.loads(Path(args.system).read_text())
-    if not isinstance(spec, dict):
-        raise DomainError("system file must hold a JSON object {m, d, matrices, y0}")
-    lin = LinearSystem(np.asarray(spec["matrices"], dtype=float))
-    if lin.state_dim != int(spec["m"]) or lin.driver_dim != int(spec["d"]):
+    spec = _read_spec(args.system, "system", "{m, d, matrices, y0}")
+    lin = LinearSystem(_spec_array(spec, "matrices"))
+    if lin.state_dim != _spec_int(spec, "m") or lin.driver_dim != _spec_int(spec, "d"):
         raise DimensionMismatchError("system spec m/d fields disagree with matrices")
-    y0 = np.asarray(spec["y0"], dtype=float)
+    y0 = _spec_array(spec, "y0")
     driver = ingest_csv(args.driver)
     schedule = LogOdeSchedule.uniform(driver, args.steps, args.depth, args.substeps)
     trajectory = solve(VectorFieldSystem.from_linear(lin), driver, y0, schedule)
@@ -114,12 +112,12 @@ def _cmd_logode(args) -> int:
 
 
 def _cmd_develop(args) -> int:
-    spec = json.loads(Path(args.policy).read_text())
-    gens = np.asarray(spec["generators"], dtype=float)
+    spec = _read_spec(args.policy, "policy", "{u, generators}")
+    gens = _spec_array(spec, "generators")
     if gens.ndim != 4 or gens.shape[-1] != 2:
         raise DomainError("generators must be [[[re, im], ...], ...] matrices")
     policy = UnitaryPolicy(gens[..., 0] + 1j * gens[..., 1])
-    if policy.size != int(spec["u"]):
+    if policy.size != _spec_int(spec, "u"):
         raise DimensionMismatchError("policy u field disagrees with generators")
     result = develop(policy, ingest_csv(args.stream))
     psi = result.psi
@@ -166,6 +164,27 @@ def _cmd_expsig_mc(args) -> int:
     }
     _emit(payload, args.output)
     return 0
+
+
+def _read_spec(path, what, fields):
+    spec = json.loads(Path(path).read_text())
+    if not isinstance(spec, dict):
+        raise DomainError(f"{what} file must hold a JSON object {fields}")
+    return spec
+
+
+def _spec_int(spec, key):
+    try:
+        return int(spec[key])
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"field {key!r} must be an integer") from None
+
+
+def _spec_array(spec, key):
+    try:
+        return np.asarray(spec[key], dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"field {key!r} must be a rectangular array of numbers") from None
 
 
 def _parse_point(text):
@@ -233,14 +252,15 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    model_spec = json.loads(Path(args.model).read_text())
+    model_spec = _read_spec(args.model, "model", "{depth, transform, coefficients}")
+    transform = model_spec.get("transform", "none")
+    if not isinstance(transform, str):
+        raise DomainError("field 'transform' must be a string")
     streams = _read_manifest(args.test)
     y = _read_labels(args.labels, len(streams))
-    X = learn.featurize(
-        streams, int(model_spec["depth"]), model_spec.get("transform", "none")
-    )
-    coef = np.asarray(model_spec["coefficients"], dtype=float)
-    if coef.size != X.X.shape[1]:
+    X = learn.featurize(streams, _spec_int(model_spec, "depth"), transform)
+    coef = _spec_array(model_spec, "coefficients")
+    if coef.ndim != 1 or coef.size != X.X.shape[1]:
         raise DimensionMismatchError(
             "model was fit with a different feature count"
         )

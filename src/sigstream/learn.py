@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .errors import DegenerateReportError, DimensionMismatchError, DomainError
-from .streams import TRANSFORMS, Stream, log_signature, signature
-from .tensor_algebra import Word, words_of_degree
+from .lie_algebra import _lie_coords, lyndon_basis
+from .streams import TRANSFORMS, Stream, _signature_levels
+from .tensor_algebra import Word, _log_levels, words_of_degree
 
 __all__ = [
     "FeatureMatrix",
@@ -66,10 +66,7 @@ def featurize(streams, depth: int, transform: str = "none") -> FeatureMatrix:
     """Signature coordinates up to ``depth`` for each stream, one row per stream."""
     mapped = _transformed(streams, transform)
     d = mapped[0].dimension
-    rows = np.empty((len(mapped), sum(d**k for k in range(depth + 1))))
-    for i, s in enumerate(mapped):
-        sig = signature(s, depth)
-        rows[i] = np.concatenate(sig.levels)
+    rows = np.hstack(_signature_levels(mapped, depth))
     return FeatureMatrix(rows, tuple(feature_words(d, depth)), d, depth, transform)
 
 
@@ -80,10 +77,11 @@ def featurize_logsig(streams, depth: int, transform: str = "none") -> FeatureMat
     shuffle-product linearity of pointwise products no longer applies.
     """
     mapped = _transformed(streams, transform)
-    coords = [log_signature(s, depth) for s in mapped]
-    rows = np.array([np.concatenate([[1.0], c.values]) for c in coords])
-    words = (Word(()),) + tuple(b.word for b in coords[0].basis)
-    return FeatureMatrix(rows, words, mapped[0].dimension, depth, transform)
+    d = mapped[0].dimension
+    coords = _lie_coords(_log_levels(_signature_levels(mapped, depth)), d, depth)
+    rows = np.hstack([np.ones((len(mapped), 1)), coords])
+    words = (Word(()),) + tuple(b.word for b in lyndon_basis(d, depth))
+    return FeatureMatrix(rows, words, d, depth, transform)
 
 
 def _transformed(streams, transform):
@@ -308,7 +306,14 @@ def classification_report(scores, labels, threshold: float = 0.5) -> Classificat
         raise DomainError("labels must be 0/1")
     if len(np.unique(labels)) < 2:
         raise DegenerateReportError("need both classes to build a report")
-    ks = float(scipy.stats.ks_2samp(scores[labels == 1], scores[labels == 0]).statistic)
+    # two-sample KS statistic, the largest gap between the classes' ECDFs at any
+    # score, as the exact fraction h / lcm(n1, n2)
+    pos, neg = np.sort(scores[labels == 1]), np.sort(scores[labels == 0])
+    n1, n2 = pos.size, neg.size
+    gap = np.searchsorted(pos, scores, side="right") * n2
+    gap -= np.searchsorted(neg, scores, side="right") * n1
+    g = math.gcd(n1, n2)
+    ks = int(np.abs(gap).max()) // g / (n1 // g * n2)
     roc = roc_points(scores, labels)
     auc = trapezoid_auc(roc)
     accuracy = float(np.mean((scores >= threshold).astype(int) == labels))

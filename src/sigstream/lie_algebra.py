@@ -10,12 +10,13 @@ independently by the Dynkin right-bracketing idempotent.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NotALieElementError
-from .tensor_algebra import TruncatedTensor, Word
+from .tensor_algebra import TruncatedTensor, Word, _batch_of_one
 
 __all__ = [
     "LyndonBasisElement",
@@ -236,22 +237,39 @@ def tensor_to_lie_coords(a: TruncatedTensor) -> LieCoordinates:
     from rejecting elements that are themselves at rounding scale (e.g. the
     log-signature of a path concatenated with its own reversal).
     """
-    if float(a.levels[0][0]) != 0.0:
+    values = _lie_coords(_batch_of_one(a), a.dim, a.depth)
+    return LieCoordinates(a.dim, a.depth, values[0])
+
+
+def _lie_coords(levels, dim: int, depth: int) -> np.ndarray:
+    """Lyndon coordinates of each row of (rows, d^k) levels, shape (rows, basis size).
+
+    Each row is checked as ``tensor_to_lie_coords`` checks one tensor, against
+    its own tolerance; the error names the first failing row's lowest failing level.
+    """
+    if levels[0].any():
         raise DomainError("a Lie element has zero level-0 coefficient")
-    tolerance = _LIE_RTOL * a.norm() + _LIE_ATOL
-    coords = []
-    for degree in range(1, a.depth + 1):
-        _, matrix, pinv = _level_expansion(a.dim, degree)
-        lam = pinv @ a.levels[degree]
-        residual = float(np.linalg.norm(matrix @ lam - a.levels[degree]))
-        if residual > tolerance:
-            raise NotALieElementError(
-                f"level-{degree} residual {residual:.3e} exceeds {tolerance:.3e}",
-                level=degree,
-                residual=residual,
-            )
-        coords.append(lam)
-    return LieCoordinates(a.dim, a.depth, np.concatenate(coords))
+    flat = np.concatenate(levels, axis=1)
+    tolerance = _LIE_RTOL * np.sqrt((flat * flat).sum(axis=1)) + _LIE_ATOL
+    coords, rebuilt = [], [levels[0]]
+    for degree in range(1, depth + 1):
+        _, matrix, pinv = _level_expansion(dim, degree)
+        coords.append(levels[degree] @ pinv.T)
+        rebuilt.append(coords[-1] @ matrix.T)
+    err = np.concatenate(rebuilt, axis=1) - flat
+    starts = list(itertools.accumulate(dim**k for k in range(depth)))  # levels 1..N
+    residuals = np.sqrt(np.add.reduceat(err * err, starts, axis=1))
+    failing = residuals > tolerance[:, None]
+    if failing.any():
+        row = int(failing.any(axis=1).argmax())
+        degree = int(failing[row].argmax()) + 1
+        residual = float(residuals[row, degree - 1])
+        raise NotALieElementError(
+            f"level-{degree} residual {residual:.3e} exceeds {tolerance[row]:.3e}",
+            level=degree,
+            residual=residual,
+        )
+    return np.concatenate(coords, axis=1)
 
 
 def _dynkin_apply(vec: np.ndarray, dim: int, degree: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 A stream is a timestamped sequence of points in R^d, read as the piecewise
 linear path through them.  Signatures are computed exactly (up to rounding)
 as the ordered product of per-segment exponentials, via Chen's identity, in
-one call to ``tensor_algebra.chen_fold`` whatever the stream's length.
+one call to ``tensor_algebra.chen_fold`` per group of equal-length streams,
+whatever the streams' length.
 Also provides CSV ingestion, the canonical time-augmentation and lead-lag
 transforms, and a computable lower-bound profile for the p-variation
 signature metric.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lie_algebra
+from . import lie_algebra, tensor_algebra
 from .errors import DimensionMismatchError, DomainError, StreamParseError
 from .tensor_algebra import TruncatedTensor, chen_fold, tensor_log
 
@@ -247,15 +248,51 @@ def restrict(s: Stream, t0: float, t1: float) -> Stream:
 
 # -- signatures ---------------------------------------------------------------
 
+# most coefficients (floats, 1 GiB) that one signature request may hold: a deeper or
+# wider request fails before allocating instead of raising numpy's memory error
+_COEFF_BUDGET = 2**27
+
 
 def signature(s: Stream, depth: int) -> TruncatedTensor:
     """Truncated signature of the stream: the ordered product of segment exponentials."""
+    levels = _signature_levels([s], depth)
+    return TruncatedTensor(s.dimension, depth, [lvl[0] for lvl in levels], grouplike=True)
+
+
+def _signature_levels(streams, depth: int) -> list[np.ndarray]:
+    """Signatures of streams of one dimension as levels of shape (rows, d^k), in input order.
+
+    Streams with the same sample count are stacked and folded together by
+    ``chen_fold``; a group is folded in slices of rows so that each slice
+    holds at most about _CHUNK_ELEMENTS floats per level of the fold.
+    """
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    d = s.dimension
-    unit = [np.ones((1, 1))] + [np.zeros((1, d**k)) for k in range(1, depth + 1)]
-    levels = chen_fold(unit, s.increments()[None])
-    return TruncatedTensor(d, depth, [lvl[0] for lvl in levels], grouplike=True)
+    rows, d = len(streams), streams[0].dimension
+    coefficients = rows * sum(d**k for k in range(depth + 1))
+    if coefficients > _COEFF_BUDGET:
+        raise DomainError(
+            f"{rows} signature(s) of dimension {d} at depth {depth} need {coefficients} "
+            f"coefficients, over the budget of {_COEFF_BUDGET}"
+        )
+    out = [np.ones((rows, 1))] + [np.empty((rows, d**k)) for k in range(1, depth + 1)]
+    groups: dict[int, list[int]] = {}
+    for i, s in enumerate(streams):
+        groups.setdefault(s.n_samples, []).append(i)
+    for n, members in groups.items():
+        per_slice = tensor_algebra._CHUNK_ELEMENTS // (max(n - 1, 1) * d ** (depth - 1))
+        per_slice = max(per_slice, 1)
+        for lo in range(0, len(members), per_slice):
+            idx = members[lo : lo + per_slice]
+            unit = [np.ones((len(idx), 1))]
+            unit += [np.zeros((len(idx), d**k)) for k in range(1, depth + 1)]
+            points = np.array([streams[i].points for i in idx])
+            levels = chen_fold(unit, np.diff(points, axis=1))
+            if len(idx) == rows:  # one slice holds every row, in input order
+                return levels
+            for k in range(1, depth + 1):
+                out[k][idx] = levels[k]
+    return out
 
 
 def log_signature(s: Stream, depth: int) -> lie_algebra.LieCoordinates:

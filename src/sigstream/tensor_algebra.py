@@ -34,8 +34,9 @@ __all__ = [
     "from_json_dict",
 ]
 
-# chen_fold takes steps in chunks so that one level's temporaries hold about this
-# many floats (32 MB): a 10^5-path Monte Carlo block of 8 steps at depth 3 is one chunk
+# chen_fold takes steps, and streams._signature_levels rows, in chunks so that one
+# level's temporaries hold about this many floats (32 MB): a 10^5-path Monte Carlo
+# block of 8 steps at depth 3 is one chunk
 _CHUNK_ELEMENTS = 2**22
 
 
@@ -212,23 +213,36 @@ def _promote(a: TruncatedTensor, b: TruncatedTensor):
 
 
 def _mul_levels(a_levels, b_levels, depth):
-    """Raw level-list product, truncated at ``depth``."""
+    """Row-wise level-list product, truncated at ``depth``.
+
+    ``a_levels[k]`` and ``b_levels[k]`` have shape (rows, d^k); so has the result.
+    """
     out = []
     for k in range(depth + 1):
         acc = None
         for i in range(k + 1):
-            term = np.multiply.outer(a_levels[i], b_levels[k - i]).reshape(-1)
+            term = _outer(a_levels[i], b_levels[k - i])
             acc = term if acc is None else acc + term
         out.append(acc)
     return out
 
 
+def _outer(a, b):
+    """Row-wise tensor product of (rows, d^i) and (rows, d^j) levels: (rows, d^(i+j))."""
+    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
+
+
+def _batch_of_one(a: TruncatedTensor):
+    """The levels of ``a`` with a leading batch axis of length 1, shapes (1, d^k)."""
+    return [lvl[None] for lvl in a.levels]
+
+
 def tensor_mul(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
     """Truncated tensor-algebra product of ``a`` and ``b``."""
     a, b = _promote(a, b)
-    levels = _mul_levels(a.levels, b.levels, a.depth)
+    levels = _mul_levels(_batch_of_one(a), _batch_of_one(b), a.depth)
     return TruncatedTensor(
-        a.dim, a.depth, levels, grouplike=a.grouplike and b.grouplike
+        a.dim, a.depth, [lvl[0] for lvl in levels], grouplike=a.grouplike and b.grouplike
     )
 
 
@@ -310,34 +324,46 @@ def tensor_exp(a: TruncatedTensor, assume_lie: bool | None = None) -> TruncatedT
     if abs(float(a.levels[0][0])) != 0.0:
         raise DomainError("tensor_exp requires a zero level-0 coefficient")
     n = a.depth
+    x = _batch_of_one(a)
     # Horner form: 1 + a(1 + a/2 (1 + a/3 (...)))
-    acc = [np.zeros(a.dim**k) for k in range(n + 1)]
-    acc[0] = np.ones(1)
+    acc = [np.zeros((1, a.dim**k)) for k in range(n + 1)]
+    acc[0] = np.ones((1, 1))
     for k in range(n, 0, -1):
-        acc = _mul_levels([lvl / k for lvl in a.levels], acc, n)
+        acc = _mul_levels([lvl / k for lvl in x], acc, n)
         acc[0] = acc[0] + 1.0
     if assume_lie is None:
         assume_lie = all(
             not lvl.any() for lvl in a.levels[2:]
         )  # a single level-1 element is trivially Lie
-    return TruncatedTensor(a.dim, a.depth, acc, grouplike=bool(assume_lie))
+    levels = [lvl[0] for lvl in acc]
+    return TruncatedTensor(a.dim, a.depth, levels, grouplike=bool(assume_lie))
 
 
 def tensor_log(a: TruncatedTensor) -> TruncatedTensor:
     """log(a) = sum_k (-1)^(k+1) (a - 1)^k / k, truncated; requires unit scalar term."""
     if float(a.levels[0][0]) != 1.0:
         raise DomainError("tensor_log requires a unit level-0 coefficient")
-    n = a.depth
-    x = [lvl.copy() for lvl in a.levels]
-    x[0] = np.zeros(1)
-    power = x
-    total = [lvl.copy() for lvl in x]
-    for k in range(2, n + 1):
-        power = _mul_levels(power, x, n)
-        sign = 1.0 if k % 2 == 1 else -1.0
-        for lvl_out, lvl_p in zip(total, power):
-            lvl_out += sign / k * lvl_p
-    return TruncatedTensor(a.dim, a.depth, total)
+    total = _log_levels(_batch_of_one(a))
+    return TruncatedTensor(a.dim, a.depth, [lvl[0] for lvl in total])
+
+
+def _log_levels(levels):
+    """Row-wise log of (rows, d^k) levels whose level-0 entries are all 1.
+
+    log(1 + x) = sum_j (-1)^(j+1) x^j / j.  With x the levels above 0, x^j has
+    no level below j, so only the products that reach levels j..N are formed.
+    """
+    n = len(levels) - 1
+    total = [np.zeros_like(levels[0])] + [lvl.copy() for lvl in levels[1:]]
+    power = levels  # x^j at levels j..N
+    for j in range(2, n + 1):
+        power = [None] * j + [
+            sum(_outer(power[i], levels[k - i]) for i in range(j - 1, k))
+            for k in range(j, n + 1)
+        ]
+        for k in range(j, n + 1):
+            total[k] += (1.0 if j % 2 else -1.0) / j * power[k]
+    return total
 
 
 def inner(word: Word, a: TruncatedTensor) -> float:

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -46,6 +48,10 @@ class TestBasics:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 2
+
+    def test_import_leaves_scipy_stats_out(self):
+        code = "import sys, sigstream.cli; sys.exit('scipy.stats' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "sig", "--depth", 2, tmp_path / "nope.csv")
@@ -214,13 +220,31 @@ class TestExpsig:
             (2, {"m": 2, "d": 2, "matrices": zeros, "y0": [1.0, float("nan")]}),
             (2, [1, 2]),
             (-3, {"m": 2, "d": 2, "matrices": zeros, "y0": [1.0, 0.0]}),
+            (2, {"m": "abc", "d": 2, "matrices": zeros, "y0": [1.0, 0.0]}),
+            (2, {"m": 2, "d": 2, "matrices": [[[0, 0], [0]], [[0, 0], [0, 0]]], "y0": [1.0, 0.0]}),
         )):
             system = tmp_path / f"system{i}.json"
             system.write_text(json.dumps(spec))
             logode.append(("logode", "--depth", 2, "--steps", steps, "--system", system, driver))
+        (tmp_path / "policy.json").write_text("[1,2]")
+        (tmp_path / "manifest.txt").write_text("driver.csv\n")
+        (tmp_path / "labels.txt").write_text("1\n")
+        score = []
+        for i, spec in enumerate((
+            [1, 2],
+            {"depth": "abc", "coefficients": [0.0] * 7},
+            {"depth": 2, "transform": ["none"], "coefficients": [0.0] * 7},
+            {"depth": 2, "coefficients": [[0.0]] * 7},
+        )):
+            model = tmp_path / f"model{i}.json"
+            model.write_text(json.dumps(spec))
+            score.append(("score", model, tmp_path / "manifest.txt", tmp_path / "labels.txt"))
         synth = ("gen-synth", "--out", tmp_path / "synth", "--seed", 1)
         for argv in (
             *logode,
+            ("develop", "--policy", tmp_path / "policy.json", driver),
+            *score,
+            ("sig", "--depth", 30, driver),  # 2^31 - 1 coefficients: over the budget
             *(
                 (*synth, *extra)
                 for extra in (

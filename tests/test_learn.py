@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sigstream import streams as streams_module
+from sigstream import tensor_algebra
 from sigstream.errors import DegenerateReportError, DimensionMismatchError, DomainError
 from sigstream.learn import (
     classification_report,
     coordinate_r2,
     featurize,
+    featurize_logsig,
     fit_conditional_law,
     fit_lasso,
     fit_ridge,
@@ -16,7 +22,7 @@ from sigstream.learn import (
     trapezoid_auc,
     two_class_streams,
 )
-from sigstream.streams import Stream
+from sigstream.streams import TRANSFORMS, Stream, log_signature, signature
 from sigstream.tensor_algebra import Word, shuffle
 
 from oracles import best_subset_support
@@ -30,7 +36,61 @@ def random_streams(rng, count, d, n_samples, scale=0.6):
     return out
 
 
+@st.composite
+def stream_batches(draw):
+    """Depth N <= 4 and 1-6 streams in R^d, d <= 3, of mixed lengths (1-sample ones too)."""
+    d = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, 4))
+    lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    values = st.floats(-2.0, 2.0, allow_nan=False)
+    batch = []
+    for n in lengths:
+        points = draw(st.lists(st.lists(values, min_size=d, max_size=d), min_size=n, max_size=n))
+        batch.append(Stream(np.arange(n, dtype=float), points))
+    return batch, depth
+
+
+def assert_rows_close(got, want):
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
+
+
 class TestFeaturize:
+    @settings(max_examples=60, deadline=None)
+    @given(stream_batches())
+    def test_rows_match_per_stream_signatures(self, case):
+        batch, depth = case
+        for transform, fn in TRANSFORMS.items():
+            X = featurize(batch, depth, transform).X
+            for row, s in zip(X, batch):
+                assert_rows_close(row, np.concatenate(signature(fn(s), depth).levels))
+        L = featurize_logsig(batch, depth).X
+        for row, s in zip(L, batch):
+            assert_rows_close(row, np.concatenate([[1.0], log_signature(s, depth).values]))
+
+    def test_group_split_into_slices(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        batch = random_streams(rng, 7, 2, 9) + random_streams(rng, 3, 2, 4)
+        whole = featurize(batch, 3).X
+        folds = []
+
+        def counting_fold(levels, increments):
+            folds.append(len(increments))
+            return tensor_algebra.chen_fold(levels, increments)
+
+        monkeypatch.setattr(streams_module, "chen_fold", counting_fold)
+        monkeypatch.setattr(tensor_algebra, "_CHUNK_ELEMENTS", 2 * 8 * 4)  # 2 rows of 8 steps
+        sliced = featurize(batch, 3).X
+        assert folds == [2, 2, 2, 1, 3]
+        assert_rows_close(sliced, whole)
+
+    def test_coefficient_budget(self, monkeypatch):
+        batch = random_streams(np.random.default_rng(9), 3, 2, 5)
+        monkeypatch.setattr(streams_module, "_COEFF_BUDGET", 3 * 31 - 1)  # depth 4: 31 each
+        featurize(batch, 3)
+        for fn in (featurize, featurize_logsig):
+            with pytest.raises(DomainError, match="budget"):
+                fn(batch, 4)
+
     def test_intercept_column(self):
         rng = np.random.default_rng(0)
         X = featurize(random_streams(rng, 5, 2, 8), 3)
@@ -212,6 +272,15 @@ class TestReports:
         rep = classification_report(scores, labels)
         assert rep.ks == 0.0
         assert rep.auc == pytest.approx(0.5)
+
+    def test_ks_matches_scipy_with_ties_and_unequal_sizes(self):
+        rng = np.random.default_rng(15)
+        for _ in range(100):
+            n1, n2 = rng.integers(1, 40, size=2)
+            a = rng.integers(0, 6, n1) / 2.0  # few distinct values: many ties
+            b = rng.integers(0, 6, n2) / 2.0
+            rep = classification_report(np.concatenate([a, b]), np.repeat([1, 0], [n1, n2]))
+            assert rep.ks == pytest.approx(scipy.stats.ks_2samp(a, b).statistic, abs=1e-15)
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateReportError):

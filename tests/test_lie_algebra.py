@@ -4,6 +4,7 @@ import pytest
 from sigstream.errors import DomainError, NotALieElementError
 from sigstream.lie_algebra import (
     LieCoordinates,
+    _lie_coords,
     bracket_expand,
     dynkin_check,
     lyndon_basis,
@@ -133,6 +134,23 @@ class TestCoordinates:
         with pytest.raises(NotALieElementError) as err:
             tensor_to_lie_coords(t)
         assert err.value.level == 2
+
+    def test_batch_names_first_failing_row_at_its_lowest_level(self):
+        rng = np.random.default_rng(5)
+        rows = [tensor_log(signature(random_stream(rng, 2, 6), 3)) for _ in range(3)]
+        levels = [np.array([r.levels[k] for r in rows]) for k in range(4)]
+        levels[3][1, 0] += 1.0  # row 1: the word 111 is not a Lie element
+        levels[2][2, 1] += 1.0  # row 2: nor is 12, nor 111
+        levels[3][2, 0] += 1.0
+        for first_failing, want_level in ((1, 3), (2, 2)):
+            single = TruncatedTensor(2, 3, [lvl[first_failing] for lvl in levels])
+            with pytest.raises(NotALieElementError) as single_err:
+                tensor_to_lie_coords(single)
+            with pytest.raises(NotALieElementError) as batch_err:
+                _lie_coords(levels, 2, 3)
+            assert single_err.value.level == batch_err.value.level == want_level
+            assert str(batch_err.value) == str(single_err.value)
+            levels[3][1, 0] -= 1.0  # mend row 1; row 2 is then the first failing row
 
     def test_nonzero_scalar_rejected(self):
         with pytest.raises(DomainError):
