@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import DimensionMismatchError, DomainError, TimeCapError
+from .streams import _check_budget
 from .tensor_algebra import TruncatedTensor, chen_fold, grade_norms
 
 __all__ = [
@@ -251,6 +250,8 @@ class GridDomain:
     def laplacian(self) -> scipy.sparse.csr_matrix:
         """Discrete Dirichlet Laplacian on interior points (zero boundary data)."""
         if self._matrix is None:
+            import scipy.sparse  # here, so importing the package leaves scipy.sparse out
+
             h2 = self.h**2
             rows, cols, vals = [], [], []
             diag = np.zeros(self.n_interior)
@@ -289,6 +290,8 @@ class GridDomain:
         component and level.
         """
         if self._lu is None:
+            import scipy.sparse.linalg
+
             self._lu = scipy.sparse.linalg.splu(self.laplacian.tocsc())
         return self._lu.solve(np.asarray(rhs, dtype=float))
 
@@ -353,6 +356,7 @@ def solve_recurrence(grid: GridDomain, depth: int) -> ExpectedSigField:
         raise DomainError("depth must be >= 2")
     d = 2
     n = grid.n_interior
+    _check_budget(n, d, depth, f"expected signatures at {n} grid points")
     levels = [np.ones((1, n)), np.zeros((d, n))]
     for level in range(2, depth + 1):
         width = d**level
@@ -415,6 +419,7 @@ def mc_expected_sig(
     if depth < 1 or paths < 1 or seed < 0 or not 0 < dt < math.inf:
         raise DomainError("need depth >= 1, paths >= 1, seed >= 0 and a finite dt > 0")
     d = 2
+    _check_budget(paths, d, depth, f"{paths} Monte Carlo path signature(s)")
     rng = np.random.default_rng(seed)
     sizes = [d**k for k in range(depth + 1)]
     sum_levels = [np.zeros(sz) for sz in sizes]

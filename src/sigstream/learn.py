@@ -64,9 +64,8 @@ class FeatureMatrix:
 
 def featurize(streams, depth: int, transform: str = "none") -> FeatureMatrix:
     """Signature coordinates up to ``depth`` for each stream, one row per stream."""
-    mapped = _transformed(streams, transform)
-    d = mapped[0].dimension
-    rows = np.hstack(_signature_levels(mapped, depth))
+    levels, d = _signed(streams, depth, transform)
+    rows = np.hstack(levels)
     return FeatureMatrix(rows, tuple(feature_words(d, depth)), d, depth, transform)
 
 
@@ -76,15 +75,15 @@ def featurize_logsig(streams, depth: int, transform: str = "none") -> FeatureMat
     An alternative to raw signature coordinates: far fewer columns, but the
     shuffle-product linearity of pointwise products no longer applies.
     """
-    mapped = _transformed(streams, transform)
-    d = mapped[0].dimension
-    coords = _lie_coords(_log_levels(_signature_levels(mapped, depth)), d, depth)
-    rows = np.hstack([np.ones((len(mapped), 1)), coords])
+    levels, d = _signed(streams, depth, transform)
+    coords = _lie_coords(_log_levels(levels), d, depth)
+    rows = np.hstack([np.ones((len(coords), 1)), coords])
     words = (Word(()),) + tuple(b.word for b in lyndon_basis(d, depth))
     return FeatureMatrix(rows, words, d, depth, transform)
 
 
-def _transformed(streams, transform):
+def _signed(streams, depth, transform):
+    """Signature levels of the transformed streams, one row per stream, and their dimension."""
     if transform not in TRANSFORMS:
         raise DomainError(f"unknown transform {transform!r}")
     streams = list(streams)
@@ -93,7 +92,11 @@ def _transformed(streams, transform):
     dims = {s.dimension for s in streams}
     if len(dims) != 1:
         raise DimensionMismatchError(f"streams have mixed dimensions {sorted(dims)}")
-    return [TRANSFORMS[transform](s) for s in streams]
+    mapped = [TRANSFORMS[transform](s) for s in streams]
+    sizes = np.array([s.n_samples for s in mapped])
+    starts = np.cumsum(sizes) - sizes
+    points = np.concatenate([s.points for s in mapped])
+    return _signature_levels(points, starts, starts + sizes - 1, depth), mapped[0].dimension
 
 
 @dataclass(eq=False)

@@ -1,9 +1,9 @@
 """The log-ODE method for controlled differential equations.
 
 Per step: take the truncated log-signature of the driving stream over the
-step, extend the linear map (driver coordinate -> vector field) through the
-bracket structure of the free Lie algebra, freeze the resulting autonomous
-field, and integrate it for unit time with classical RK4.
+step (all steps are signed in one batch), extend the linear map (driver
+coordinate -> vector field) through the bracket structure of the free Lie
+algebra, freeze the resulting field, and integrate it for unit time with RK4.
 
 Brackets follow [V, W](y) = DW(y) V(y) - DV(y) W(y); on linear fields
 V_i(y) = A_i y this gives [V_i, V_j] -> (A_j A_i - A_i A_j) y, the
@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CapabilityError, DivergenceError, DomainError
-from .lie_algebra import LieCoordinates
-from .streams import Stream, log_signature, restrict
-from .tensor_algebra import TruncatedTensor, _exp_tail, _represent
+from .lie_algebra import LieCoordinates, _lie_coords
+from .streams import Stream, _cut, _signature_levels
+from .tensor_algebra import TruncatedTensor, _exp_tail, _log_levels, _represent
 
 __all__ = [
     "VectorFieldSystem",
@@ -271,13 +270,14 @@ def solve(
     y = np.asarray(y0, dtype=float)
     if y.shape != (vfs.state_dim,) or not np.all(np.isfinite(y)):
         raise DomainError(f"y0 must hold {vfs.state_dim} finite numbers")
+    d, depth = stream.dimension, schedule.depth
+    _, points, index = _cut(stream, bounds)
+    sig = _signature_levels(points, index[:-1], index[1:], depth)
     states = np.empty((bounds.size, vfs.state_dim))
     states[0] = y
-    for i in range(bounds.size - 1):
-        piece = restrict(stream, bounds[i], bounds[i + 1])
-        coords = log_signature(piece, schedule.depth)
-        y = logode_step(vfs, y, coords, schedule.substeps)
-        states[i + 1] = y
+    for i, row in enumerate(_lie_coords(_log_levels(sig), d, depth), start=1):
+        y = logode_step(vfs, y, LieCoordinates(d, depth, row), schedule.substeps)
+        states[i] = y
     return states
 
 
@@ -289,6 +289,8 @@ def linear_solve(lin: LinearSystem, s: Stream, y0) -> np.ndarray:
 
     Ordered product over segments of exp(sum_i dgamma_i A_i), applied to y0.
     """
+    import scipy.linalg  # here, so importing the package leaves scipy.linalg out
+
     y = np.asarray(y0, dtype=float).copy()
     if s.dimension != lin.driver_dim:
         raise DomainError(

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import lie_algebra, tensor_algebra
 from .errors import DimensionMismatchError, DomainError, StreamParseError
-from .tensor_algebra import TruncatedTensor, chen_fold, tensor_log
+from .tensor_algebra import TruncatedTensor, _mul_levels, chen_fold, tensor_log
 
 __all__ = [
     "Stream",
@@ -96,10 +96,7 @@ class Stream:
         t0, t1 = self.interval
         if t < t0 - 1e-12 or t > t1 + 1e-12:
             raise DomainError(f"time {t} outside stream interval [{t0}, {t1}]")
-        out = np.empty(self.dimension)
-        for j in range(self.dimension):
-            out[j] = np.interp(t, self.times, self.points[:, j])
-        return out
+        return _cut(self, [t])[1][0]
 
     def __repr__(self):
         t0, t1 = self.interval
@@ -237,13 +234,19 @@ def restrict(s: Stream, t0: float, t1: float) -> Stream:
     lo, hi = s.interval
     if t0 < lo - 1e-9 or t1 > hi + 1e-9 or t0 > t1:
         raise DomainError(f"[{t0}, {t1}] is not inside [{lo}, {hi}]")
-    t0, t1 = max(t0, lo), min(t1, hi)
-    if t0 == t1:
-        return Stream([t0], s.value_at(t0)[None, :])
-    inside = (s.times > t0) & (s.times < t1)
-    times = np.concatenate([[t0], s.times[inside], [t1]])
-    points = np.vstack([s.value_at(t0), s.points[inside], s.value_at(t1)])
+    times, points, _ = _cut(s, [t0, t1])
     return Stream(times, points)
+
+
+def _cut(s: Stream, cuts):
+    """Times and points of the samples inside [cuts[0], cuts[-1]] merged with the
+    non-decreasing cuts (clamped to the interval; one np.interp per coordinate, exact
+    at samples), and each cut's row: piece i is rows index[i]..index[i + 1]."""
+    cuts = np.clip(np.asarray(cuts, dtype=float), s.times[0], s.times[-1])
+    inside = s.times[(s.times > cuts[0]) & (s.times < cuts[-1])]
+    times = np.union1d(inside, cuts)
+    points = np.column_stack([np.interp(times, s.times, col) for col in s.points.T])
+    return times, points, np.searchsorted(times, cuts)
 
 
 # -- signatures ---------------------------------------------------------------
@@ -255,40 +258,57 @@ _COEFF_BUDGET = 2**27
 
 def signature(s: Stream, depth: int) -> TruncatedTensor:
     """Truncated signature of the stream: the ordered product of segment exponentials."""
-    levels = _signature_levels([s], depth)
+    levels = _signature_levels(s.points, [0], [s.n_samples - 1], depth)
     return TruncatedTensor(s.dimension, depth, [lvl[0] for lvl in levels], grouplike=True)
 
 
-def _signature_levels(streams, depth: int) -> list[np.ndarray]:
-    """Signatures of streams of one dimension as levels of shape (rows, d^k), in input order.
+def _check_budget(rows: int, dim: int, depth: int, what: str) -> None:
+    """Raise DomainError when rows x sum_{k <= depth} dim^k exceeds _COEFF_BUDGET.
 
-    Streams with the same sample count are stacked and folded together by
-    ``chen_fold``; a group is folded in slices of rows so that each slice
-    holds at most about _CHUNK_ELEMENTS floats per level of the fold.
+    The sum stops once it is over the budget, so a huge depth costs nothing, and
+    the message names the request instead of the total, which may be huge.
+    """
+    if dim == 1:
+        total = rows * (depth + 1)
+    else:
+        total, level = 0, rows
+        for _ in range(depth + 1):
+            total += level
+            if total > _COEFF_BUDGET:
+                break
+            level *= dim
+    if total > _COEFF_BUDGET:
+        raise DomainError(
+            f"{what} of dimension {dim} at depth {depth} need more coefficients than "
+            f"the budget of {_COEFF_BUDGET}"
+        )
+
+
+def _signature_levels(points, starts, ends, depth: int) -> list[np.ndarray]:
+    """Signatures of the sub-paths points[start:end + 1] as levels of shape (rows, d^k).
+
+    Rows with the same segment count are grouped in first-seen order and folded
+    together by ``chen_fold``; a group is folded in slices of rows so that each
+    slice holds at most about _CHUNK_ELEMENTS floats per level of the fold.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    rows, d = len(streams), streams[0].dimension
-    coefficients = rows * sum(d**k for k in range(depth + 1))
-    if coefficients > _COEFF_BUDGET:
-        raise DomainError(
-            f"{rows} signature(s) of dimension {d} at depth {depth} need {coefficients} "
-            f"coefficients, over the budget of {_COEFF_BUDGET}"
-        )
+    starts, ends = np.asarray(starts), np.asarray(ends)
+    rows, d = starts.size, points.shape[1]
+    _check_budget(rows, d, depth, f"{rows} signature(s)")
     out = [np.ones((rows, 1))] + [np.empty((rows, d**k)) for k in range(1, depth + 1)]
-    groups: dict[int, list[int]] = {}
-    for i, s in enumerate(streams):
-        groups.setdefault(s.n_samples, []).append(i)
-    for n, members in groups.items():
-        per_slice = tensor_algebra._CHUNK_ELEMENTS // (max(n - 1, 1) * d ** (depth - 1))
-        per_slice = max(per_slice, 1)
-        for lo in range(0, len(members), per_slice):
+    counts = ends - starts
+    values, first = np.unique(counts, return_index=True)
+    for n in values[np.argsort(first)]:
+        members = np.flatnonzero(counts == n)
+        per_slice = max(tensor_algebra._CHUNK_ELEMENTS // (max(n, 1) * d ** (depth - 1)), 1)
+        for lo in range(0, members.size, per_slice):
             idx = members[lo : lo + per_slice]
-            unit = [np.ones((len(idx), 1))]
-            unit += [np.zeros((len(idx), d**k)) for k in range(1, depth + 1)]
-            points = np.array([streams[i].points for i in idx])
-            levels = chen_fold(unit, np.diff(points, axis=1))
-            if len(idx) == rows:  # one slice holds every row, in input order
+            unit = [np.ones((idx.size, 1))]
+            unit += [np.zeros((idx.size, d**k)) for k in range(1, depth + 1)]
+            piece = points[starts[idx, None] + np.arange(n + 1)]
+            levels = chen_fold(unit, np.diff(piece, axis=1))
+            if idx.size == rows:  # one slice holds every row, in input order
                 return levels
             for k in range(1, depth + 1):
                 out[k][idx] = levels[k]
@@ -322,14 +342,6 @@ class PartitionDistanceReport:
         object.__setattr__(self, "estimates", arr)
 
 
-def _unit_time(s: Stream) -> Stream:
-    t0, t1 = s.interval
-    if t1 == t0:
-        # zero-duration stream reads as the constant path on [0, 1]
-        return Stream([0.0, 1.0], np.vstack([s.points[:1], s.points[:1]]))
-    return Stream((s.times - t0) / (t1 - t0), s.points)
-
-
 def dp_distance_estimate(
     a: Stream, b: Stream, p: float, max_level: int
 ) -> PartitionDistanceReport:
@@ -338,7 +350,8 @@ def dp_distance_estimate(
     Both streams are reparameterized to [0, 1].  For each refinement level
     the partition sum uses levelwise signature discrepancies raised to p/m;
     the reported estimate at level L is the maximum over levels <= L, a
-    certified lower bound for the sup over all partitions.
+    certified lower bound for the sup over all partitions.  Only the finest
+    pieces are signed; each coarser piece is the Chen product of its halves.
     """
     if a.dimension != b.dimension:
         raise DimensionMismatchError(
@@ -348,23 +361,23 @@ def dp_distance_estimate(
         raise DomainError(f"p must be finite and >= 1, got {p}")
     if max_level < 1:
         raise DomainError("max_level must be >= 1")
-    a, b = _unit_time(a), _unit_time(b)
     m_top = int(np.floor(p))
-    levels, estimates = [], []
-    best = 0.0
-    for level in range(1, max_level + 1):
-        cuts = np.linspace(0.0, 1.0, 2**level + 1)
-        total = 0.0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            sig_a = signature(restrict(a, lo, hi), m_top)
-            sig_b = signature(restrict(b, lo, hi), m_top)
-            worst = 0.0
-            for m in range(1, m_top + 1):
-                diff = sig_a.levels[m] - sig_b.levels[m]
-                value = float(np.linalg.norm(diff)) ** (p / m)
-                worst = max(worst, value)
-            total += worst
-        best = max(best, total)
-        levels.append(level)
-        estimates.append(best)
-    return PartitionDistanceReport(p, tuple(levels), np.array(estimates))
+    # 2 x 2^max_level rows; past the budget's bit length any exponent is over it, so
+    # capping it keeps a huge max_level cheap without passing the check
+    rows = 2 << min(max_level, _COEFF_BUDGET.bit_length())
+    _check_budget(rows, a.dimension, m_top, f"2 x 2^{max_level} dyadic pieces")
+    pieces = 2**max_level
+    (_, pa, ia), (_, pb, ib) = (_cut(s, np.linspace(*s.interval, pieces + 1)) for s in (a, b))
+    starts = np.concatenate([ia[:-1], ib[:-1] + len(pa)])
+    ends = np.concatenate([ia[1:], ib[1:] + len(pa)])
+    sig = _signature_levels(np.concatenate([pa, pb]), starts, ends, m_top)  # a's rows, then b's
+    totals = []
+    for level in range(max_level, 0, -1):
+        if level < max_level:
+            sig = _mul_levels([lvl[0::2] for lvl in sig], [lvl[1::2] for lvl in sig], m_top)
+        pieces = 2**level
+        diffs = (lvl[:pieces] - lvl[pieces:] for lvl in sig[1:])
+        gaps = [np.linalg.norm(x, axis=1) ** (p / m) for m, x in enumerate(diffs, start=1)]
+        totals.append(float(np.max(gaps, axis=0).sum()))
+    levels = tuple(range(1, max_level + 1))
+    return PartitionDistanceReport(p, levels, np.maximum.accumulate(totals[::-1]))

@@ -134,3 +134,55 @@ def best_subset_support(X, y, k):
         if rss < best_rss:
             best_rss, best_support = rss, support
     return set(best_support)
+
+
+def polyline_signature(points, depth):
+    """Signature levels 0..depth of a polyline: the ordered product of segment
+    exponentials, each level a flat array in lexicographic word order."""
+    points = np.asarray(points, dtype=float)
+    d = points.shape[1]
+    sig = [np.ones(1)] + [np.zeros(d**k) for k in range(1, depth + 1)]
+    for x in np.diff(points, axis=0):
+        seg = [np.ones(1)]
+        for k in range(1, depth + 1):
+            seg.append(np.kron(seg[-1], x) / k)
+        sig = [sum(np.kron(sig[i], seg[k - i]) for i in range(k + 1)) for k in range(depth + 1)]
+    return sig
+
+
+def dp_distance_per_piece(times_a, pts_a, times_b, pts_b, p, max_level):
+    """Dyadic p-variation lower-bound profile, one piece at a time.
+
+    Both polylines are reparameterised to [0, 1] (a single sample reads as the
+    constant path); every dyadic piece of every level is cut out with its
+    endpoints interpolated and signed on its own, then levelwise discrepancies
+    are raised to p/m, the worst level summed over pieces and the running
+    maximum over levels reported.
+    """
+
+    def unit(times, pts):
+        times, pts = np.asarray(times, dtype=float), np.asarray(pts, dtype=float)
+        if times.size == 1:
+            return np.array([0.0, 1.0]), np.vstack([pts, pts])
+        return (times - times[0]) / (times[-1] - times[0]), pts
+
+    def piece(times, pts, lo, hi):
+        ends = [[np.interp(t, times, col) for col in pts.T] for t in (lo, hi)]
+        inside = (times > lo) & (times < hi)
+        return np.vstack([ends[0], pts[inside], ends[1]])
+
+    (ta, pa), (tb, pb) = unit(times_a, pts_a), unit(times_b, pts_b)
+    m_top = int(np.floor(p))
+    best, estimates = 0.0, []
+    for level in range(1, max_level + 1):
+        cuts = np.linspace(0.0, 1.0, 2**level + 1)
+        total = 0.0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            sig_a = polyline_signature(piece(ta, pa, lo, hi), m_top)
+            sig_b = polyline_signature(piece(tb, pb, lo, hi), m_top)
+            total += max(
+                float(np.linalg.norm(sig_a[m] - sig_b[m])) ** (p / m) for m in range(1, m_top + 1)
+            )
+        best = max(best, total)
+        estimates.append(best)
+    return np.array(estimates)

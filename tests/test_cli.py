@@ -50,7 +50,11 @@ class TestBasics:
         assert code == 2
 
     def test_import_leaves_scipy_stats_out(self):
-        code = "import sys, sigstream.cli; sys.exit('scipy.stats' in sys.modules)"
+        code = (
+            "import sys, sigstream.cli; "
+            "lazy = ('scipy.stats', 'scipy.sparse', 'scipy.linalg'); "
+            "sys.exit(any(m in sys.modules for m in lazy))"
+        )
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
@@ -245,6 +249,10 @@ class TestExpsig:
             ("develop", "--policy", tmp_path / "policy.json", driver),
             *score,
             ("sig", "--depth", 30, driver),  # 2^31 - 1 coefficients: over the budget
+            ("sig", "--depth", 200000, driver),  # the budget check must not sum d^k to the end
+            ("dpdist", "--p", 100000, "--levels", 1, driver, driver),
+            ("dpdist", "--p", 2, "--levels", 30, driver, driver),  # checked before cutting
+            ("expsig-mc", "--domain", "disk:1", "--dt", 0.01, *mc, "--depth", 40, "--paths", 10),
             *(
                 (*synth, *extra)
                 for extra in (

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sigstream import streams as streams_module
 from sigstream.errors import DomainError
 from sigstream.expected_sig import (
     DiskDomain,
@@ -148,6 +149,13 @@ class TestRecurrence:
         c = solve_recurrence(grid, 2).center_values()
         assert c.levels[2].reshape(2, 2)[0, 0] == pytest.approx(0.25, abs=0.02)
 
+    def test_coefficient_budget(self, monkeypatch):
+        grid = GridDomain(DISK, 0.25)
+        monkeypatch.setattr(streams_module, "_COEFF_BUDGET", grid.n_interior * 15)  # depth 3
+        solve_recurrence(grid, 3)
+        with pytest.raises(DomainError, match="budget"):
+            solve_recurrence(grid, 4)
+
     def test_depth_validation(self):
         grid = GridDomain(DISK, 0.1)
         with pytest.raises(DomainError):
@@ -205,6 +213,14 @@ class TestMonteCarlo:
         ):
             with pytest.raises(DomainError):
                 mc_expected_sig(DISK, start, depth, paths=10, dt=1e-2, seed=seed)
+
+    def test_coefficient_budget(self, monkeypatch):
+        monkeypatch.setattr(streams_module, "_COEFF_BUDGET", 10 * 15)  # 10 paths at depth 3
+        mc_expected_sig(DISK, (0.0, 0.0), 3, 10, 0.05, 1)
+        with pytest.raises(DomainError, match="budget"):
+            mc_expected_sig(DISK, (0.0, 0.0), 3, 11, 0.05, 1)
+        with pytest.raises(DomainError, match="budget"):
+            mc_expected_sig(DISK, (0.0, 0.0), 4, 10, 0.05, 1)
 
     def test_polygon_domain_runs(self):
         square = PolygonDomain([(-1, -1), (1, -1), (1, 1), (-1, 1)])

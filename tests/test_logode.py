@@ -18,7 +18,7 @@ from sigstream.logode import (
     series_tail_bound,
     solve,
 )
-from sigstream.streams import Stream, log_signature, signature
+from sigstream.streams import Stream, log_signature, restrict, signature
 from sigstream.tensor_algebra import _represent
 
 from oracles import expm
@@ -266,6 +266,25 @@ class TestSolve:
         traj = solve(vfs, s, y0, sched)
         norms = np.linalg.norm(traj, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-10
+
+    def test_matches_step_by_step_restricted_log_signatures(self):
+        rng = np.random.default_rng(21)
+        lin = LinearSystem(0.5 * rng.standard_normal((2, 3, 3)))
+        vfs = VectorFieldSystem.from_linear(lin)
+        driver = Stream(np.cumsum(rng.uniform(0.1, 1.0, 40)), rng.standard_normal((40, 2)))
+        y0 = np.array([1.0, 0.0, -1.0])
+        t0, t1 = driver.interval
+        # uniform steps, and steps whose boundaries fall on sample times
+        for bounds in (np.linspace(t0, t1, 8), driver.times[::3]):
+            for depth in (1, 2, 3):
+                schedule = LogOdeSchedule(bounds, depth, substeps=4)
+                y, want = y0, [y0]
+                for lo, hi in zip(bounds[:-1], bounds[1:]):
+                    coords = log_signature(restrict(driver, lo, hi), depth)
+                    y = logode_step(vfs, y, coords, schedule.substeps)
+                    want.append(y)
+                got = solve(vfs, driver, y0, schedule)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_initial_state_checked(self):
         vfs = VectorFieldSystem.from_linear(LinearSystem(np.ones((1, 2, 2))))

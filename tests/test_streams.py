@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sigstream import streams as streams_module
 from sigstream.errors import DimensionMismatchError, DomainError, StreamParseError
 from sigstream.streams import (
     Stream,
@@ -18,7 +21,9 @@ from sigstream.streams import (
     time_augment,
     write_csv,
 )
+from sigstream.streams import _cut, _signature_levels
 from sigstream.tensor_algebra import (
+    TruncatedTensor,
     Word,
     grade_norms,
     inner,
@@ -28,6 +33,7 @@ from sigstream.tensor_algebra import (
 )
 
 from oracles import (
+    dp_distance_per_piece,
     p1_distance_exhaustive,
     riemann_iterated_integrals,
     shoelace_area,
@@ -259,6 +265,29 @@ class TestDpDistance:
         exact = p1_distance_exhaustive(times, pts_a, times, pts_b)
         assert report.estimates[-1] == pytest.approx(exact, abs=1e-9)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.5])
+    def test_matches_per_piece_oracle(self, p):
+        rng = np.random.default_rng(12)
+        for n_a, n_b, level in ((9, 5, 4), (1, 7, 3), (17, 1, 5), (1, 1, 2), (3, 33, 6)):
+            a = Stream(np.cumsum(rng.uniform(0.1, 1.0, n_a)), rng.standard_normal((n_a, 2)))
+            b = Stream(np.cumsum(rng.uniform(0.1, 1.0, n_b)), rng.standard_normal((n_b, 2)))
+            got = dp_distance_estimate(a, b, p=p, max_level=level).estimates
+            want = dp_distance_per_piece(a.times, a.points, b.times, b.points, p, level)
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(want.max()))
+
+    def test_budget_checked_before_cutting(self, monkeypatch):
+        a = Stream([0.0, 1.0, 2.0], [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+
+        def no_cut(*args):
+            raise AssertionError("cut before the budget check")
+
+        monkeypatch.setattr(streams_module, "_COEFF_BUDGET", 2 * 2**3 * 7 - 1)  # d = 2, p = 2
+        monkeypatch.setattr(streams_module, "_cut", no_cut)
+        with pytest.raises(DomainError, match="budget"):
+            dp_distance_estimate(a, a, p=2.0, max_level=3)
+        with pytest.raises(DomainError, match="budget"):
+            dp_distance_estimate(a, a, p=2.0, max_level=10**9)
+
     def test_p_below_one_rejected(self):
         s = Stream([0.0, 1.0], [[0.0], [1.0]])
         with pytest.raises(DomainError):
@@ -278,6 +307,16 @@ class TestSurgery:
         assert np.allclose(sub.points[0], [0.5, 1.0])
         assert np.allclose(sub.points[-1], [1.5, 3.0])
 
+    def test_restrict_to_an_instant(self):
+        s = Stream([0.0, 1.0, 3.0], [[0.0, 0.0], [2.0, 4.0], [0.0, 1.0]])
+        for t in (0.0, 0.5, 1.0, 2.0, 3.0):
+            sub = restrict(s, t, t)
+            assert sub.n_samples == 1 and sub.times[0] == t
+            assert np.array_equal(sub.points[0], s.value_at(t))
+            assert np.array_equal(np.concatenate(signature(sub, 3).levels), [1.0] + [0.0] * 14)
+        assert np.array_equal(s.value_at(1.0), [2.0, 4.0])
+        assert np.allclose(s.value_at(2.0), [1.0, 2.5])
+
     def test_concat_translates(self):
         a = Stream([0.0, 1.0], [[0.0], [1.0]])
         b = Stream([5.0, 6.0], [[7.0], [9.0]])
@@ -285,3 +324,42 @@ class TestSurgery:
         assert joined.n_samples == 3
         assert np.allclose(joined.points[:, 0], [0.0, 1.0, 3.0])
         assert np.all(np.diff(joined.times) > 0)
+
+
+@st.composite
+def cut_streams(draw):
+    """A stream in R^d, d <= 3, depth N <= 4, and 2-6 non-decreasing cut times
+    inside its interval, some of them on sample times."""
+    d = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    values = st.floats(-2.0, 2.0, allow_nan=False)
+    points = draw(st.lists(st.lists(values, min_size=d, max_size=d), min_size=n, max_size=n))
+    gaps = draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
+    s = Stream(np.cumsum(gaps), points)
+    t0, t1 = s.interval
+    on_sample = st.sampled_from(list(s.times))
+    between = st.floats(0.0, 1.0).map(lambda u: min(t0 + u * (t1 - t0), t1))
+    cuts = draw(st.lists(st.one_of(on_sample, between), min_size=2, max_size=6))
+    return s, sorted(cuts), depth
+
+
+def assert_close(got, want):
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
+
+
+class TestCut:
+    @settings(max_examples=80, deadline=None)
+    @given(cut_streams())
+    def test_pieces_match_restricted_signatures(self, case):
+        s, cuts, depth = case
+        _, points, index = _cut(s, cuts)
+        rows = np.hstack(_signature_levels(points, index[:-1], index[1:], depth))
+        splits = np.cumsum([s.dimension**k for k in range(depth)])
+        product = TruncatedTensor.unit(s.dimension, depth)
+        for row, lo, hi in zip(rows, cuts[:-1], cuts[1:]):
+            assert_close(row, np.concatenate(signature(restrict(s, lo, hi), depth).levels))
+            piece = TruncatedTensor(s.dimension, depth, np.split(row, splits))
+            product = tensor_mul(product, piece)
+        whole = signature(restrict(s, cuts[0], cuts[-1]), depth)
+        assert_close(np.concatenate(product.levels), np.concatenate(whole.levels))
