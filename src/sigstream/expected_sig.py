@@ -9,14 +9,17 @@ reason about convergence of sum_n z^n |E S^n|; it makes no determinacy claim.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, TimeCapError
+from . import tensor_algebra
+from .lie_algebra import _expand_lyndon, _prefix_closure, _prefix_plan
 from .streams import _check_budget
-from .tensor_algebra import TruncatedTensor, chen_fold, grade_norms
+from .tensor_algebra import TruncatedTensor, _prefix_fold, chen_fold, grade_norms
 
 __all__ = [
     "DiskDomain",
@@ -75,8 +78,8 @@ class DiskDomain(_RayDomain):
 
     def contains(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dx = pts[:, 0] - self.center[0]
-        dy = pts[:, 1] - self.center[1]
+        dx = pts[..., 0] - self.center[0]
+        dy = pts[..., 1] - self.center[1]
         return dx * dx + dy * dy < self.radius**2
 
     def _ray_hits(self, origins, directions):
@@ -120,10 +123,10 @@ class PolygonDomain(_RayDomain):
 
     def contains(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        px, py = pts[:, 0], pts[:, 1]
+        px, py = pts[..., 0], pts[..., 1]
         a, b = self._edges
-        inside = np.zeros(pts.shape[0], dtype=bool)
-        on_edge = np.zeros(pts.shape[0], dtype=bool)
+        inside = np.zeros(pts.shape[:-1], dtype=bool)
+        on_edge = np.zeros(pts.shape[:-1], dtype=bool)
         for (x0, y0), (x1, y1) in zip(a, b):  # even-odd ray casting
             crosses = (y0 > py) != (y1 > py)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -389,6 +392,13 @@ class McExpectedSignature:
     seed: int
 
 
+def _chen_fold_columns(levels, increments):
+    """chen_fold on levels 1..N of shape (d^k, paths) and increments (steps, d, paths)."""
+    unit = np.ones((increments.shape[2], 1))
+    out = chen_fold([unit] + [lvl.T for lvl in levels], increments.transpose(2, 0, 1))
+    return [lvl.T for lvl in out[1:]]
+
+
 def mc_expected_sig(
     domain,
     start,
@@ -404,11 +414,15 @@ def mc_expected_sig(
     crossing segment onto the analytic boundary (no exponential-exit
     correction, so the discretisation bias is O(sqrt(dt))).  Increments are
     drawn in blocks of ``_BLOCK_STEPS`` steps (a module constant) for all
-    live paths, and each block
-    updates every live path's signature with one ``chen_fold`` call; a path
-    that exits in the block has its exit step cut at the boundary and its
-    later steps zeroed.  Stopped signatures are averaged with elementwise
-    standard errors.  Fixed seed implies byte-identical output.
+    live paths; a path that exits in the block has its exit step cut at the
+    boundary and its later steps zeroed.  Each live path carries only the
+    signature coordinates on the prefixes of the Lyndon words, which one
+    ``_prefix_fold`` per block updates; a stopped path is expanded to its
+    whole signature once, by ``_expand_lyndon``, in batches of stopped paths.
+    (Where the expansion tables would exceed _CHUNK_ELEMENTS floats, beyond
+    depth 10, live paths carry whole signatures through ``chen_fold``.)
+    Stopped signatures are averaged with elementwise standard errors.  Fixed
+    seed implies byte-identical output.
     """
     descriptor = domain.descriptor if isinstance(domain, GridDomain) else domain
     start = np.asarray(start, dtype=float)
@@ -422,56 +436,82 @@ def mc_expected_sig(
     _check_budget(paths, d, depth, f"{paths} Monte Carlo path signature(s)")
     rng = np.random.default_rng(seed)
     sizes = [d**k for k in range(depth + 1)]
-    sum_levels = [np.zeros(sz) for sz in sizes]
-    sumsq_levels = [np.zeros(sz) for sz in sizes]
+    chunk = tensor_algebra._CHUNK_ELEMENTS
+    if sum(n * n for n in sizes) <= chunk:
+        plan = _prefix_plan(d, depth)
+        fold = functools.partial(_prefix_fold, plan)
+        expand = functools.partial(_expand_lyndon, plan)
+        widths = [len(words) for words in _prefix_closure(d, depth)[1:]]
+    else:
+        fold, expand, widths = _chen_fold_columns, list, sizes[1:]
+    sum_levels = [np.zeros(n) for n in sizes[1:]]
+    sumsq_levels = [np.zeros(n) for n in sizes[1:]]
+    stopped = []  # coordinates of stopped paths, expanded and summed in batches
+    batch = max(1, chunk // sum(sizes))
 
-    pos = np.tile(start, (paths, 1))
-    levels = [np.ones((paths, 1))] + [np.zeros((paths, sz)) for sz in sizes[1:]]
+    def add_stopped():
+        for k, lvl in enumerate(expand([np.concatenate(c, axis=1) for c in zip(*stopped)])):
+            sum_levels[k] += lvl.sum(axis=1)
+            sumsq_levels[k] += (lvl**2).sum(axis=1)
+        stopped.clear()
+
+    # paths last: positions (d, paths), levels 1..N (n_k, paths), steps (steps, d, paths)
+    pos = np.tile(start[:, None], (1, paths))
+    levels = [np.zeros((n, paths)) for n in widths]
     std = math.sqrt(dt)
     max_blocks = int(np.ceil(80.0 / dt / _BLOCK_STEPS))
 
     steps = np.arange(_BLOCK_STEPS)
+    n_stopped = 0
     for _ in range(max_blocks):
-        alive = pos.shape[0]
+        alive = pos.shape[1]
         if alive == 0:
             break
-        x = std * rng.standard_normal((alive, _BLOCK_STEPS, d))
-        positions = pos[:, None, :] + np.cumsum(x, axis=1)
-        inside = descriptor.contains(positions.reshape(-1, d)).reshape(
-            alive, _BLOCK_STEPS
+        # drawn path by path, then laid out steps first
+        x = np.ascontiguousarray(
+            (std * rng.standard_normal((alive, _BLOCK_STEPS, d))).transpose(1, 2, 0)
         )
+        positions = x.copy()
+        for i in range(1, _BLOCK_STEPS):  # np.cumsum along axis 0 is ~8x slower
+            positions[i] += positions[i - 1]
+        positions += pos
+        inside = descriptor.contains(positions.transpose(0, 2, 1))
         # a path stops at its first sampled position outside the domain: that
         # step is cut at the boundary and later steps become exp(0), the unit
-        exit_step = np.where(inside.all(axis=1), _BLOCK_STEPS, inside.argmin(axis=1))
-        exits = np.nonzero(exit_step < _BLOCK_STEPS)[0]
+        exit_step = np.where(inside.all(axis=0), _BLOCK_STEPS, inside.argmin(axis=0))
+        exits = np.flatnonzero(exit_step < _BLOCK_STEPS)
         if exits.size:
             t = exit_step[exits]
-            before = np.where((t > 0)[:, None], positions[exits, t - 1], pos[exits])
-            frac = descriptor.crossing_fraction(before, positions[exits, t])
-            x[exits, t] *= frac[:, None]
-            x[steps > exit_step[:, None]] = 0.0
-        levels = chen_fold(levels, x)
-        pos = positions[:, -1]
+            before = np.where((t > 0)[:, None], positions[t - 1, :, exits], pos[:, exits].T)
+            frac = descriptor.crossing_fraction(before, positions[t, :, exits])
+            x[t, :, exits] *= frac[:, None]
+            later = (steps[:, None] > t)[:, None, :]
+            x[:, :, exits] = np.where(later, 0.0, x[:, :, exits])
+        levels = fold(levels, x)
+        pos = positions[-1]
         if exits.size:
-            for k in range(depth + 1):
-                vals = levels[k][exits]
-                sum_levels[k] += vals.sum(axis=0)
-                sumsq_levels[k] += (vals**2).sum(axis=0)
-            keep_rows = np.ones(alive, dtype=bool)
-            keep_rows[exits] = False
-            pos = pos[keep_rows]
-            levels = [lvl[keep_rows] for lvl in levels]
-    if pos.shape[0] > 0:
+            stopped.append([lvl[:, exits] for lvl in levels])
+            n_stopped += exits.size
+            if n_stopped >= batch:
+                add_stopped()
+                n_stopped = 0
+            keep = np.ones(alive, dtype=bool)
+            keep[exits] = False
+            pos = pos.compress(keep, axis=1)
+            levels = [lvl.compress(keep, axis=1) for lvl in levels]
+    if pos.shape[1] > 0:
         raise TimeCapError(
-            f"{pos.shape[0]} paths still running after the time cap; "
+            f"{pos.shape[1]} paths still running after the time cap; "
             "dt is too coarse for this domain"
         )
+    if stopped:
+        add_stopped()
 
-    mean_levels = [s / paths for s in sum_levels]
+    mean_levels = [np.ones(1)] + [s / paths for s in sum_levels]
     if paths > 1:
-        stderr = tuple(
+        stderr = (np.zeros(1),) + tuple(
             np.sqrt(np.maximum(sq / paths - m**2, 0.0) / (paths - 1))
-            for sq, m in zip(sumsq_levels, mean_levels)
+            for sq, m in zip(sumsq_levels, mean_levels[1:])
         )
     else:
         stderr = tuple(np.zeros(sz) for sz in sizes)

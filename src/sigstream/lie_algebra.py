@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NotALieElementError
-from .tensor_algebra import TruncatedTensor, Word, _batch_of_one
+from .tensor_algebra import TruncatedTensor, Word, _batch_of_one, _shuffle_letters
 
 __all__ = [
     "LyndonBasisElement",
@@ -72,6 +73,124 @@ def _lyndon_words(dim: int, max_len: int):
             w.pop()
         if w:
             w[-1] += 1
+
+
+def _lyndon_factors(letters: tuple) -> list:
+    """Chen-Fox-Lyndon factorisation: the non-increasing Lyndon words whose
+    concatenation is ``letters`` (Duval)."""
+    out, i, n = [], 0, len(letters)
+    while i < n:
+        j, k = i + 1, i
+        while j < n and letters[k] <= letters[j]:
+            k = i if letters[k] < letters[j] else k + 1
+            j += 1
+        while i <= k:
+            out.append(letters[i : i + j - k])
+            i += j - k
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _prefix_closure(dim: int, depth: int) -> tuple:
+    """Prefixes of the Lyndon words of degree <= depth: ``levels[k]`` lists the
+    words of degree k in lexicographic order (level 0 holds the empty word).
+
+    By Chen's identity the running value of S^w needs S only at prefixes of w, so
+    these coordinates fold on their own; they hold every Lyndon coordinate, which
+    generate the whole signature (see ``_expand_lyndon``).
+    """
+    closure = {w[:i] for w in _lyndon_words(dim, depth) for i in range(len(w) + 1)}
+    return tuple(
+        tuple(sorted(w for w in closure if len(w) == k)) for k in range(depth + 1)
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class _PrefixPlan:
+    """Index tables to fold the Lyndon prefix closure and to expand it to all words.
+
+    Level k (1..depth) holds ``_prefix_closure(dim, depth)[k]``.  For the fold,
+    ``letters[k][i]`` is letter i (from 0) of each word and ``prefixes[k][i]`` the
+    row of its prefix w[:i] in level i (row 0 unused).  For the expansion, the
+    levels are stacked with a trailing row of ones; ``factors[k][j]`` is, for each
+    word of degree k in lexicographic order, the stacked row of the j-th factor of
+    its Chen-Fox-Lyndon factorisation, or the ones row; ``expansion[k]`` maps those
+    factor products to the level-k coordinates.
+    """
+
+    letters: tuple
+    prefixes: tuple
+    factors: tuple
+    expansion: tuple
+
+
+@functools.lru_cache(maxsize=None)
+def _prefix_plan(dim: int, depth: int) -> _PrefixPlan:
+    """Fold and expansion tables of the Lyndon prefix closure (see ``_PrefixPlan``).
+
+    A word w with factorisation l_1^{i_1} ... l_m^{i_m} has
+    l_1^{sh i_1} sh ... sh l_m^{sh i_m} / (i_1! ... i_m!) = w + (smaller words),
+    with integer coefficients (Reutenauer, Free Lie Algebras, Thm 6.1).  On a
+    grouplike S the left side pairs to prod_j (S^{l_j})^{i_j} / (i_1! ... i_m!),
+    so level k is T_k^{-1} applied to these monomials, where row w of T_k holds the
+    coefficients of that shuffle.  T_k is unit lower triangular and integral, so
+    forward substitution inverts it exactly while its entries stay below 2^53.
+    """
+    levels = _prefix_closure(dim, depth)
+    row = {w: i for words in levels for i, w in enumerate(words)}
+    # row of each level's first word once levels 1..N are stacked; then the ones row
+    offset = [0, *itertools.accumulate(len(words) for words in levels[1:])]
+    letters, prefixes, factors, expansion = [None], [None], [None], [None]
+    for k in range(1, depth + 1):
+        words = levels[k]
+        letters.append(np.array([[w[i] - 1 for w in words] for i in range(k)], dtype=np.intp))
+        prefixes.append(np.array([[row[w[:i]] for w in words] for i in range(k)], dtype=np.intp))
+        all_words = list(itertools.product(range(1, dim + 1), repeat=k))
+        index = {w: i for i, w in enumerate(all_words)}
+        rows = np.full((k, len(all_words)), offset[-1])
+        triangle = np.zeros((len(all_words), len(all_words)))
+        scale = np.ones(len(all_words))
+        for r, w in enumerate(all_words):
+            parts = _lyndon_factors(w)
+            product = {(): 1}
+            for j, part in enumerate(parts):
+                rows[j, r] = offset[len(part) - 1] + row[part]
+                nxt: dict[tuple, int] = {}
+                for u, c in product.items():
+                    for v, m in _shuffle_letters(u, part):
+                        nxt[v] = nxt.get(v, 0) + c * m
+                product = nxt
+            for _, group in itertools.groupby(parts):
+                scale[r] *= math.factorial(len(list(group)))
+            for v, c in product.items():
+                triangle[r, index[v]] = c / scale[r]
+        inverse = np.eye(len(all_words))
+        for r in range(len(all_words)):
+            cols = np.flatnonzero(triangle[r, :r])
+            if cols.size:
+                inverse[r] -= triangle[r, cols] @ inverse[cols]
+        factors.append(rows)
+        expansion.append(inverse / scale)
+    for table in (*letters[1:], *prefixes[1:], *factors[1:], *expansion[1:]):
+        table.flags.writeable = False
+    return _PrefixPlan(tuple(letters), tuple(prefixes), tuple(factors), tuple(expansion))
+
+
+def _expand_lyndon(plan: _PrefixPlan, levels) -> list:
+    """Levels 1..N of whole signatures from their prefix-closure coordinates.
+
+    ``levels[k - 1]`` has shape (n_k, paths) for the plan's level-k words, as
+    ``tensor_algebra._prefix_fold`` leaves them; the result's level k has shape
+    (d^k, paths), words in lexicographic order.
+    """
+    stacked = np.concatenate([*levels, np.ones((1, levels[0].shape[1]))])
+    out = []
+    for rows, matrix in zip(plan.factors[1:], plan.expansion[1:]):
+        monomials = stacked[rows[0]]
+        for factor in rows[1:]:
+            monomials *= stacked[factor]
+        out.append(matrix @ monomials)
+    return out
 
 
 @functools.lru_cache(maxsize=None)

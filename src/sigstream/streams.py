@@ -263,11 +263,20 @@ def signature(s: Stream, depth: int) -> TruncatedTensor:
 
 
 def _check_budget(rows: int, dim: int, depth: int, what: str) -> None:
-    """Raise DomainError when rows x sum_{k <= depth} dim^k exceeds _COEFF_BUDGET.
+    """Raise DomainError when rows x sum_{k <= depth} dim^k exceeds _COEFF_BUDGET,
+    or when depth exceeds the budget's bit length.
 
     The sum stops once it is over the budget, so a huge depth costs nothing, and
-    the message names the request instead of the total, which may be huge.
+    the message names the request instead of the total, which may be huge.  For
+    dim >= 2 the sum already forbids such depths; for dim = 1 the depth bound caps
+    the O(depth^2) work of folding the levels and of naming their words.
     """
+    limit = _COEFF_BUDGET.bit_length()
+    if depth > limit:
+        raise DomainError(
+            f"{what} at depth {depth} exceed the depth limit of {limit}, the bit "
+            "length of the coefficient budget"
+        )
     if dim == 1:
         total = rows * (depth + 1)
     else:

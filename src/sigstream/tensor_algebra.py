@@ -34,9 +34,8 @@ __all__ = [
     "from_json_dict",
 ]
 
-# chen_fold takes steps, and streams._signature_levels rows, in chunks so that one
-# level's temporaries hold about this many floats (32 MB): a 10^5-path Monte Carlo
-# block of 8 steps at depth 3 is one chunk
+# chen_fold takes steps, _prefix_fold paths and streams._signature_levels rows in
+# chunks so that one level's temporaries hold about this many floats (32 MB)
 _CHUNK_ELEMENTS = 2**22
 
 
@@ -284,6 +283,55 @@ def chen_fold(levels, increments):
                 prefix.append(run[:, :-1])
         top = np.matmul(acc.transpose(0, 2, 1), x)
         out[depth] = out[depth] + top.reshape(batch, -1)
+    return out
+
+
+def _prefix_fold(plan, levels, increments):
+    """S (x) exp(x_1) (x) ... (x) exp(x_T) on the words of a prefix-closed set, per path.
+
+    ``levels[k - 1]`` has shape (n_k, paths): the running coordinates of the
+    plan's level-k words (``lie_algebra._PrefixPlan``), level 0 being 1; the
+    ``increments`` have shape (steps, d, paths).  Returns new levels in the same
+    shapes.  This is chen_fold's Horner form restricted to those words: by Chen's
+    identity a word's gain needs the running values of its prefixes only, which
+    the plan's index arrays gather, so word w of degree k gains
+    (...((x_{w_1}/k + S^{w_1}) x_{w_2}/(k-1) + S^{w_1 w_2}) ... + S^{w_1..w_{k-1}}) x_{w_k}.
+    Levels below the top keep their running values over the steps; the top level
+    only needs its sum over the steps.  Paths are taken in chunks so that no
+    temporary holds more than about _CHUNK_ELEMENTS floats.
+    """
+    steps, _, paths = increments.shape
+    chunk = max(1, _CHUNK_ELEMENTS // (max(steps, 1) * max(lvl.shape[0] for lvl in levels)))
+    if paths > chunk:
+        out = [np.empty_like(lvl) for lvl in levels]
+        for lo in range(0, paths, chunk):
+            part = _prefix_fold(
+                plan, [lvl[:, lo : lo + chunk] for lvl in levels], increments[..., lo : lo + chunk]
+            )
+            for o, p in zip(out, part):
+                o[:, lo : lo + chunk] = p
+        return out
+    depth = len(levels)
+    x_over = [None, increments] + [increments / j for j in range(2, depth + 1)]
+    out, running = [], [None]
+    for k in range(1, depth + 1):
+        letters, prefixes = plan.letters[k], plan.prefixes[k]
+        acc = x_over[k][:, letters[0]]
+        for i in range(1, k):
+            acc += running[i][:, prefixes[i]]
+            acc *= x_over[k - i][:, letters[i]]
+        if k < depth:
+            # running level k before each step: S^k, then partial sums of its gains
+            # (one add per step: np.cumsum along axis 0 took ~8x as long here)
+            run = np.empty((steps + 1, *acc.shape[1:]))
+            run[0] = levels[k - 1]
+            run[1:] = acc
+            for t in range(steps):
+                run[t + 1] += run[t]
+            out.append(run[-1])
+            running.append(run[:-1])
+        else:
+            out.append(levels[k - 1] + acc.sum(axis=0))
     return out
 
 

@@ -217,6 +217,8 @@ class TestExpsig:
         mc = ("--depth", 2, "--paths", 2, "--seed", 1)
         driver = tmp_path / "driver.csv"
         driver.write_text(TWO_SEGMENT)
+        one_d = tmp_path / "one_d.csv"
+        one_d.write_text("t,x1\n0,0\n1,1\n2,3\n")
         zeros = np.zeros((2, 2, 2)).tolist()
         logode = []
         for i, (steps, spec) in enumerate((
@@ -250,6 +252,7 @@ class TestExpsig:
             *score,
             ("sig", "--depth", 30, driver),  # 2^31 - 1 coefficients: over the budget
             ("sig", "--depth", 200000, driver),  # the budget check must not sum d^k to the end
+            ("sig", "--depth", 1000, one_d),  # within the budget, but O(depth^2) work and JSON
             ("dpdist", "--p", 100000, "--levels", 1, driver, driver),
             ("dpdist", "--p", 2, "--levels", 30, driver, driver),  # checked before cutting
             ("expsig-mc", "--domain", "disk:1", "--dt", 0.01, *mc, "--depth", 40, "--paths", 10),
@@ -382,14 +385,43 @@ class TestLearnPipeline:
         assert report["accuracy"] > 0.8
 
 
+# valid domains first; the rest are malformed, or too small for the grid at h >= 0.1
+FUZZ_DOMAINS = ("disk:1", "disk:0.5", "polygon:-1,-1;1,-1;1,1;-1,1", "polygon:0,0;2,0;0,2")
+FUZZ_BAD_DOMAINS = (
+    "disk:0.05", "disk:-1", "disk:nan", "disk:abc", "torus:1",
+    "polygon:0,0;1", "polygon:0,0;1,0;inf,1",
+)
+
+
 @st.composite
 def fuzz_case(draw):
-    """Small argv for logode or gen-synth; for logode also the system JSON it reads
-    and the dimension of its driver."""
+    """Small argv for logode, gen-synth, expsig or expsig-mc; for logode also the
+    system JSON it reads and the dimension of its driver."""
     small = st.one_of(st.integers(1, 5), st.integers(-3, 5))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["logode", "gen-synth", "expsig", "expsig-mc"]))
+    if kind == "gen-synth":
         sizes = ("--n-per-class", "--steps", "--seed")
         return ["gen-synth", *(x for flag in sizes for x in (flag, draw(small)))], None, None
+    if kind.startswith("expsig"):
+        # at most one malformed field, so that most cases run to the end
+        fields = ("domain", "depth", "size", "paths", "seed", "start")
+        fault = draw(st.sampled_from([None, None, None, *fields]))
+
+        def pick(good, bad, field):
+            return draw(bad if fault == field else good)
+
+        domains = st.sampled_from(FUZZ_DOMAINS), st.sampled_from(FUZZ_BAD_DOMAINS)
+        argv = [kind, "--domain", pick(*domains, "domain")]
+        argv += ["--depth", pick(st.integers(1, 6), st.integers(-3, 0), "depth")]
+        bad_size = st.sampled_from(["0", "-0.1", "nan", "inf", "abc"])
+        if kind == "expsig":
+            return argv + ["--h", pick(st.floats(0.1, 0.5), bad_size, "size")], None, None
+        argv += ["--paths", pick(st.integers(1, 20), st.integers(-2, 0), "paths")]
+        argv += ["--dt", pick(st.floats(0.01, 0.2), bad_size, "size")]
+        argv += ["--seed", pick(st.integers(0, 5), st.integers(-3, -1), "seed")]
+        starts = st.sampled_from([None, "0.1,-0.1"]), st.sampled_from(["5,5", "a,b", "0", "nan,0"])
+        start = pick(*starts, "start")
+        return argv + ([] if start is None else ["--start", start]), None, None
     d, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     fault = draw(st.sampled_from([None, None, None, "m", "d", "y0", "nan", "list", "scalar"]))
     mats = draw(st.lists(st.floats(-1.0, 1.0), min_size=d * m * m, max_size=d * m * m))
@@ -411,7 +443,7 @@ def fuzz_case(draw):
 
 
 class TestFuzz:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(fuzz_case())
     def test_documented_exit_codes_only(self, case):
         argv, system, d = case
@@ -423,7 +455,7 @@ class TestFuzz:
                 steps = Stream(np.arange(d + 1.0), np.tril(np.ones((d + 1, d)), -1))
                 write_csv(steps, tmp / "driver.csv")
                 argv += ["--system", tmp / "system.json", tmp / "driver.csv"]
-            else:
+            elif argv[0] == "gen-synth":
                 argv += ["--out", tmp / "synth"]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

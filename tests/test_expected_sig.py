@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sigstream import streams as streams_module
+from sigstream import tensor_algebra
 from sigstream.errors import DomainError
 from sigstream.expected_sig import (
     DiskDomain,
@@ -17,6 +18,38 @@ from sigstream.expected_sig import (
 from sigstream.streams import Stream, signature
 
 DISK = DiskDomain(1.0)
+
+# mc_expected_sig(DISK, (0, 0), 4, paths=300, dt=5e-3, seed=7) as the whole-tensor
+# Chen fold computed it, before the Lyndon prefix fold
+PINNED_MEAN = [
+    [1.0],
+    [0.0008259688504193924, -0.032134869879281575],
+    [0.24673704084716655, 0.004744397679292839, 0.018740657969449813, 0.2532629591528335],
+    [0.0024510293479518453, 0.0025579107927881767, 0.004434256492523209,
+     -0.006221759452523852, -0.005352810173595559, 0.0034869524046653327,
+     -0.0042052965707873495, -0.0059022640171188705],
+    [0.015380042954989783, -0.00022300639204824907, -0.000452707284736568,
+     0.017797379858231585, -7.904608762151534e-06, -0.0014733427531175099,
+     0.0009911588150837518, -0.0003112069108943941, 0.002368848355496733,
+     -0.0005941374005642216, -0.003231020062281477, 0.0025876594105319903,
+     0.017598224236292436, -0.00028716089435434336, 0.0002396542662240934,
+     0.01592386948046202],
+]
+PINNED_STDERR = [
+    [0.0],
+    [0.04062527178071338, 0.04111706382924437],
+    [0.010247944635090855, 0.015105019721728917, 0.014582213539238232,
+     0.010247944635090855],
+    [0.005338668592108534, 0.0043795858554217205, 0.005521089169204946,
+     0.007167717536057825, 0.0064635210998594, 0.006446528407797854, 0.004635065132307882,
+     0.005441161702943817],
+    [0.0008750103980563007, 0.0010132346473920584, 0.0012256424392054596,
+     0.001534982514952015, 0.0023894036835876934, 0.0028806241264709787,
+     0.002198046253994853, 0.003065523851698296, 0.00241971380541929,
+     0.0025570050749192056, 0.0027585899330881116, 0.0038525511951755832,
+     0.0013577886863516742, 0.001766094485119151, 0.0010958507844036614,
+     0.000884919562093505],
+]
 
 
 class TestDomains:
@@ -198,6 +231,24 @@ class TestMonteCarlo:
         slow = mc_expected_sig(DISK, (0.0, 0.0), 4, paths=300, dt=5e-3, seed=7)
         for k in range(4):
             assert np.abs(fast.mean.levels[k] - slow.mean.levels[k]).max() < 1e-12
+
+    def assert_pinned(self, out):
+        for got, want in ((out.mean.levels, PINNED_MEAN), (out.stderr, PINNED_STDERR)):
+            for g, w in zip(got, want):
+                w = np.asarray(w)
+                assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
+    def test_matches_the_whole_tensor_fold(self):
+        self.assert_pinned(mc_expected_sig(DISK, (0.0, 0.0), 4, paths=300, dt=5e-3, seed=7))
+
+    def test_chunks_and_fallback_match(self, monkeypatch):
+        # depth-4 tables (341 floats) still fit: 16-path chunks in the prefix fold
+        # and stopped paths expanded 12 at a time
+        monkeypatch.setattr(tensor_algebra, "_CHUNK_ELEMENTS", 400)
+        self.assert_pinned(mc_expected_sig(DISK, (0.0, 0.0), 4, paths=300, dt=5e-3, seed=7))
+        # tables over the limit: whole signatures through chen_fold
+        monkeypatch.setattr(tensor_algebra, "_CHUNK_ELEMENTS", 300)
+        self.assert_pinned(mc_expected_sig(DISK, (0.0, 0.0), 4, paths=300, dt=5e-3, seed=7))
 
     def test_start_must_be_interior(self):
         with pytest.raises(DomainError):

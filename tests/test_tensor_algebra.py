@@ -9,11 +9,13 @@ from hypothesis.extra.numpy import arrays
 
 from sigstream import tensor_algebra
 from sigstream.errors import DimensionMismatchError, DomainError, OutOfDepthError
+from sigstream.lie_algebra import _expand_lyndon, _prefix_closure, _prefix_plan
 from sigstream.streams import Stream, signature
 from sigstream.tensor_algebra import (
     EMPTY_WORD,
     TruncatedTensor,
     Word,
+    _prefix_fold,
     chen_fold,
     coeff_map,
     from_json_dict,
@@ -222,6 +224,52 @@ class TestChenFold:
             mp.setattr(tensor_algebra, "_CHUNK_ELEMENTS", 1)  # one step per chunk
             chunked = chen_fold(levels, inc)
         assert close_levels(chunked, whole)
+
+
+@st.composite
+def prefix_fold_inputs(draw):
+    """Dimension, depth and increments (paths, steps, d) whose trailing steps are
+    zeroed on some paths, as the Monte Carlo loop zeroes them after an exit."""
+    d = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, 5))
+    paths = draw(st.integers(1, 4))
+    steps = draw(st.integers(0, 8))
+    values = st.floats(-1.0, 1.0, allow_nan=False)
+    inc = draw(arrays(float, (paths, steps, d), elements=values))
+    stop = draw(st.lists(st.integers(0, steps), min_size=paths, max_size=paths))
+    inc[np.arange(steps)[None, :] >= np.array(stop)[:, None]] = 0.0
+    return d, depth, inc
+
+
+class TestPrefixFold:
+    @pytest.mark.parametrize("d, depth, size", [(2, 3, 6), (2, 4, 10), (4, 4, 99), (4, 6, 1065)])
+    def test_closure_sizes(self, d, depth, size):
+        assert sum(len(words) for words in _prefix_closure(d, depth)[1:]) == size
+
+    @settings(max_examples=80, deadline=None)
+    @given(prefix_fold_inputs(), st.data())
+    def test_expansion_equals_chen_fold(self, inputs, data):
+        d, depth, inc = inputs
+        paths, steps, _ = inc.shape
+        unit = [np.ones((paths, 1))] + [np.zeros((paths, d**k)) for k in range(1, depth + 1)]
+        want = chen_fold(unit, inc)[1:]
+        plan = _prefix_plan(d, depth)
+        levels = [np.zeros((len(words), paths)) for words in _prefix_closure(d, depth)[1:]]
+        cut = data.draw(st.integers(0, steps))  # fold in two blocks
+        for piece in (inc[:, :cut], inc[:, cut:]):
+            levels = _prefix_fold(plan, levels, np.ascontiguousarray(piece.transpose(1, 2, 0)))
+        got = _expand_lyndon(plan, levels)
+        scale = max(float(np.abs(lvl).max()) for lvl in want) or 1.0
+        for g, w in zip(got, want):
+            assert np.abs(g.T - w).max() <= 1e-12 * scale
+        zero = [np.zeros_like(lvl) for lvl in levels]
+        steps_first = np.ascontiguousarray(inc.transpose(1, 2, 0))
+        whole = _prefix_fold(plan, zero, steps_first)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor_algebra, "_CHUNK_ELEMENTS", 1)  # one path per chunk
+            chunked = _prefix_fold(plan, zero, steps_first)
+        for c, w in zip(chunked, whole):
+            assert np.abs(c - w).max(initial=0.0) <= 1e-12 * scale
 
 
 @st.composite
