@@ -2,9 +2,14 @@
 
 Lyndon words realize a Hall basis: each word carries its standard right
 factorization, whose recursive bracketing expands into the tensor algebra.
-Log-signatures are projected onto this basis by level-wise least squares,
-and Lie membership is certified two ways: by the projection residual and
-independently by the Dynkin right-bracketing idempotent.
+On the Lyndon words' own coefficients that expansion is unit triangular with
+integer entries, so log-signatures get their coordinates exactly, level by
+level, from a cached integral inverse.  Where that inverse would multiply
+rounding error too much (d = 2 from degree 10), and for the rare rows whose
+rounding it pushes past the membership tolerance, a level takes least squares
+from the exact Gram matrix of the expansion instead.  Lie membership is
+certified two ways: by the residual of the element rebuilt from those
+coordinates and independently by the Dynkin right-bracketing idempotent.
 """
 
 from __future__ import annotations
@@ -33,6 +38,16 @@ __all__ = [
 # Lie-membership tolerance of tensor_to_lie_coords: relative to |a|, plus a floor
 _LIE_RTOL = 1e-9
 _LIE_ATOL = 1e-12
+# largest dense expansion table (n_k x d^k floats, 128 MiB) cached for the
+# Lie-membership rebuild of one degree; larger degrees rebuild from the sparse terms
+_EXPANSION_BUDGET = 2**24
+# largest Lyndon-row block (n_k x n_k floats, 128 MiB) whose exact inverse one degree
+# may build and cache; larger degrees raise DomainError
+_TRIANGLE_BUDGET = 2**24
+# largest error gain ||U^{-1}|| of a level's triangular solve; past it, least squares
+_SOLVE_GAIN = 2**12
+# refinement steps of the least-squares solve (d = 2, N = 15 needs two for 1e-12)
+_REFINE_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -90,6 +105,29 @@ def _lyndon_factors(letters: tuple) -> list:
     return out
 
 
+def _unit_triangular_inverse(triangle: np.ndarray) -> np.ndarray:
+    """Inverse of an integral unit lower-triangular matrix, by forward substitution.
+
+    The inverse is integral as well, and forward substitution forms it exactly while
+    its entries stay below 2^53.  A matrix that is not integral and unit lower
+    triangular is a bug (AssertionError); an inverse past that bound is a request
+    too large to answer exactly (DomainError; for Lyndon coordinates, d = 2 from
+    degree 16).
+    """
+    if not np.array_equal(triangle, np.rint(triangle)):
+        raise AssertionError("expected an integral matrix")
+    inverse = np.eye(len(triangle))
+    for r, row in enumerate(triangle):
+        cols = np.flatnonzero(row)
+        if row[r] != 1.0 or cols[-1] != r:
+            raise AssertionError("expected a unit lower-triangular matrix")
+        if cols.size > 1:
+            inverse[r] -= row[cols[:-1]] @ inverse[cols[:-1]]
+    if inverse.size and np.abs(inverse).max() >= 2.0**53:
+        raise DomainError("a triangular inverse has entries beyond the exact float range")
+    return inverse
+
+
 @functools.lru_cache(maxsize=None)
 def _prefix_closure(dim: int, depth: int) -> tuple:
     """Prefixes of the Lyndon words of degree <= depth: ``levels[k]`` lists the
@@ -134,7 +172,7 @@ def _prefix_plan(dim: int, depth: int) -> _PrefixPlan:
     grouplike S the left side pairs to prod_j (S^{l_j})^{i_j} / (i_1! ... i_m!),
     so level k is T_k^{-1} applied to these monomials, where row w of T_k holds the
     coefficients of that shuffle.  T_k is unit lower triangular and integral, so
-    forward substitution inverts it exactly while its entries stay below 2^53.
+    ``_unit_triangular_inverse`` inverts it exactly.
     """
     levels = _prefix_closure(dim, depth)
     row = {w: i for words in levels for i, w in enumerate(words)}
@@ -164,13 +202,8 @@ def _prefix_plan(dim: int, depth: int) -> _PrefixPlan:
                 scale[r] *= math.factorial(len(list(group)))
             for v, c in product.items():
                 triangle[r, index[v]] = c / scale[r]
-        inverse = np.eye(len(all_words))
-        for r in range(len(all_words)):
-            cols = np.flatnonzero(triangle[r, :r])
-            if cols.size:
-                inverse[r] -= triangle[r, cols] @ inverse[cols]
         factors.append(rows)
-        expansion.append(inverse / scale)
+        expansion.append(_unit_triangular_inverse(triangle) / scale)
     for table in (*letters[1:], *prefixes[1:], *factors[1:], *expansion[1:]):
         table.flags.writeable = False
     return _PrefixPlan(tuple(letters), tuple(prefixes), tuple(factors), tuple(expansion))
@@ -221,55 +254,161 @@ def lyndon_basis(dim: int, depth: int) -> tuple[LyndonBasisElement, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _expand_tree(dim: int, tree) -> np.ndarray:
-    if isinstance(tree, int):
-        vec = np.zeros(dim)
-        vec[tree - 1] = 1.0
-        vec.flags.writeable = False
-        return vec
-    left = _expand_tree(dim, tree[0])
-    right = _expand_tree(dim, tree[1])
-    vec = np.kron(left, right) - np.kron(right, left)
-    vec.flags.writeable = False
-    return vec
+def _bracket_terms(dim: int, tree) -> tuple:
+    """(degree, words, coefs) of a bracketing's expansion into words: flat word
+    indices and their nonzero integer coefficients.
 
-
-def _tree_degree(tree) -> int:
+    [a, b] = ab - ba, and the word uv has flat index index(u)·d^|v| + index(v).
+    """
     if isinstance(tree, int):
-        return 1
-    return _tree_degree(tree[0]) + _tree_degree(tree[1])
+        return 1, (tree - 1,), (1,)
+    p, left, left_coefs = _bracket_terms(dim, tree[0])
+    q, right, right_coefs = _bracket_terms(dim, tree[1])
+    terms: dict[int, int] = {}
+    shift_u, shift_v = dim**q, dim**p
+    for u, a in zip(left, left_coefs):
+        for v, b in zip(right, right_coefs):
+            uv, vu = u * shift_u + v, v * shift_v + u
+            terms[uv] = terms.get(uv, 0) + a * b
+            terms[vu] = terms.get(vu, 0) - a * b
+    terms = {w: c for w, c in terms.items() if c}
+    return p + q, tuple(terms), tuple(terms.values())
 
 
 def bracket_expand(element, dim: int, depth: int | None = None) -> TruncatedTensor:
     """Expand a basis element (or raw bracketing tree) into the tensor algebra."""
     tree = element.bracketing if isinstance(element, LyndonBasisElement) else element
-    vec = _expand_tree(dim, tree)
-    degree = _tree_degree(tree)
+    degree, words, coefs = _bracket_terms(dim, tree)
     if depth is None:
         depth = degree
     levels = [np.zeros(dim**k) for k in range(depth + 1)]
-    levels[degree] = vec
+    levels[degree][list(words)] = coefs
     return TruncatedTensor(dim, depth, levels)
 
 
 @functools.lru_cache(maxsize=None)
-def _level_expansion(dim: int, degree: int):
-    """(elements, matrix, pseudo-inverse) for the degree-k Lyndon expansion."""
-    elements = tuple(
-        b for b in lyndon_basis(dim, degree) if b.degree == degree
-    )
-    if elements:
-        matrix = np.column_stack(
-            [_expand_tree(dim, b.bracketing) for b in elements]
+def _level_terms(dim: int, degree: int) -> tuple:
+    """The degree-k Lyndon elements' expansions as flat arrays.
+
+    Returns (rows, element, word, coef): ``rows`` holds the flat indices of the
+    degree-k Lyndon words in basis order, and term i of the expansions puts
+    ``coef[i]`` on word ``word[i]`` of element ``element[i]``, ordered by element.
+    """
+    words = [w for w in _lyndon_words(dim, degree) if len(w) == degree]
+    letters = np.array(words, dtype=np.intp).reshape(len(words), degree) - 1
+    rows = letters @ dim ** np.arange(degree - 1, -1, -1)
+    parts = [_bracket_terms(dim, _standard_bracketing(w)) for w in words]
+    element = np.repeat(np.arange(len(words)), [len(part[1]) for part in parts])
+    word = np.fromiter(itertools.chain.from_iterable(part[1] for part in parts), np.intp)
+    coef = np.fromiter(itertools.chain.from_iterable(part[2] for part in parts), np.int64)
+    for table in (rows, element, word, coef):
+        table.flags.writeable = False
+    return rows, element, word, coef
+
+
+def _expand_level(values: np.ndarray, dim: int, degree: int) -> np.ndarray:
+    """The degree-k Lie element whose Lyndon coordinates are ``values``, in words."""
+    _, element, word, coef = _level_terms(dim, degree)
+    return np.bincount(word, values[element] * coef, minlength=dim**degree)
+
+
+def _expand(values: np.ndarray, dim: int, degree: int, expansion) -> np.ndarray:
+    """``values @ expansion`` for rows of degree-k coordinates, also without the table."""
+    if expansion is not None:
+        return values @ expansion
+    out = np.empty((len(values), dim**degree))
+    for row, v in zip(out, values):
+        row[:] = _expand_level(v, dim, degree)
+    return out
+
+
+def _contract(levels: np.ndarray, dim: int, degree: int, expansion) -> np.ndarray:
+    """``levels @ expansion.T`` for rows of degree-k tensors, also without the table."""
+    if expansion is not None:
+        return levels @ expansion.T
+    _, element, word, coef = _level_terms(dim, degree)
+    out = np.empty((len(levels), witt_dimension(dim, degree)))
+    for row, x in zip(out, levels):
+        row[:] = np.bincount(element, x[word] * coef, minlength=row.size)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _gram_inverse(dim: int, degree: int) -> np.ndarray:
+    """(E E^T)^{-1} for the degree-k expansion E (n_k × d^k).
+
+    E E^T is summed over column blocks of at most ``_EXPANSION_BUDGET`` entries;
+    its entries are integers, so it comes out exact.
+    """
+    _, element, word, coef = _level_terms(dim, degree)
+    n = witt_dimension(dim, degree)
+    width = max(_EXPANSION_BUDGET // max(n, 1), 1)
+    gram = np.zeros((n, n))
+    for lo in range(0, dim**degree, width):
+        on = (word >= lo) & (word < lo + width)
+        block = np.zeros((n, min(width, dim**degree - lo)))
+        block[element[on], word[on] - lo] = coef[on]
+        gram += block @ block.T
+    inverse = np.linalg.inv(gram)
+    inverse.flags.writeable = False
+    return inverse
+
+
+def _least_squares(x: np.ndarray, dim: int, degree: int, expansion) -> np.ndarray:
+    """Least-squares Lyndon coordinates of rows of degree-k tensors.
+
+    Corrected semi-normal equations (Björck): each refinement step makes up a
+    factor cond(E E^T)·eps, so the result is as accurate as a QR solve while
+    cond(E)^2·eps stays well below 1 (cond(E) is 6.5e3 at d = 2, k = 12).
+    """
+    gram_inverse = _gram_inverse(dim, degree)
+    coords = _contract(x, dim, degree, expansion) @ gram_inverse
+    for _ in range(_REFINE_STEPS):
+        err = x - _expand(coords, dim, degree, expansion)
+        coords += _contract(err, dim, degree, expansion) @ gram_inverse
+    return coords
+
+
+@functools.lru_cache(maxsize=None)
+def _level_expansion(dim: int, degree: int) -> tuple:
+    """(rows, projection, expansion) for degree-k Lyndon coordinates.
+
+    Row j of ``expansion`` (n_k × d^k) is the j-th degree-k Lyndon element P_j in
+    words.  Since P_w = w + (larger words) (Reutenauer, Free Lie Algebras, Thm 5.1),
+    its columns at the Lyndon words' ``rows`` form an integral unit upper-triangular
+    block U in basis order, and ``projection`` is U^{-1}: a Lie element x of degree
+    k has coordinates ``x[rows] @ projection`` and equals ``coords @ expansion``.
+    ``expansion`` is None when it would pass ``_EXPANSION_BUDGET``; ``_expand`` and
+    ``_contract`` then work from the sparse terms.
+
+    The solve multiplies rounding error by up to ||U^{-1}||, which grows fast with
+    k for small d (d = 2: 1.1e2 at k = 8, 1.8e4 at k = 10, 3.1e10 at k = 14).
+    ``projection`` is None past ``_SOLVE_GAIN``: such levels take least squares.
+    """
+    n = witt_dimension(dim, degree)
+    if n * n > _TRIANGLE_BUDGET:
+        raise DomainError(
+            f"Lyndon coordinates of degree {degree} in {dim} letters need a {n} x {n} "
+            f"triangular inverse, over the budget of {_TRIANGLE_BUDGET} entries"
         )
-        pinv = np.linalg.pinv(matrix)
-    else:
-        # e.g. d = 1 beyond degree 1: the graded piece is trivial
-        matrix = np.zeros((dim**degree, 0))
-        pinv = np.zeros((0, dim**degree))
-    matrix.flags.writeable = False
-    pinv.flags.writeable = False
-    return elements, matrix, pinv
+    rows, element, word, coef = _level_terms(dim, degree)
+    # U^T straight from the terms on Lyndon words, as the dense table may not be built
+    position = np.full(dim**degree, -1)
+    position[rows] = np.arange(n)
+    on_rows = position[word] >= 0
+    lower = np.zeros((n, n))
+    lower[position[word[on_rows]], element[on_rows]] = coef[on_rows]
+    projection = np.ascontiguousarray(_unit_triangular_inverse(lower).T)
+    if n and np.abs(projection).sum(axis=0).max() > _SOLVE_GAIN:
+        projection = None
+    expansion = None
+    if n * dim**degree <= _EXPANSION_BUDGET:
+        expansion = np.zeros((n, dim**degree))
+        expansion[element, word] = coef
+    for table in (projection, expansion):
+        if table is not None:
+            table.flags.writeable = False
+    return rows, projection, expansion
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,12 +461,14 @@ class LieCoordinates:
 
     def to_tensor(self, depth: int | None = None) -> TruncatedTensor:
         depth = self.depth if depth is None else depth
-        levels = [np.zeros(self.dim**k) for k in range(depth + 1)]
-        for b, v in zip(self.basis, self.values):
-            if v != 0.0 and b.degree <= depth:
-                levels[b.degree] = levels[b.degree] + v * _expand_tree(
-                    self.dim, b.bracketing
-                )
+        levels, start = [np.zeros(1)], 0
+        for k in range(1, depth + 1):
+            if k > self.depth:
+                levels.append(np.zeros(self.dim**k))
+                continue
+            n = witt_dimension(self.dim, k)
+            levels.append(_expand_level(self.values[start : start + n], self.dim, k))
+            start += n
         return TruncatedTensor(self.dim, depth, levels)
 
     def as_pairs(self) -> list[tuple[str, float]]:
@@ -348,11 +489,14 @@ def _coord_key(key):
 
 
 def tensor_to_lie_coords(a: TruncatedTensor) -> LieCoordinates:
-    """Project a Lie element onto Lyndon coordinates, level by level.
+    """Lyndon coordinates of a Lie element, level by level.
 
-    Raises NotALieElementError when any level's least-squares residual
-    exceeds ``_LIE_RTOL * |a| + _LIE_ATOL``; this residual test is the
-    Lie-membership check.  The absolute floor keeps rounding-level residue
+    Each level's coordinates solve the unit-triangular system of the Lyndon
+    elements on the Lyndon words' coefficients (see ``_level_expansion``), or,
+    where that solve would lose accuracy, least squares (``_least_squares``).
+    Raises NotALieElementError when any level differs from the element rebuilt
+    from them by more than ``_LIE_RTOL * |a| + _LIE_ATOL``; this residual test
+    is the Lie-membership check.  The absolute floor keeps rounding-level residue
     from rejecting elements that are themselves at rounding scale (e.g. the
     log-signature of a path concatenated with its own reversal).
     """
@@ -369,16 +513,33 @@ def _lie_coords(levels, dim: int, depth: int) -> np.ndarray:
     if levels[0].any():
         raise DomainError("a Lie element has zero level-0 coefficient")
     flat = np.concatenate(levels, axis=1)
-    tolerance = _LIE_RTOL * np.sqrt((flat * flat).sum(axis=1)) + _LIE_ATOL
-    coords, rebuilt = [], [levels[0]]
-    for degree in range(1, depth + 1):
-        _, matrix, pinv = _level_expansion(dim, degree)
-        coords.append(levels[degree] @ pinv.T)
-        rebuilt.append(coords[-1] @ matrix.T)
-    err = np.concatenate(rebuilt, axis=1) - flat
-    starts = list(itertools.accumulate(dim**k for k in range(depth)))  # levels 1..N
-    residuals = np.sqrt(np.add.reduceat(err * err, starts, axis=1))
+    tolerance = _LIE_RTOL * np.sqrt(np.einsum("ij,ij->i", flat, flat)) + _LIE_ATOL
+    # every degree-1 tensor is a Lie element and its own coordinates
+    coords, residuals = [levels[1]], np.zeros((len(flat), depth))
+    for degree in range(2, depth + 1):
+        rows, projection, expansion = _level_expansion(dim, degree)
+        x = levels[degree]
+        if projection is None:
+            coords.append(_least_squares(x, dim, degree, expansion))
+        else:
+            coords.append(x[:, rows] @ projection)
+        err = _expand(coords[-1], dim, degree, expansion) - x
+        residuals[:, degree - 1] = np.einsum("ij,ij->i", err, err)
+    residuals = np.sqrt(residuals)
     failing = residuals > tolerance[:, None]
+    if failing.any():
+        # the triangular solve gains rounding error by up to _SOLVE_GAIN; rows that it
+        # pushed past the tolerance get least squares, which leaves the least residual
+        for degree in range(2, depth + 1):
+            redo = failing[:, degree - 1]
+            _, projection, expansion = _level_expansion(dim, degree)
+            if projection is not None and redo.any():
+                x = levels[degree][redo]
+                c = _least_squares(x, dim, degree, expansion)
+                coords[degree - 1][redo] = c
+                err = _expand(c, dim, degree, expansion) - x
+                residuals[redo, degree - 1] = np.sqrt(np.einsum("ij,ij->i", err, err))
+        failing = residuals > tolerance[:, None]
     if failing.any():
         row = int(failing.any(axis=1).argmax())
         degree = int(failing[row].argmax()) + 1

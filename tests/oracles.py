@@ -186,3 +186,70 @@ def dp_distance_per_piece(times_a, pts_a, times_b, pts_b, p, max_level):
         best = max(best, total)
         estimates.append(best)
     return np.array(estimates)
+
+
+def _standard_tree(word):
+    """Standard bracketing of a Lyndon word: split off its longest proper Lyndon suffix."""
+    if len(word) == 1:
+        return word[0]
+    split = next(i for i in range(1, len(word)) if is_lyndon(list(word[i:])))
+    return (_standard_tree(word[:split]), _standard_tree(word[split:]))
+
+
+def _polynomial_of(tree):
+    """A bracketing as a {word: integer} polynomial, with [a, b] = ab - ba."""
+    if isinstance(tree, int):
+        return {(tree,): 1}
+    a, b = _polynomial_of(tree[0]), _polynomial_of(tree[1])
+    out = {}
+    for u, x in a.items():
+        for v, y in b.items():
+            out[u + v] = out.get(u + v, 0) + x * y
+            out[v + u] = out.get(v + u, 0) - x * y
+    return out
+
+
+def exact_log_signature_lyndon(vertices, depth):
+    """Lyndon coordinates of the log-signature of an integer-vertex polyline, in
+    sympy rationals and in basis order (degree, then lexicographic word).
+
+    The signature is the Chen product of the segment exponentials, its logarithm
+    the truncated series sum_n (-1)^(n+1) (S - 1)^n / n, and each degree's
+    coordinates solve the lower-triangular system of the bracket expansions on
+    the rows of the Lyndon words.
+    """
+    import sympy
+
+    dim = len(vertices[0])
+
+    def mul(a, b):
+        out = {}
+        for u, x in a.items():
+            for v, y in b.items():
+                if len(u) + len(v) <= depth:
+                    out[u + v] = out.get(u + v, 0) + x * y
+        return out
+
+    sig = {(): sympy.Integer(1)}
+    for p, q in zip(vertices, vertices[1:]):
+        step = [sympy.Integer(b - a) for a, b in zip(p, q)]
+        segment = {(): sympy.Integer(1)}
+        for k in range(1, depth + 1):
+            for word in itertools.product(range(1, dim + 1), repeat=k):
+                segment[word] = sympy.Mul(*(step[c - 1] for c in word)) / sympy.factorial(k)
+        sig = mul(sig, segment)
+    excess = {w: c for w, c in sig.items() if w}
+    log, power = {}, {(): sympy.Integer(1)}
+    for n in range(1, depth + 1):
+        power = mul(power, excess)
+        for w, c in power.items():
+            log[w] = log.get(w, 0) + sympy.Rational((-1) ** (n + 1), n) * c
+    coords = []
+    for k in range(1, depth + 1):
+        words = [w for w in lyndon_words_brute(dim, k) if len(w) == k]
+        columns = [_polynomial_of(_standard_tree(w)) for w in words]
+        block = sympy.Matrix(len(words), len(words), lambda i, j: columns[j].get(words[i], 0))
+        rhs = sympy.Matrix([log.get(w, 0) for w in words])
+        if words:
+            coords += list(block.lower_triangular_solve(rhs))
+    return coords

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigstream.cli import main
-from sigstream.streams import Stream, signature, write_csv
+from sigstream.streams import TRANSFORMS, Stream, signature, write_csv
 from sigstream.tensor_algebra import from_json_dict
 
 TWO_SEGMENT = "t,x1,x2\n0,0,0\n1,1,0\n2,1,1\n"
@@ -442,7 +442,44 @@ def fuzz_case(draw):
     return argv, system, d
 
 
+@st.composite
+def stream_csv(draw):
+    """CSV text of a stream in d <= 4 dimensions, one to six rows, with at most one
+    fault: a ragged row, a bad cell, or a repeated row (a time that does not increase)."""
+    d = draw(st.integers(1, 4))
+    times = sorted(draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True)))
+    rows = [[str(t), *(repr(draw(st.floats(-3.0, 3.0))) for _ in range(d))] for t in times]
+    fault = draw(st.sampled_from([None, None, "ragged", "cell", "time"]))
+    at = draw(st.integers(0, len(rows) - 1))
+    if fault == "ragged":
+        rows[at] = rows[at][:-1] if draw(st.booleans()) else rows[at] + ["0"]
+    elif fault == "cell":
+        rows[at][draw(st.integers(0, d))] = draw(st.sampled_from(["abc", "", "1e", "nan", "inf"]))
+    elif fault == "time":
+        rows.insert(at, list(rows[at]))
+    header = ["t", *(f"x{i}" for i in range(1, d + 1))]
+    return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+
+
 class TestFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["sig", "logsig"]),
+        st.integers(-1, 6),
+        st.sampled_from(sorted(TRANSFORMS)),
+        stream_csv(),
+    )
+    def test_stream_commands_exit_codes_only(self, kind, depth, transform, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "stream.csv"
+            path.write_text(text)
+            argv = [kind, "--depth", str(depth), "--transform", transform, str(path)]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2, 3, 4), (argv, text, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
     @settings(max_examples=120, deadline=None)
     @given(fuzz_case())
     def test_documented_exit_codes_only(self, case):

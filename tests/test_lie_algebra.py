@@ -1,10 +1,19 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sigstream.errors import DomainError, NotALieElementError
 from sigstream.lie_algebra import (
+    _LIE_ATOL,
+    _LIE_RTOL,
     LieCoordinates,
+    _level_expansion,
     _lie_coords,
+    _unit_triangular_inverse,
     bracket_expand,
     dynkin_check,
     lyndon_basis,
@@ -13,9 +22,9 @@ from sigstream.lie_algebra import (
     witt_dimension,
 )
 from sigstream.streams import Stream, log_signature, signature
-from sigstream.tensor_algebra import TruncatedTensor, tensor_log
+from sigstream.tensor_algebra import TruncatedTensor, tensor_exp, tensor_log
 
-from oracles import lyndon_words_brute
+from oracles import exact_log_signature_lyndon, lyndon_words_brute
 
 
 def random_stream(rng, d, n_samples, scale=1.0):
@@ -198,3 +207,224 @@ class TestDynkin:
         direct = tensor_log(signature(s, 4))
         diff = coords.to_tensor() - direct
         assert max(np.abs(lvl).max() for lvl in diff.levels) < 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def least_squares(d, k):
+    """(columns, pseudo-inverse): the degree-k Lyndon elements expanded into words by
+    ``bracket_expand``, as dense columns, and their least-squares projection."""
+    elements = [b for b in lyndon_basis(d, k) if b.degree == k]
+    columns = np.array([bracket_expand(b, d).levels[k] for b in elements]).reshape(-1, d**k).T
+    return columns, np.linalg.pinv(columns)
+
+
+def least_squares_coords(levels, d, depth):
+    return np.concatenate([least_squares(d, k)[1] @ levels[k] for k in range(1, depth + 1)])
+
+
+@st.composite
+def lie_elements(draw, min_depth=1, scales=(1e-3, 1.0, 1e3)):
+    """Random Lyndon coordinates for d <= 4 letters and depth <= 5."""
+    d = draw(st.integers(1, 4))
+    depth = draw(st.integers(min_depth, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-1.0, 1.0, len(lyndon_basis(d, depth)))
+    return LieCoordinates(d, depth, draw(st.sampled_from(scales)) * values)
+
+
+def assert_close(got, want, rtol):
+    assert np.abs(got - want).max(initial=0.0) <= rtol * max(np.abs(want).max(initial=0.0), 1e-300)
+
+
+class TestExactCoordinates:
+    @settings(max_examples=60, deadline=None)
+    @given(lie_elements())
+    def test_lie_elements_match_least_squares(self, coords):
+        t = coords.to_tensor()
+        got = tensor_to_lie_coords(t).values
+        assert_close(got, least_squares_coords(t.levels, coords.dim, coords.depth), 1e-12)
+        assert_close(got, coords.values, 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lie_elements(scales=(1e-3, 0.3, 1.0)))
+    def test_exp_log_round_trips_match_least_squares(self, coords):
+        t = tensor_log(tensor_exp(coords.to_tensor()))
+        got = tensor_to_lie_coords(t).values
+        assert_close(got, least_squares_coords(t.levels, coords.dim, coords.depth), 1e-12)
+        assert_close(got, coords.values, 1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lie_elements(min_depth=2), st.data())
+    def test_perturbed_elements_fail_at_the_same_lowest_level(self, coords, data):
+        d, depth = coords.dim, coords.depth
+        level = data.draw(st.integers(2, depth))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        levels = [lvl.copy() for lvl in coords.to_tensor().levels]
+        columns, pinv = least_squares(d, level)
+        outside = rng.standard_normal(d**level)
+        outside -= columns @ (pinv @ outside)  # no part along the Lie elements
+        assume(np.linalg.norm(outside) > 1e-6)
+        size = np.sqrt(sum(float(lvl @ lvl) for lvl in levels))
+        levels[level] += 1e-6 * (1.0 + size) * outside / np.linalg.norm(outside)
+        for k in range(level + 1, depth + 1):  # higher levels may fail too
+            levels[k] += data.draw(st.sampled_from([0.0, 1e-3])) * rng.standard_normal(d**k)
+        t = TruncatedTensor(d, depth, levels)
+        tolerance = _LIE_RTOL * np.sqrt(sum(float(lvl @ lvl) for lvl in t.levels)) + _LIE_ATOL
+        residuals = [
+            np.linalg.norm(t.levels[k] - least_squares(d, k)[0] @ (least_squares(d, k)[1] @ t.levels[k]))
+            for k in range(1, depth + 1)
+        ]
+        lowest = 1 + next(i for i, r in enumerate(residuals) if r > tolerance)
+        assert lowest == level
+        with pytest.raises(NotALieElementError) as single:
+            tensor_to_lie_coords(t)
+        assert single.value.level == level
+        batch = [np.stack([clean, lvl]) for clean, lvl in zip(coords.to_tensor().levels, levels)]
+        with pytest.raises(NotALieElementError) as batched:
+            _lie_coords(batch, d, depth)
+        assert str(batched.value) == str(single.value)
+
+
+class TestTriangularBlock:
+    CASES = [(d, k) for d in (1, 2, 3, 4) for k in range(1, 7)] + [(2, k) for k in range(7, 11)]
+
+    @pytest.mark.parametrize("d, k", CASES)
+    def test_lyndon_rows_block_is_unit_lower_triangular_and_integral(self, d, k):
+        elements = [b for b in lyndon_basis(d, k) if b.degree == k]
+        rows = [b.word.index(d) for b in elements]
+        n = len(rows)
+        # block[i, j]: coefficient of the i-th Lyndon word in the j-th element
+        block = np.array([bracket_expand(b, d).levels[k][rows] for b in elements]).reshape(n, n).T
+        assert np.array_equal(block, np.tril(block))
+        assert np.array_equal(np.diagonal(block), np.ones(n))
+        assert np.array_equal(block, np.rint(block))
+        inverse = _unit_triangular_inverse(block)
+        assert np.array_equal(block @ inverse, np.eye(n))
+        got_rows, projection, expansion = _level_expansion(d, k)
+        assert got_rows.tolist() == rows
+        if (d, k) != (2, 10):  # its gain passes _SOLVE_GAIN
+            assert np.array_equal(projection, inverse.T)
+        assert np.array_equal(expansion[:, rows], block.T)
+
+    def test_inverse_checks_its_input(self):
+        assert np.array_equal(_unit_triangular_inverse(np.array([[1.0, 0.0], [3.0, 1.0]])), [[1, 0], [-3, 1]])
+        for bad in ([[1.0, 1.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.5, 1.0]]):
+            with pytest.raises(AssertionError):
+                _unit_triangular_inverse(np.array(bad))
+        with pytest.raises(DomainError, match="exact float range"):
+            _unit_triangular_inverse(np.array([[1.0, 0.0], [2.0**53, 1.0]]))
+
+
+class TestExactOracle:
+    def test_unit_square(self):
+        square = [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]
+        assert exact_log_signature_lyndon(square, 2) == [0, 0, 1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=6),
+        st.integers(1, 4),
+    )
+    def test_integer_paths_match_rational_coordinates(self, vertices, depth):
+        want = np.array([float(c) for c in exact_log_signature_lyndon(vertices, depth)])
+        stream = Stream(np.arange(float(len(vertices))), np.array(vertices, dtype=float))
+        got = log_signature(stream, depth).values
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+class TestColdSetUp:
+    def test_cold_log_signature_peak_memory(self):
+        # the dense d^k x n_k expansion at d = 4, N = 6 is 22 MB
+        s = random_stream(np.random.default_rng(8), 4, 20, scale=0.3)
+        _level_expansion.cache_clear()
+        tracemalloc.start()
+        try:
+            log_signature(s, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
+
+class TestSparseRebuild:
+    """(5, 6) has a 2,580 x 15,625 expansion, past ``_EXPANSION_BUDGET``: its
+    Lie-membership rebuild runs on the sparse terms instead of a dense table."""
+
+    def test_coordinates_round_trip_through_to_tensor(self):
+        assert _level_expansion(5, 6)[2] is None
+        rng = np.random.default_rng(10)
+        coords = LieCoordinates(5, 6, rng.uniform(-1.0, 1.0, len(lyndon_basis(5, 6))))
+        t = coords.to_tensor()
+        assert_close(tensor_to_lie_coords(t).values, coords.values, 1e-12)
+
+    def test_log_signature_rebuilds_the_log(self):
+        s = random_stream(np.random.default_rng(11), 5, 6, scale=0.3)
+        log = tensor_log(signature(s, 6))
+        rebuilt = log_signature(s, 6).to_tensor()
+        for k in range(1, 7):
+            assert_close(rebuilt.levels[k], log.levels[k], 1e-12)
+
+    def test_perturbed_rows_fail_at_level_six(self):
+        rng = np.random.default_rng(12)
+        coords = LieCoordinates(5, 6, rng.uniform(-1.0, 1.0, len(lyndon_basis(5, 6))))
+        clean = coords.to_tensor().levels
+        bent = [lvl.copy() for lvl in clean]
+        bent[6][0] += 1e-3  # word 111111 is not Lyndon, so the solve ignores it
+        batch = [np.stack([a, b]) for a, b in zip(clean, bent)]
+        with pytest.raises(NotALieElementError) as err:
+            _lie_coords(batch, 5, 6)
+        assert err.value.level == 6
+        assert_close(_lie_coords([lvl[:1] for lvl in batch], 5, 6)[0], coords.values, 1e-12)
+
+    def test_too_large_triangle_fails_fast(self):
+        with pytest.raises(DomainError, match="triangular inverse"):
+            _level_expansion(8, 6)
+
+
+class TestLeastSquaresLevels:
+    """From d = 2, k = 10 the triangular solve would multiply rounding error by more
+    than ``_SOLVE_GAIN``, so those levels are solved by least squares."""
+
+    def test_ill_conditioned_levels_switch(self):
+        assert _level_expansion(2, 9)[1] is not None
+        assert _level_expansion(2, 10)[1] is None
+
+    def test_lie_elements_match_least_squares(self):
+        rng = np.random.default_rng(13)
+        coords = LieCoordinates(2, 12, rng.uniform(-1.0, 1.0, len(lyndon_basis(2, 12))))
+        t = coords.to_tensor()
+        got = tensor_to_lie_coords(t).values
+        assert_close(got, least_squares_coords(t.levels, 2, 12), 1e-12)
+        assert_close(got, coords.values, 1e-12)
+
+    def test_degree_fourteen_log_signature(self):
+        # a path whose level-14 log the triangular solve could not certify as Lie
+        s = Stream(np.arange(4.0), np.array([[0.0, 0.0], [1.0, 0.5], [0.3, 1.0], [-1.0, 0.2]]))
+        assert _level_expansion(2, 14)[2] is None  # sparse rebuild as well
+        log = tensor_log(signature(s, 14))
+        rebuilt = log_signature(s, 14).to_tensor()
+        size = max(np.abs(lvl).max() for lvl in log.levels)
+        for k in range(1, 15):
+            assert np.abs(rebuilt.levels[k] - log.levels[k]).max() <= 1e-12 * size
+
+    def test_rows_the_solve_pushes_past_the_tolerance_take_least_squares(self):
+        rng = np.random.default_rng(11)
+        s = Stream(np.arange(5.0), np.cumsum(rng.normal(size=(5, 2)), axis=0))
+        t = tensor_log(signature(s, 9))
+        rows, projection, expansion = _level_expansion(2, 9)
+        tolerance = _LIE_RTOL * np.sqrt(sum(float(lvl @ lvl) for lvl in t.levels)) + _LIE_ATOL
+        solved = t.levels[9][rows] @ projection
+        assert np.linalg.norm(solved @ expansion - t.levels[9]) > tolerance
+        # level 9 is redone; the levels below keep the solve's rounding, up to 2e-11 here
+        top = -witt_dimension(2, 9)
+        got = tensor_to_lie_coords(t).values[top:]
+        assert_close(got, least_squares_coords(t.levels, 2, 9)[top:], 1e-12)
+
+    def test_perturbed_rows_fail_at_their_level(self):
+        rng = np.random.default_rng(14)
+        coords = LieCoordinates(2, 12, rng.uniform(-1.0, 1.0, len(lyndon_basis(2, 12))))
+        levels = [lvl.copy() for lvl in coords.to_tensor().levels]
+        levels[11][0] += 1e-3
+        with pytest.raises(NotALieElementError) as err:
+            tensor_to_lie_coords(TruncatedTensor(2, 12, levels))
+        assert err.value.level == 11
