@@ -39,7 +39,8 @@ _DATA_ERRORS = (
     StreamParseError,
     DimensionMismatchError,
     OutOfDepthError,
-    FileNotFoundError,
+    OSError,  # a missing file, a directory or an unwritable path
+    UnicodeDecodeError,
     json.JSONDecodeError,
     KeyError,
     DomainError,

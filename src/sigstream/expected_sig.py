@@ -229,25 +229,15 @@ class GridDomain:
     def _build_neighbours(self):
         """Per interior point and axis direction: interior neighbour (or -1) and
         the boundary distance fraction theta in (0, 1]."""
-        nx, ny = self.index_grid.shape
         ii, jj = np.nonzero(self.mask)
-        neighbour = np.full((self.n_interior, 4), -1, dtype=np.int64)
-        theta = np.ones((self.n_interior, 4))
-        offsets = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-        for k, (di, dj) in enumerate(offsets):
-            oi, oj = ii + di, jj + dj
-            in_grid = (oi >= 0) & (oi < nx) & (oj >= 0) & (oj < ny)
-            idx = np.full(self.n_interior, -1, dtype=np.int64)
-            idx[in_grid] = self.index_grid[oi[in_grid], oj[in_grid]]
-            neighbour[:, k] = idx
-            if self.boundary == "exact":
-                cut = np.nonzero(idx < 0)[0]
-                dist = self.descriptor._ray_hits(
-                    self.points[cut], np.broadcast_to(_DIRECTIONS[k], (cut.size, 2))
-                )
-                theta[cut, k] = np.clip(dist / self.h, _THETA_FLOOR, 1.0)
-        self.neighbour = neighbour
-        self.theta = theta
+        di, dj = _DIRECTIONS.T.astype(np.int64)
+        padded = np.pad(self.index_grid, 1, constant_values=-1)  # a ring of exterior points
+        self.neighbour = padded[ii[:, None] + 1 + di, jj[:, None] + 1 + dj]
+        self.theta = np.ones((self.n_interior, 4))
+        if self.boundary == "exact":
+            cut, k = np.nonzero(self.neighbour < 0)
+            dist = self.descriptor._ray_hits(self.points[cut], _DIRECTIONS[k])
+            self.theta[cut, k] = np.clip(dist / self.h, _THETA_FLOOR, 1.0)
 
     @property
     def laplacian(self) -> scipy.sparse.csr_matrix:
@@ -255,34 +245,16 @@ class GridDomain:
         if self._matrix is None:
             import scipy.sparse  # here, so importing the package leaves scipy.sparse out
 
-            h2 = self.h**2
-            rows, cols, vals = [], [], []
-            diag = np.zeros(self.n_interior)
-            for axis in range(2):
-                plus, minus = 2 * axis, 2 * axis + 1
-                t_plus = self.theta[:, plus]
-                t_minus = self.theta[:, minus]
-                diag -= 2.0 / (h2 * t_plus * t_minus)
-                for k, t_here, t_other in (
-                    (plus, t_plus, t_minus),
-                    (minus, t_minus, t_plus),
-                ):
-                    idx = self.neighbour[:, k]
-                    have = idx >= 0
-                    rows.append(np.nonzero(have)[0])
-                    cols.append(idx[have])
-                    vals.append(
-                        2.0 / (h2 * t_here[have] * (t_here[have] + t_other[have]))
-                    )
-            rows.append(np.arange(self.n_interior))
-            cols.append(np.arange(self.n_interior))
-            vals.append(diag)
+            h2, t, n = self.h**2, self.theta, self.n_interior
+            # Shortley-Weller: neighbour weights 2 / (h^2 t (t + t_opposite)),
+            # centre the sum over both axes of -2 / (h^2 t_plus t_minus)
+            weights = 2.0 / (h2 * t * (t + t[:, [1, 0, 3, 2]]))
+            centre = (-2.0 / (h2 * t[:, 0::2] * t[:, 1::2])).sum(axis=1)
+            cols = np.column_stack([self.neighbour, np.arange(n)])
+            have = cols >= 0
             self._matrix = scipy.sparse.csr_matrix(
-                (
-                    np.concatenate(vals),
-                    (np.concatenate(rows), np.concatenate(cols)),
-                ),
-                shape=(self.n_interior, self.n_interior),
+                (np.column_stack([weights, centre])[have], (np.nonzero(have)[0], cols[have])),
+                shape=(n, n),
             )
         return self._matrix
 
@@ -299,15 +271,16 @@ class GridDomain:
         return self._lu.solve(np.asarray(rhs, dtype=float))
 
     def derivative(self, u: np.ndarray, axis: int) -> np.ndarray:
-        """First derivative of an interior grid function, zero beyond the boundary.
+        """First derivative of interior grid functions u (..., n_interior), zero
+        beyond the boundary; leading axes index separate functions.
 
         Central differences inside; at the boundary a non-uniform 3-point
         formula uses the exact cut distances (uniform in snap mode).
         """
         plus, minus = 2 * axis, 2 * axis + 1
         idx_p, idx_m = self.neighbour[:, plus], self.neighbour[:, minus]
-        u_p = np.where(idx_p >= 0, u[np.maximum(idx_p, 0)], 0.0)
-        u_m = np.where(idx_m >= 0, u[np.maximum(idx_m, 0)], 0.0)
+        u_p = np.where(idx_p >= 0, u[..., np.maximum(idx_p, 0)], 0.0)
+        u_m = np.where(idx_m >= 0, u[..., np.maximum(idx_m, 0)], 0.0)
         b = self.theta[:, plus] * self.h
         a = self.theta[:, minus] * self.h
         return (
@@ -361,19 +334,14 @@ def solve_recurrence(grid: GridDomain, depth: int) -> ExpectedSigField:
     n = grid.n_interior
     _check_budget(n, d, depth, f"expected signatures at {n} grid points")
     levels = [np.ones((1, n)), np.zeros((d, n))]
+    letters = np.arange(d)
     for level in range(2, depth + 1):
-        width = d**level
-        block = d ** (level - 1)
-        sub_block = d ** (level - 2)
-        rhs = np.zeros((width, n))
-        for w in range(width):
-            first = w // block
-            rest = w % block
-            second = rest // sub_block
-            tail = rest % sub_block
-            if first == second:
-                rhs[w] -= levels[level - 2][tail]
-            rhs[w] -= 2.0 * grid.derivative(levels[level - 1][rest], axis=first)
+        # source of word i j w: -2 d_i f(j w), less f(w) where i == j; written
+        # 0.0 - x so that zero sources keep the sign +0.0
+        rhs = 0.0 - 2.0 * np.concatenate(
+            [grid.derivative(levels[-1], axis=i) for i in letters]
+        )
+        rhs.reshape(d, d, -1, n)[letters, letters] -= levels[-2]
         levels.append(grid.solve_poisson(rhs.T).T)
     return ExpectedSigField(grid, depth, tuple(levels))
 

@@ -423,8 +423,10 @@ class LieCoordinates:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.dim < 1 or self.depth < 1:
+            raise DomainError("dim and depth must be positive")
         arr = np.asarray(self.values, dtype=float).reshape(-1).copy()
-        expected = len(lyndon_basis(self.dim, self.depth))
+        expected = sum(witt_dimension(self.dim, k) for k in range(1, self.depth + 1))
         if arr.size != expected:
             raise DomainError(
                 f"expected {expected} coordinates for dim={self.dim}, depth={self.depth}"
@@ -438,18 +440,10 @@ class LieCoordinates:
 
     def coeff(self, key) -> float:
         """Coordinate on a basis element, addressed by element, Word or rendering."""
-        idx = self._lookup().get(_coord_key(key))
+        idx = _coord_lookup(self.dim, self.depth).get(_coord_key(key))
         if idx is None:
             raise KeyError(f"not a Lyndon basis element here: {key!r}")
         return float(self.values[idx])
-
-    @functools.cache
-    def _lookup(self) -> dict:
-        table = {}
-        for i, b in enumerate(self.basis):
-            table[b.word.letters] = i
-            table[str(b)] = i
-        return table
 
     def max_degree(self, tol: float = 0.0) -> int:
         """Highest degree carrying a coordinate with |value| > tol (0 if none)."""
@@ -474,6 +468,16 @@ class LieCoordinates:
     def as_pairs(self) -> list[tuple[str, float]]:
         """(rendered element, coordinate) pairs in basis order."""
         return [(str(b), float(v)) for b, v in zip(self.basis, self.values)]
+
+
+@functools.lru_cache(maxsize=None)
+def _coord_lookup(dim: int, depth: int) -> dict:
+    """Basis index of each Lyndon word and of each rendering, per (dim, depth)."""
+    table = {}
+    for i, b in enumerate(lyndon_basis(dim, depth)):
+        table[b.word.letters] = i
+        table[str(b)] = i
+    return table
 
 
 def _coord_key(key):
@@ -599,6 +603,8 @@ def _mobius(n: int) -> int:
 
 def witt_dimension(dim: int, degree: int) -> int:
     """Dimension of the degree-k graded piece of the free Lie algebra on d letters."""
+    if dim < 1 or degree < 1:
+        raise DomainError("dim and degree must be positive")
     total = 0
     for m in range(1, degree + 1):
         if degree % m == 0:

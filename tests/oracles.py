@@ -10,6 +10,7 @@ from math import comb
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 
 def refine_polyline(points, total_substeps):
@@ -253,3 +254,72 @@ def exact_log_signature_lyndon(vertices, depth):
         if words:
             coords += list(block.lower_triangular_solve(rhs))
     return coords
+
+
+# -- Poisson grid, one offset, direction and word at a time --------------------
+# The expected-signature grid as first written: loops that whole-array code in
+# GridDomain and solve_recurrence must reproduce byte for byte.
+
+
+def grid_neighbours_per_offset(grid):
+    """(neighbour, theta) of a GridDomain, one axis offset and one ray call at a time."""
+    nx, ny = grid.index_grid.shape
+    ii, jj = np.nonzero(grid.mask)
+    n = grid.n_interior
+    neighbour = np.full((n, 4), -1, dtype=np.int64)
+    theta = np.ones((n, 4))
+    offsets = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    for k, (di, dj) in enumerate(offsets):
+        oi, oj = ii + di, jj + dj
+        in_grid = (oi >= 0) & (oi < nx) & (oj >= 0) & (oj < ny)
+        idx = np.full(n, -1, dtype=np.int64)
+        idx[in_grid] = grid.index_grid[oi[in_grid], oj[in_grid]]
+        neighbour[:, k] = idx
+        if grid.boundary == "exact":
+            cut = np.nonzero(idx < 0)[0]
+            direction = np.array(offsets[k], dtype=float)
+            dist = grid.descriptor._ray_hits(
+                grid.points[cut], np.broadcast_to(direction, (cut.size, 2))
+            )
+            theta[cut, k] = np.clip(dist / grid.h, 1e-8, 1.0)  # the theta floor
+    return neighbour, theta
+
+
+def laplacian_per_direction(grid):
+    """Shortley-Weller Laplacian of a GridDomain, one axis and direction at a time."""
+    h2 = grid.h**2
+    rows, cols, vals = [], [], []
+    diag = np.zeros(grid.n_interior)
+    for axis in range(2):
+        plus, minus = 2 * axis, 2 * axis + 1
+        t_plus = grid.theta[:, plus]
+        t_minus = grid.theta[:, minus]
+        diag -= 2.0 / (h2 * t_plus * t_minus)
+        for k, t_here, t_other in ((plus, t_plus, t_minus), (minus, t_minus, t_plus)):
+            idx = grid.neighbour[:, k]
+            have = idx >= 0
+            rows.append(np.nonzero(have)[0])
+            cols.append(idx[have])
+            vals.append(2.0 / (h2 * t_here[have] * (t_here[have] + t_other[have])))
+    rows.append(np.arange(grid.n_interior))
+    cols.append(np.arange(grid.n_interior))
+    vals.append(diag)
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(grid.n_interior, grid.n_interior),
+    )
+
+
+def poisson_sources_per_word(grid, levels, level):
+    """Sources of one expected-signature level on a planar grid, one word at a time:
+    -2 d_i f(j w), less f(w) where i == j, for the word i j w."""
+    d = 2
+    width, block, sub_block = d**level, d ** (level - 1), d ** (level - 2)
+    rhs = np.zeros((width, grid.n_interior))
+    for w in range(width):
+        first, rest = divmod(w, block)
+        second, tail = divmod(rest, sub_block)
+        if first == second:
+            rhs[w] -= levels[level - 2][tail]
+        rhs[w] -= 2.0 * grid.derivative(levels[level - 1][rest], axis=first)
+    return rhs

@@ -245,6 +245,8 @@ class TestExpsig:
             model = tmp_path / f"model{i}.json"
             model.write_text(json.dumps(spec))
             score.append(("score", model, tmp_path / "manifest.txt", tmp_path / "labels.txt"))
+        (tmp_path / "latin1.csv").write_bytes("t,x1\n0,0\n1,\xe9\n".encode("latin-1"))
+        (tmp_path / "dir_manifest.txt").write_text(".\n")
         synth = ("gen-synth", "--out", tmp_path / "synth", "--seed", 1)
         for argv in (
             *logode,
@@ -254,6 +256,13 @@ class TestExpsig:
             ("sig", "--depth", 200000, driver),  # the budget check must not sum d^k to the end
             ("sig", "--depth", 1000, one_d),  # within the budget, but O(depth^2) work and JSON
             ("dpdist", "--p", 100000, "--levels", 1, driver, driver),
+            ("dpdist", "--p", 2, "--levels", 2, tmp_path / "latin1.csv", driver),  # not UTF-8
+            ("dpdist", "--p", 2, "--levels", 2, tmp_path, driver),  # a directory
+            ("fit", "--depth", 2, "--method", "ridge", "--lambda", 0,  # manifest line "."
+             tmp_path / "dir_manifest.txt", tmp_path / "labels.txt", "-o", tmp_path / "m.json"),
+            ("fit", "--depth", 2, "--method", "ridge", "--lambda", 0,
+             tmp_path / "manifest.txt", tmp_path, "-o", tmp_path / "m.json"),  # labels: a directory
+            ("develop", "--policy", tmp_path, driver),  # policy: a directory
             ("dpdist", "--p", 2, "--levels", 30, driver, driver),  # checked before cutting
             ("expsig-mc", "--domain", "disk:1", "--dt", 0.01, *mc, "--depth", 40, "--paths", 10),
             *(
@@ -443,13 +452,14 @@ def fuzz_case(draw):
 
 
 @st.composite
-def stream_csv(draw):
-    """CSV text of a stream in d <= 4 dimensions, one to six rows, with at most one
-    fault: a ragged row, a bad cell, or a repeated row (a time that does not increase)."""
-    d = draw(st.integers(1, 4))
+def stream_csv(draw, d=None, faults=True):
+    """CSV text of a stream in d <= 4 dimensions (drawn unless given), one to six
+    rows, with at most one fault (none unless ``faults``): a ragged row, a bad
+    cell, or a repeated row (a time that does not increase)."""
+    d = draw(st.integers(1, 4)) if d is None else d
     times = sorted(draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True)))
     rows = [[str(t), *(repr(draw(st.floats(-3.0, 3.0))) for _ in range(d))] for t in times]
-    fault = draw(st.sampled_from([None, None, "ragged", "cell", "time"]))
+    fault = draw(st.sampled_from([None, None, "ragged", "cell", "time"])) if faults else None
     at = draw(st.integers(0, len(rows) - 1))
     if fault == "ragged":
         rows[at] = rows[at][:-1] if draw(st.booleans()) else rows[at] + ["0"]
@@ -459,6 +469,81 @@ def stream_csv(draw):
         rows.insert(at, list(rows[at]))
     header = ["t", *(f"x{i}" for i in range(1, d + 1))]
     return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+
+
+def json_text(draw, good):
+    """JSON text of ``good`` with one fault: a field dropped, a field of the wrong
+    type or a non-finite one, a list or a scalar in place of the object, or text
+    that is not JSON."""
+    fault = draw(st.sampled_from(["drop", "type", "nan", "list", "scalar", "text"]))
+    key = draw(st.sampled_from(sorted(good)))
+    spec = dict(good)
+    if fault == "drop":
+        del spec[key]
+    elif fault == "type":
+        spec[key] = draw(st.sampled_from(["abc", None, [], [[1.0]], {}, True, 1e400]))
+    elif fault == "nan":
+        spec[key] = draw(st.sampled_from([float("nan"), float("inf")]))
+    spec = {"list": list(spec.values()), "scalar": 2}.get(fault, spec)
+    return "{" if fault == "text" else json.dumps(spec)
+
+
+@st.composite
+def file_case(draw):
+    """argv for dpdist, develop, fit or score and the files it reads, {name: text},
+    with at most one fault: in a stream, a JSON file, a count, a value, the depth
+    or the penalty."""
+    kind = draw(st.sampled_from(["dpdist", "develop", "fit", "score"]))
+    faults = ["stream", "json", "count", "value", "depth", "lam"]
+    fault = draw(st.sampled_from([None, None, None, *faults]))
+
+    def pick(good, bad, field):
+        return draw(bad if fault == field else good)
+
+    d = draw(st.integers(1, 3))
+    stream = stream_csv(d, faults=fault == "stream")
+    if kind == "dpdist":
+        other = stream_csv(pick(st.just(d), st.integers(1, 4), "count"))
+        bad_p = st.sampled_from(["0", "-1", "nan", "abc"])
+        p = pick(st.sampled_from(["1", "2", "2.5"]), bad_p, "value")
+        levels = pick(st.integers(1, 4), st.integers(-1, 0), "count")
+        files = {"a.csv": draw(stream), "b.csv": draw(other)}
+        return ["dpdist", "--p", p, "--levels", levels, "a.csv", "b.csv"], files
+    if kind == "develop":
+        u = draw(st.integers(2, 3))
+        size = 2 * d * u * u
+        re, im = np.reshape(draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size)),
+                            (2, d, u, u))
+        if fault != "value":  # traceless Hermitian
+            re, im = re + re.transpose(0, 2, 1), im - im.transpose(0, 2, 1)
+            re -= np.trace(re, axis1=1, axis2=2)[:, None, None] * np.eye(u) / u
+        u += pick(st.just(0), st.sampled_from([-1, 1]), "count")
+        policy = {"u": u, "generators": np.stack([re, im], axis=-1).tolist()}
+        text = json_text(draw, policy) if fault == "json" else json.dumps(policy)
+        files = {"policy.json": text, "a.csv": draw(stream)}
+        return ["develop", "--policy", "policy.json", "a.csv"], files
+    n = draw(st.integers(2, 5))
+    files = {f"s{i}.csv": draw(stream) for i in range(n)}
+    listing = "".join(f"{name}\n" for name in files)
+    # "." names the directory that holds the manifest
+    bad_listings = st.sampled_from(["", listing + "missing.csv\n", listing + ".\n"])
+    files["manifest.txt"] = pick(st.just(listing), bad_listings, "count")
+    labels = ["0", "1"] + [draw(st.sampled_from(["0", "1"])) for _ in range(n - 2)]
+    labels[-1] = pick(st.just(labels[-1]), st.sampled_from(["0.5", "abc", "nan", "2", ""]), "value")
+    files["labels.txt"] = "\n".join(labels) + "\n"
+    depth = pick(st.integers(1, 3), st.integers(-1, 0), "depth")
+    transform = draw(st.sampled_from(sorted(TRANSFORMS)))
+    if kind == "fit":
+        lam = pick(st.sampled_from(["0", "0.1", "1"]), st.sampled_from(["-1", "nan", "inf"]), "lam")
+        method = draw(st.sampled_from(["ridge", "lasso"]))
+        argv = ["fit", "--depth", depth, "--method", method, "--lambda", lam, "--transform"]
+        return argv + [transform, "manifest.txt", "labels.txt", "-o", "model.json"], files
+    dim = TRANSFORMS[transform](Stream(np.arange(2.0), np.zeros((2, d)))).dimension
+    width = sum(dim**k for k in range(max(depth, 0) + 1))
+    width += pick(st.just(0), st.sampled_from([-1, 1]), "count")
+    model = {"depth": depth, "transform": transform, "coefficients": [0.5] * width}
+    files["model.json"] = json_text(draw, model) if fault == "json" else json.dumps(model)
+    return ["score", "model.json", "manifest.txt", "labels.txt"], files
 
 
 class TestFuzz:
@@ -498,4 +583,19 @@ class TestFuzz:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([str(a) for a in argv])
         assert code in (0, 2, 3, 4), (argv, system, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(file_case())
+    def test_file_commands_exit_codes_only(self, case):
+        argv, files = case
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                (Path(tmp) / name).write_text(text)
+            paths = (".csv", ".json", ".txt")
+            argv = [str(Path(tmp) / a) if str(a).endswith(paths) else str(a) for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2, 3, 4), (argv, files, err.getvalue())
         assert "Traceback" not in err.getvalue()

@@ -17,6 +17,8 @@ from sigstream.expected_sig import (
 )
 from sigstream.streams import Stream, signature
 
+from oracles import grid_neighbours_per_offset, laplacian_per_direction, poisson_sources_per_word
+
 DISK = DiskDomain(1.0)
 
 # mc_expected_sig(DISK, (0, 0), 4, paths=300, dt=5e-3, seed=7) as the whole-tensor
@@ -193,6 +195,45 @@ class TestRecurrence:
         grid = GridDomain(DISK, 0.1)
         with pytest.raises(DomainError):
             solve_recurrence(grid, 1)
+
+
+QUAD = PolygonDomain([(-0.9, -0.7), (1.1, -0.4), (0.6, 0.9), (-0.8, 0.5)])
+# a disk, the square and an irregular quadrilateral, each in both boundary modes
+ARRAY_FORM_GRIDS = [
+    pytest.param(domain, boundary, id=f"{name}-{boundary}")
+    for name, domain in (
+        ("disk", DiskDomain(0.8, center=(0.3, -0.2))),
+        ("square", PolygonDomain([(-1, -1), (1, -1), (1, 1), (-1, 1)])),
+        ("quad", QUAD),
+    )
+    for boundary in ("exact", "snap")
+]
+
+
+class TestArrayForm:
+    """The whole-array grid code against per-offset, per-direction and per-word
+    loops, byte for byte: np.array_equal would let -0.0 pass for 0.0."""
+
+    @pytest.mark.parametrize("domain, boundary", ARRAY_FORM_GRIDS)
+    def test_matches_the_loops_byte_for_byte(self, domain, boundary):
+        grid = GridDomain(domain, 0.07, boundary)
+        neighbour, theta = grid_neighbours_per_offset(grid)
+        assert grid.neighbour.tobytes() == neighbour.tobytes()
+        assert grid.theta.tobytes() == theta.tobytes()
+        got, want = grid.laplacian.tocsc(), laplacian_per_direction(grid).tocsc()
+        for part in ("data", "indices", "indptr"):
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
+        levels = solve_recurrence(grid, 5).levels
+        for level in range(2, 6):
+            rhs = poisson_sources_per_word(grid, levels, level)
+            assert grid.solve_poisson(rhs.T).T.tobytes() == levels[level].tobytes(), level
+
+    def test_derivative_of_stacked_functions(self):
+        grid = GridDomain(QUAD, 0.07)
+        u = np.random.default_rng(3).standard_normal((5, grid.n_interior))
+        for axis in range(2):
+            rows = np.stack([grid.derivative(row, axis) for row in u])
+            assert grid.derivative(u, axis).tobytes() == rows.tobytes()
 
 
 class TestMonteCarlo:

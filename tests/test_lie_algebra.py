@@ -1,5 +1,7 @@
 import functools
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -63,6 +65,11 @@ class TestBasis:
             for k in range(1, 7):
                 count = sum(1 for b in basis if b.degree == k)
                 assert count == witt_dimension(d, k), (d, k)
+
+    def test_witt_dimension_needs_positive_sizes(self):
+        for dim, degree in [(2, 0), (2, -1), (0, 3), (-1, 2)]:
+            with pytest.raises(DomainError):
+                witt_dimension(dim, degree)
 
     def test_standard_factorization_suffix_property(self):
         # the right factor must be the longest proper Lyndon suffix
@@ -178,6 +185,22 @@ class TestCoordinates:
     def test_as_pairs(self):
         coords = LieCoordinates(2, 2, [1.0, 2.0, 3.0])
         assert coords.as_pairs() == [("1", 1.0), ("2", 2.0), ("[1,2]", 3.0)]
+
+    def test_sizes_checked_and_counted(self):
+        assert LieCoordinates(4, 6, np.zeros(964)).values.size == 964
+        for dim, depth in [(2, 0), (0, 2), (-1, 1)]:
+            with pytest.raises(DomainError):
+                LieCoordinates(dim, depth, [])
+        with pytest.raises(DomainError):
+            LieCoordinates(2, 3, np.zeros(4))
+
+    def test_coeff_lookup_does_not_keep_instances_alive(self):
+        coords = LieCoordinates(2, 2, [1.0, 2.0, 3.0])
+        assert coords.coeff((1, 2)) == coords.coeff("[1,2]") == 3.0
+        ref = weakref.ref(coords)
+        del coords
+        gc.collect()
+        assert ref() is None
 
 
 class TestDynkin:
