@@ -175,17 +175,22 @@ def _read_spec(path, what, fields):
 
 
 def _spec_int(spec, key):
-    try:
-        return int(spec[key])
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"field {key!r} must be an integer") from None
+    value = spec[key]
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int:  # bool, str and fractional floats
+        raise DomainError(f"field {key!r} must be an integer")
+    return value
 
 
 def _spec_array(spec, key):
-    try:
-        return np.asarray(spec[key], dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError(f"field {key!r} must be a rectangular array of numbers") from None
+    raw = np.asarray(spec[key], dtype=object)
+    if all(type(v) in (int, float) for v in raw.flat):  # no bool, str, None or ragged rows
+        try:
+            return raw.astype(float)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise DomainError(f"field {key!r} must be a rectangular array of numbers")
 
 
 def _parse_point(text):

@@ -2,8 +2,8 @@
 
 The driver is mapped into the unitary group by solving dPsi = Psi . (i sum_j
 H_j dgamma_j) with traceless Hermitian generators H_j; over a polygonal
-stream the solution is the ordered product of segment exponentials, each
-computed by eigendecomposition so the result is unitary to rounding.  The
+stream the solution is the ordered product of segment exponentials, taken
+from batched eigendecompositions so the result is unitary to rounding.  The
 expectation of the developed matrix over random streams plays the role of a
 characteristic function of the signature: it is a bounded linear functional
 of the signature (see ``evaluate_signature``), so it always has finite
@@ -30,6 +30,8 @@ __all__ = [
     "unitarity_defect",
     "random_policy",
 ]
+
+_SLICE = 256  # u x u segment matrices per batched eigh; samples per expected_development batch
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,24 +78,33 @@ class DevelopmentResult:
         object.__setattr__(self, "psi", arr)
 
 
-def _exp_i_hermitian(h: np.ndarray) -> np.ndarray:
-    """exp(i h) for Hermitian h, unitary to rounding via eigendecomposition."""
-    eigvals, eigvecs = np.linalg.eigh(h)
-    return (eigvecs * np.exp(1j * eigvals)) @ eigvecs.conj().T
+def _develop_batch(policy: UnitaryPolicy, increments: np.ndarray) -> np.ndarray:
+    """Developments (batch, u, u) of (batch, steps, d) increments: exp(i h) = V e^{iw} V*
+    from one batched ``eigh`` per ``_SLICE`` segments, multiplied in segment order."""
+    batch, steps, d = increments.shape
+    if d != policy.driver_dim:
+        raise DimensionMismatchError(
+            f"stream dimension {d} != policy driver dimension {policy.driver_dim}"
+        )
+    u = policy.size
+    gens = policy.generators.reshape(d, u * u)
+    psi = np.broadcast_to(np.eye(u, dtype=complex), (batch, u, u))
+    width = max(1, _SLICE // batch)
+    for start in range(0, steps, width):
+        inc = increments[:, start : start + width]
+        # one vector-matrix product per segment, the bits np.tensordot(inc, gens) gives
+        h = (inc[..., None, :] @ gens).reshape(*inc.shape[:2], u, u)
+        eigvals, eigvecs = np.linalg.eigh(h)
+        seg = (eigvecs * np.exp(1j * eigvals)[..., None, :]) @ eigvecs.conj().swapaxes(-1, -2)
+        for k in range(seg.shape[1]):
+            psi = psi @ seg[:, k]
+    return psi
 
 
 def develop(policy: UnitaryPolicy, s: Stream) -> DevelopmentResult:
     """Ordered product over segments of exp(i sum_j dgamma_j H_j)."""
-    if s.dimension != policy.driver_dim:
-        raise DimensionMismatchError(
-            f"stream dimension {s.dimension} != policy driver dimension "
-            f"{policy.driver_dim}"
-        )
-    psi = np.eye(policy.size, dtype=complex)
-    for inc in s.increments():
-        h = np.tensordot(inc, policy.generators, axes=(0, 0))
-        psi = psi @ _exp_i_hermitian(h)
-    return DevelopmentResult(psi, s.interval)
+    psi = _develop_batch(policy, s.increments()[None])
+    return DevelopmentResult(psi[0], s.interval)
 
 
 def unitarity_defect(psi: np.ndarray) -> float:
@@ -115,8 +126,8 @@ def expected_development(
     """Monte Carlo mean of the development over sampled streams.
 
     ``sampler(rng)`` must return a Stream.  The elementwise standard error
-    combines real and imaginary scatter.  Samples are drawn and reduced in a
-    fixed order, so results are reproducible for a given seed.
+    combines real and imaginary scatter.  Samples are drawn in batches of at
+    most ``_SLICE`` and reduced in draw order, so results are reproducible.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -124,10 +135,16 @@ def expected_development(
     u = policy.size
     total = np.zeros((u, u), dtype=complex)
     total_sq = np.zeros((u, u))
-    for _ in range(count):
-        psi = develop(policy, sampler(rng)).psi
-        total += psi
-        total_sq += np.abs(psi) ** 2
+    for start in range(0, count, _SLICE):
+        samples = [sampler(rng) for _ in range(min(_SLICE, count - start))]
+        psis = np.empty((len(samples), u, u), dtype=complex)
+        shapes = [s.points.shape for s in samples]
+        for shape in dict.fromkeys(shapes):
+            rows = [i for i, other in enumerate(shapes) if other == shape]
+            psis[rows] = _develop_batch(policy, np.stack([samples[i].increments() for i in rows]))
+        for psi, sq in zip(psis, np.abs(psis) ** 2):
+            total += psi
+            total_sq += sq
     mean = total / count
     if count == 1:
         stderr = np.zeros((u, u))

@@ -3,7 +3,8 @@
 Per step: take the truncated log-signature of the driving stream over the
 step (all steps are signed in one batch), extend the linear map (driver
 coordinate -> vector field) through the bracket structure of the free Lie
-algebra, freeze the resulting field, and integrate it for unit time with RK4.
+algebra, freeze the resulting field, and integrate it for unit time with RK4
+(on linear systems, by powers of RK4's one-step matrix).
 
 Brackets follow [V, W](y) = DW(y) V(y) - DV(y) W(y); on linear fields
 V_i(y) = A_i y this gives [V_i, V_j] -> (A_j A_i - A_i A_j) y, the
@@ -183,7 +184,7 @@ def _directional(f, jac, y, w):
 
 
 def _frozen_field(vfs: VectorFieldSystem, coords: LieCoordinates):
-    """The frozen field y -> sum_b lambda_b B_b(y); y -> (sum_b lambda_b M_b) y if linear."""
+    """(field y -> sum_b lambda_b B_b(y), its matrix sum_b lambda_b M_b if linear else None)."""
     if coords.dim != vfs.driver_dim:
         raise DomainError(
             f"coordinates are {coords.dim}-dimensional, fields expect {vfs.driver_dim}"
@@ -198,9 +199,9 @@ def _frozen_field(vfs: VectorFieldSystem, coords: LieCoordinates):
     terms = [(lam, vfs._field_for_tree(b.bracketing)) for lam, b in pairs if lam != 0.0]
     if vfs._matrices is not None:
         K = sum((lam * mat for lam, (_, mat) in terms), np.zeros((vfs.state_dim,) * 2))
-        return lambda y: K @ y
+        return (lambda y: K @ y), K
     zero = np.zeros(vfs.state_dim)
-    return lambda y: sum((lam * np.asarray(f(y), dtype=float) for lam, (f, _) in terms), zero)
+    return (lambda y: sum((lam * np.asarray(f(y), dtype=float) for lam, (f, _) in terms), zero)), None
 
 
 def lie_extend_evaluate(vfs: VectorFieldSystem, coords: LieCoordinates, y) -> np.ndarray:
@@ -209,24 +210,36 @@ def lie_extend_evaluate(vfs: VectorFieldSystem, coords: LieCoordinates, y) -> np
     Returns sum_b lambda_b B_b(y) where B_b is the iterated vector-field
     bracket following each basis element's bracketing.
     """
-    return _frozen_field(vfs, coords)(np.asarray(y, dtype=float))
+    return _frozen_field(vfs, coords)[0](np.asarray(y, dtype=float))
 
 
 def logode_step(
     vfs: VectorFieldSystem, y0, coords: LieCoordinates, substeps: int
 ) -> np.ndarray:
-    """Integrate the frozen log-signature field over unit time with RK4."""
+    """Integrate the frozen log-signature field over unit time with RK4.
+
+    On ``from_linear`` systems the frozen field is y -> K y, and each RK4 substep
+    of length h is y <- R y with R = I + hK(I + hK/2(I + hK/3(I + hK/4))),
+    RK4's one-step matrix, formed once per call.
+    """
     if substeps < 1:
         raise DomainError("substeps must be >= 1")
-    field = _frozen_field(vfs, coords)
+    field, K = _frozen_field(vfs, coords)
     y = np.asarray(y0, dtype=float).copy()
     dt = 1.0 / substeps
+    if K is not None:
+        eye, hk = np.eye(K.shape[0]), dt * K
+        # R - I, so that y + (R - I) y rounds the substep's change on its own scale
+        delta = hk @ (eye + hk / 2 @ (eye + hk / 3 @ (eye + hk / 4)))
     for step in range(substeps):
-        k1 = field(y)
-        k2 = field(y + 0.5 * dt * k1)
-        k3 = field(y + 0.5 * dt * k2)
-        k4 = field(y + dt * k3)
-        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if K is not None:
+            y = y + delta @ y
+        else:
+            k1 = field(y)
+            k2 = field(y + 0.5 * dt * k1)
+            k3 = field(y + 0.5 * dt * k2)
+            k4 = field(y + dt * k3)
+            y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(y)):
             raise DivergenceError(
                 f"state became non-finite at substep {step + 1}", substep=step + 1

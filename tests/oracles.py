@@ -323,3 +323,51 @@ def poisson_sources_per_word(grid, levels, level):
             rhs[w] -= levels[level - 2][tail]
         rhs[w] -= 2.0 * grid.derivative(levels[level - 1][rest], axis=first)
     return rhs
+
+
+# -- matrix-group steps, one segment and one RK4 stage at a time ---------------
+# The development and linear log-ODE step as first written: batched code in
+# sigstream.development must reproduce these bit for bit, and the one-step
+# matrix of sigstream.logode to rounding.
+
+
+def develop_per_segment(generators, increments):
+    """Ordered product of exp(i sum_j dx_j H_j), one eigendecomposition per segment."""
+    psi = np.eye(generators.shape[1], dtype=complex)
+    for inc in increments:
+        eigvals, eigvecs = np.linalg.eigh(np.tensordot(inc, generators, axes=(0, 0)))
+        psi = psi @ ((eigvecs * np.exp(1j * eigvals)) @ eigvecs.conj().T)
+    return psi
+
+
+def expected_development_per_sample(generators, sampler, count, seed):
+    """(mean, stderr) of developments of count sampled streams, one stream at a time."""
+    rng = np.random.default_rng(seed)
+    u = generators.shape[1]
+    total = np.zeros((u, u), dtype=complex)
+    total_sq = np.zeros((u, u))
+    for _ in range(count):
+        psi = develop_per_segment(generators, sampler(rng).increments())
+        total += psi
+        total_sq += np.abs(psi) ** 2
+    mean = total / count
+    if count == 1:
+        return mean, np.zeros((u, u))
+    variance = np.maximum(total_sq / count - np.abs(mean) ** 2, 0.0)
+    return mean, np.sqrt(variance / (count - 1))
+
+
+def rk4_linear(K, y0, substeps):
+    """Four-stage RK4 on y' = K y over unit time: the state, and the 1-based substep
+    at which it left the finite range (None if it stayed finite)."""
+    y = np.asarray(y0, dtype=float).copy()
+    dt = 1.0 / substeps
+    for step in range(substeps):
+        k1 = K @ y
+        k2 = K @ (y + 0.5 * dt * k1)
+        k3 = K @ (y + 0.5 * dt * k2)
+        k4 = K @ (y + dt * k3)
+        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            return y, step + 1
+    return y, None

@@ -171,6 +171,21 @@ class TestLogode:
         )
         assert code == 3
 
+    def test_integral_float_fields_are_integers(self, capsys, tmp_path):
+        driver = tmp_path / "driver.csv"
+        driver.write_text(TWO_SEGMENT)
+        outs = []
+        for m, d in ((2, 2), (2.0, 2.0)):
+            spec = {"m": m, "d": d, "matrices": [[[0, 1], [-1, 0]], [[1, 0], [0, 0]]], "y0": [1, 0]}
+            system = tmp_path / "system.json"
+            system.write_text(json.dumps(spec))
+            code, out, _ = run(
+                capsys, "logode", "--depth", 2, "--steps", 2, "--system", system, driver
+            )
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
 
 class TestDevelop:
     def test_policy_round_trip(self, capsys, tmp_path, square_csv):
@@ -228,29 +243,56 @@ class TestExpsig:
             (-3, {"m": 2, "d": 2, "matrices": zeros, "y0": [1.0, 0.0]}),
             (2, {"m": "abc", "d": 2, "matrices": zeros, "y0": [1.0, 0.0]}),
             (2, {"m": 2, "d": 2, "matrices": [[[0, 0], [0]], [[0, 0], [0, 0]]], "y0": [1.0, 0.0]}),
+            # wrongly typed fields: no truncation, no strings or booleans read as numbers
+            (2, {"m": 2.7, "d": 2, "matrices": zeros, "y0": [1.0, 0.0]}),
+            (2, {"m": "2", "d": 2, "matrices": zeros, "y0": [1.0, 0.0]}),
+            (2, {"m": 2, "d": True, "matrices": zeros, "y0": [1.0, 0.0]}),
+            (2, {"m": 2, "d": 2, "matrices": [[["0", 0], [0, 0]], [[0, 0], [0, 0]]], "y0": [1.0, 0.0]}),
+            (2, {"m": 2, "d": 2, "matrices": zeros, "y0": [True, False]}),
+            (2, {"m": 2, "d": 2, "matrices": zeros, "y0": ["1", 0]}),
         )):
             system = tmp_path / f"system{i}.json"
             system.write_text(json.dumps(spec))
             logode.append(("logode", "--depth", 2, "--steps", steps, "--system", system, driver))
         (tmp_path / "policy.json").write_text("[1,2]")
+        gens = [[[[1, 0], [0, 0]], [[0, 0], [-1, 0]]], [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]]
+        develop = [("develop", "--policy", tmp_path / "policy.json", driver)]
+        for i, spec in enumerate((
+            {"u": "2", "generators": gens},
+            {"u": 2.5, "generators": gens},
+            {"u": 2, "generators": [[[["1", 0], [0, 0]], [[0, 0], [-1, 0]]], gens[1]]},
+            {"u": 2, "generators": [[[[True, 0], [0, 0]], [[0, 0], [-1, 0]]], gens[1]]},
+        )):
+            policy = tmp_path / f"policy{i}.json"
+            policy.write_text(json.dumps(spec))
+            develop.append(("develop", "--policy", policy, driver))
         (tmp_path / "manifest.txt").write_text("driver.csv\n")
         (tmp_path / "labels.txt").write_text("1\n")
+        # two classes, so that a well-typed model scores with exit 0
+        (tmp_path / "manifest2.txt").write_text("driver.csv\ndriver.csv\n")
+        (tmp_path / "labels2.txt").write_text("0\n1\n")
         score = []
         for i, spec in enumerate((
             [1, 2],
             {"depth": "abc", "coefficients": [0.0] * 7},
             {"depth": 2, "transform": ["none"], "coefficients": [0.0] * 7},
             {"depth": 2, "coefficients": [[0.0]] * 7},
+            {"depth": 2.7, "coefficients": [0.0] * 7},
+            {"depth": "2", "coefficients": [0.0] * 7},
+            {"depth": True, "coefficients": [0.0] * 3},
+            {"depth": 2, "coefficients": ["0"] * 7},
+            {"depth": 2, "coefficients": [False] * 7},
+            {"depth": 2, "coefficients": [10**400] * 7},  # beyond the float range
         )):
             model = tmp_path / f"model{i}.json"
             model.write_text(json.dumps(spec))
-            score.append(("score", model, tmp_path / "manifest.txt", tmp_path / "labels.txt"))
+            score.append(("score", model, tmp_path / "manifest2.txt", tmp_path / "labels2.txt"))
         (tmp_path / "latin1.csv").write_bytes("t,x1\n0,0\n1,\xe9\n".encode("latin-1"))
         (tmp_path / "dir_manifest.txt").write_text(".\n")
         synth = ("gen-synth", "--out", tmp_path / "synth", "--seed", 1)
         for argv in (
             *logode,
-            ("develop", "--policy", tmp_path / "policy.json", driver),
+            *develop,
             *score,
             ("sig", "--depth", 30, driver),  # 2^31 - 1 coefficients: over the budget
             ("sig", "--depth", 200000, driver),  # the budget check must not sum d^k to the end

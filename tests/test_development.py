@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sigstream import development
 from sigstream.development import (
     UnitaryPolicy,
     develop,
@@ -13,7 +18,7 @@ from sigstream.development import (
 from sigstream.errors import DimensionMismatchError, DomainError
 from sigstream.streams import Stream, concat, reverse, signature
 
-from oracles import expm
+from oracles import develop_per_segment, expected_development_per_sample, expm
 
 
 def random_stream(rng, d, n_samples, scale=1.0):
@@ -141,3 +146,68 @@ class TestExpectedDevelopment:
         pol = random_policy(2, 1, seed=11)
         with pytest.raises(DomainError):
             expected_development(pol, lambda rng: None, count=0)
+
+
+def mixed_sampler(d, max_samples):
+    """Streams of 1..max_samples samples, one-sample (identity) streams included."""
+
+    def sampler(rng):
+        return random_stream(rng, d, int(rng.integers(1, max_samples + 1)))
+
+    return sampler
+
+
+class TestBatchedDevelopment:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 5),
+        st.integers(1, 3),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 3, development._SLICE]),
+    )
+    def test_matches_per_segment_oracle(self, u, d, n, seed, slice_):
+        rng = np.random.default_rng(seed)
+        pol = random_policy(u, d, seed=seed)
+        s = random_stream(rng, d, n)
+        sampler = mixed_sampler(d, n)
+        want = expected_development_per_sample(pol.generators, sampler, n, seed)
+        with mock.patch.object(development, "_SLICE", slice_):
+            psi = develop(pol, s).psi
+            got = expected_development(pol, sampler, n, seed)
+        assert np.array_equal(psi, develop_per_segment(pol.generators, s.increments()))
+        assert np.array_equal(got.mean, want[0])
+        assert np.array_equal(got.stderr, want[1])
+
+    @pytest.mark.parametrize("slice_", [1, 3])
+    def test_slice_size_leaves_bits_unchanged(self, monkeypatch, slice_):
+        pol = random_policy(4, 2, seed=12)
+
+        def sampler(rng):
+            return random_stream(rng, 2, 65)
+
+        default = expected_development(pol, sampler, 20, seed=3)
+        monkeypatch.setattr(development, "_SLICE", slice_)
+        sliced = expected_development(pol, sampler, 20, seed=3)
+        assert np.array_equal(sliced.mean, default.mean)
+        assert np.array_equal(sliced.stderr, default.stderr)
+
+    def test_mixed_sample_counts(self, monkeypatch):
+        pol = random_policy(3, 2, seed=13)
+        sampler = mixed_sampler(2, 6)
+        assert np.array_equal(develop(pol, Stream([0.0], [[0.5, -0.5]])).psi, np.eye(3))
+        want = expected_development_per_sample(pol.generators, sampler, 300, 4)
+        for slice_ in (development._SLICE, 7):
+            monkeypatch.setattr(development, "_SLICE", slice_)
+            got = expected_development(pol, sampler, 300, seed=4)
+            assert np.array_equal(got.mean, want[0])
+            assert np.array_equal(got.stderr, want[1])
+
+    def test_wrong_dimension_sample_rejected(self):
+        pol = random_policy(2, 2, seed=14)
+
+        def sampler(rng):
+            return random_stream(rng, 3 if rng.uniform() < 0.3 else 2, 5)
+
+        with pytest.raises(DimensionMismatchError):
+            expected_development(pol, sampler, 50, seed=5)

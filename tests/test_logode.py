@@ -21,7 +21,7 @@ from sigstream.logode import (
 from sigstream.streams import Stream, log_signature, restrict, signature
 from sigstream.tensor_algebra import _represent
 
-from oracles import expm
+from oracles import expm, rk4_linear
 
 
 def coords_on(d, depth, rendering, value=1.0):
@@ -112,11 +112,11 @@ class TestLieExtend:
 
 
 @st.composite
-def linear_cases(draw):
-    """A linear system, Lie coordinates over d letters up to depth 5, and a state."""
+def linear_cases(draw, max_depth=5):
+    """A linear system, Lie coordinates over d letters up to max_depth, and a state."""
     d = draw(st.integers(1, 3))
     m = draw(st.integers(1, 4))
-    depth = draw(st.integers(1, 5))
+    depth = draw(st.integers(1, max_depth))
     values = st.floats(-1.0, 1.0, allow_nan=False)
     A = draw(arrays(float, (d, m, m), elements=values))
     lam = draw(arrays(float, len(lyndon_basis(d, depth)), elements=values))
@@ -197,6 +197,39 @@ class TestStep:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError):
                 logode_step(vfs, np.array([50.0]), coords_on(1, 1, "1", 500.0), 4)
+
+
+def frozen_matrix(vfs, coords):
+    """K of the frozen linear field, column by column from its values on unit vectors."""
+    return np.column_stack([lie_extend_evaluate(vfs, coords, e) for e in np.eye(vfs.state_dim)])
+
+
+class TestLinearStep:
+    @settings(max_examples=80, deadline=None)
+    @given(linear_cases(max_depth=4), st.integers(1, 16))
+    def test_matches_four_stage_rk4(self, case, substeps):
+        A, coords, y = case
+        vfs = VectorFieldSystem.from_linear(LinearSystem(A))
+        K = frozen_matrix(vfs, coords)
+        want, diverged = rk4_linear(K, y, substeps)
+        assert diverged is None
+        # RK4 on |K| from |y| bounds every magnitude met on the way, so it sets the
+        # scale of rounding even where the solution itself cancels towards zero
+        scale = float(rk4_linear(np.abs(K), np.abs(y), substeps)[0].max())
+        got = logode_step(vfs, y, coords, substeps)
+        assert np.abs(got - want).max() <= 1e-13 * scale
+
+    def test_overflow_substep_matches_four_stage_rk4(self):
+        # growth 1.0253 per substep from just under the float limit: the state
+        # overflows at substep 3, while every RK4 stage stays finite before it
+        vfs = VectorFieldSystem.from_linear(LinearSystem(np.ones((1, 1, 1))))
+        coords = coords_on(1, 1, "1", 0.1)
+        y0 = np.array([1.68e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, want = rk4_linear(frozen_matrix(vfs, coords), y0, 4)
+            with pytest.raises(DivergenceError) as err:
+                logode_step(vfs, y0, coords, 4)
+        assert want == err.value.substep == 3
 
 
 class TestSolve:
