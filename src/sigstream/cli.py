@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatchError,
     DivergenceError,
     DomainError,
+    NonFiniteResultError,
     NotALieElementError,
     OutOfDepthError,
     StreamParseError,
@@ -46,11 +47,16 @@ _DATA_ERRORS = (
     DomainError,
     DegenerateReportError,
 )
-_NUMERIC_ERRORS = (DivergenceError, NotALieElementError, TimeCapError)
+# LinAlgError: an SVD or eigensolver that did not converge, as on overflowing input
+_NUMERIC_ERRORS = (DivergenceError, NotALieElementError, NonFiniteResultError, TimeCapError,
+                   np.linalg.LinAlgError)
 
 
 def _emit(payload: dict, out_path) -> None:
-    text = json.dumps(payload, indent=2)
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:  # NaN or an infinity: nothing is written
+        raise NonFiniteResultError("the result is not finite") from None
     if out_path:
         Path(out_path).write_text(text + "\n")
     else:
@@ -246,14 +252,14 @@ def _cmd_fit(args) -> int:
         "converged": bool(model.converged),
         "n_iter": int(model.n_iter),
     }
-    Path(args.output).write_text(json.dumps(model_payload, indent=2) + "\n")
+    _emit(model_payload, args.output)
     summary = {
         "model": str(args.output),
         "n_streams": len(streams),
         "n_features": len(X.words),
         "active_coefficients": int(np.count_nonzero(model.coefficients[1:])),
     }
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+    _emit(summary, None)
     return 0
 
 
@@ -270,7 +276,9 @@ def _cmd_score(args) -> int:
         raise DimensionMismatchError(
             "model was fit with a different feature count"
         )
-    report = learn.classification_report(X.X @ coef, y.astype(int))
+    if not np.isfinite(scores := X.X @ coef).all():
+        raise NonFiniteResultError("the scores are not finite")
+    report = learn.classification_report(scores, y.astype(int))
     payload = {
         "ks": report.ks,
         "auc": report.auc,
@@ -304,7 +312,7 @@ def _cmd_gen_synth(args) -> int:
         "seed": args.seed,
         "strength": args.strength,
     }
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    _emit(payload, None)
     return 0
 
 
@@ -414,10 +422,10 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except _NUMERIC_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure in {args.command}: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
     except _DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        print(f"data error in {args.command}: {exc}", file=sys.stderr)
         return DATA_ERROR
 
 

@@ -22,6 +22,10 @@ class NotALieElementError(ValueError):
         self.residual = residual
 
 
+class NonFiniteResultError(ArithmeticError):
+    """A computed result holds NaN or infinity, which its JSON output cannot carry."""
+
+
 class CapabilityError(ValueError):
     """Requested bracket degree exceeds the declared smoothness of a field system."""
 

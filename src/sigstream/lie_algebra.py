@@ -1,13 +1,15 @@
 """Lyndon basis of the free Lie algebra up to a truncation depth.
 
-Lyndon words realize a Hall basis: each word carries its standard right
-factorization, whose recursive bracketing expands into the tensor algebra.
-On the Lyndon words' own coefficients that expansion is unit triangular with
-integer entries, so log-signatures get their coordinates exactly, level by
-level, from a cached integral inverse.  Where that inverse would multiply
-rounding error too much (d = 2 from degree 10), and for the rare rows whose
-rounding it pushes past the membership tolerance, a level takes least squares
-from the exact Gram matrix of the expansion instead.  Lie membership is
+Lyndon words realize a Hall basis: each word w carries its standard right
+factorization w = uv, and its Lie element P_w = [P_u, P_v] expands into words.
+Each degree is held only as integer term arrays, built from two lower degrees;
+one scatter over them rebuilds Lie elements and pairs tensors with the elements,
+and no dense table is formed.  On the Lyndon words' own coefficients the
+expansion is unit triangular with integer entries, so log-signatures get their
+coordinates exactly, level by level, from a cached integral inverse.  Where that
+inverse would multiply rounding error too much (d = 2 from degree 10), and for
+the rare rows whose rounding it pushes past the membership tolerance, a level
+takes least squares from the exact Gram matrix of its terms.  Lie membership is
 certified two ways: by the residual of the element rebuilt from those
 coordinates and independently by the Dynkin right-bracketing idempotent.
 """
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotALieElementError
+from . import tensor_algebra
 from .tensor_algebra import TruncatedTensor, Word, _batch_of_one, _shuffle_letters
 
 __all__ = [
@@ -38,11 +41,9 @@ __all__ = [
 # Lie-membership tolerance of tensor_to_lie_coords: relative to |a|, plus a floor
 _LIE_RTOL = 1e-9
 _LIE_ATOL = 1e-12
-# largest dense expansion table (n_k x d^k floats, 128 MiB) cached for the
-# Lie-membership rebuild of one degree; larger degrees rebuild from the sparse terms
-_EXPANSION_BUDGET = 2**24
 # largest Lyndon-row block (n_k x n_k floats, 128 MiB) whose exact inverse one degree
-# may build and cache; larger degrees raise DomainError
+# may build and cache (larger degrees raise DomainError), and the widest column block
+# of a Gram matrix sum
 _TRIANGLE_BUDGET = 2**24
 # largest error gain ||U^{-1}|| of a level's triangular solve; past it, least squares
 _SOLVE_GAIN = 2**12
@@ -253,108 +254,112 @@ def lyndon_basis(dim: int, depth: int) -> tuple[LyndonBasisElement, ...]:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _bracket_terms(dim: int, tree) -> tuple:
-    """(degree, words, coefs) of a bracketing's expansion into words: flat word
-    indices and their nonzero integer coefficients.
-
-    [a, b] = ab - ba, and the word uv has flat index index(u)·d^|v| + index(v).
-    """
-    if isinstance(tree, int):
-        return 1, (tree - 1,), (1,)
-    p, left, left_coefs = _bracket_terms(dim, tree[0])
-    q, right, right_coefs = _bracket_terms(dim, tree[1])
-    terms: dict[int, int] = {}
-    shift_u, shift_v = dim**q, dim**p
-    for u, a in zip(left, left_coefs):
-        for v, b in zip(right, right_coefs):
-            uv, vu = u * shift_u + v, v * shift_v + u
-            terms[uv] = terms.get(uv, 0) + a * b
-            terms[vu] = terms.get(vu, 0) - a * b
-    terms = {w: c for w, c in terms.items() if c}
-    return p + q, tuple(terms), tuple(terms.values())
-
-
 def bracket_expand(element, dim: int, depth: int | None = None) -> TruncatedTensor:
     """Expand a basis element (or raw bracketing tree) into the tensor algebra."""
     tree = element.bracketing if isinstance(element, LyndonBasisElement) else element
-    degree, words, coefs = _bracket_terms(dim, tree)
-    if depth is None:
-        depth = degree
+    if isinstance(tree, int):
+        degree, level = 1, np.eye(dim)[tree - 1]
+    else:  # [a, b] = ab - ba
+        left, right = (bracket_expand(t, dim) for t in tree)
+        a, b = left.levels[-1], right.levels[-1]
+        degree, level = left.depth + right.depth, np.outer(a, b).ravel() - np.outer(b, a).ravel()
+    depth = degree if depth is None else depth
     levels = [np.zeros(dim**k) for k in range(depth + 1)]
-    levels[degree][list(words)] = coefs
+    levels[degree][:] = level
     return TruncatedTensor(dim, depth, levels)
 
 
 @functools.lru_cache(maxsize=None)
 def _level_terms(dim: int, degree: int) -> tuple:
-    """The degree-k Lyndon elements' expansions as flat arrays.
+    """The degree-k Lyndon elements P_w in words, as integer term arrays.
 
     Returns (rows, element, word, coef): ``rows`` holds the flat indices of the
-    degree-k Lyndon words in basis order, and term i of the expansions puts
-    ``coef[i]`` on word ``word[i]`` of element ``element[i]``, ordered by element.
+    degree-k Lyndon words in basis order, and term i puts ``coef[i]`` on word
+    ``word[i]`` of element ``element[i]``, ordered by element, then word.  For the
+    standard factorisation w = uv, P_w = P_u P_v - P_v P_u (Reutenauer, Free Lie
+    Algebras, Thm 5.1), so each level follows from the terms of two lower ones;
+    the word xy has flat index index(x)·d^|y| + index(y).
     """
-    words = [w for w in _lyndon_words(dim, degree) if len(w) == degree]
-    letters = np.array(words, dtype=np.intp).reshape(len(words), degree) - 1
-    rows = letters @ dim ** np.arange(degree - 1, -1, -1)
-    parts = [_bracket_terms(dim, _standard_bracketing(w)) for w in words]
-    element = np.repeat(np.arange(len(words)), [len(part[1]) for part in parts])
-    word = np.fromiter(itertools.chain.from_iterable(part[1] for part in parts), np.intp)
-    coef = np.fromiter(itertools.chain.from_iterable(part[2] for part in parts), np.int64)
+    basis = lyndon_basis(dim, degree)
+    top = [b for b in basis if b.degree == degree]
+    rows = np.array([b.word.index(dim) for b in top], dtype=np.intp)
+    if degree == 1:
+        element, word, coef = rows, rows, np.ones(dim, dtype=np.int64)
+    else:
+        # basis positions of u and v in each standard bracketing [u, v]
+        index = {b.bracketing: i for i, b in enumerate(basis)}
+        u, v = (np.array([index[b.bracketing[side]] for b in top], np.intp) for side in (0, 1))
+        v_len = np.array([basis[i].degree for i in v], np.intp)
+        # the terms of all lower levels, elements in basis order
+        lower = [_level_terms(dim, p) for p in range(1, degree)]
+        count = np.concatenate([np.bincount(terms[1], minlength=len(terms[0])) for terms in lower])
+        start = np.cumsum(count) - count
+        lower_word, lower_coef = (np.concatenate([terms[c] for terms in lower]) for c in (2, 3))
+        pairs = count[u] * count[v]
+        owner = np.repeat(np.arange(len(top)), pairs)
+        t = np.arange(owner.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+
+        def product(a, b, b_len):  # P_a P_b as keys element·d^k + word, sorted, unique
+            i = start[a][owner] + t // count[b][owner]
+            j = start[b][owner] + t % count[b][owner]
+            keys = owner * dim**degree + lower_word[i] * (dim**b_len)[owner] + lower_word[j]
+            return keys, lower_coef[i] * lower_coef[j]
+
+        uv, uv_coef = product(u, v, v_len)
+        vu, vu_coef = product(v, u, degree - v_len)
+        # merge P_u P_v and -P_v P_u, summing the coefficients of the keys they share
+        at = np.searchsorted(uv, vu)
+        shared = uv[np.minimum(at, uv.size - 1)] == vu
+        uv_coef[at[shared]] -= vu_coef[shared]
+        keys = np.insert(uv, at[~shared], vu[~shared])
+        coef = np.insert(uv_coef, at[~shared], -vu_coef[~shared])
+        keys, coef = keys[coef != 0], coef[coef != 0]
+        element, word = np.divmod(keys, dim**degree)
     for table in (rows, element, word, coef):
         table.flags.writeable = False
     return rows, element, word, coef
 
 
-def _expand_level(values: np.ndarray, dim: int, degree: int) -> np.ndarray:
-    """The degree-k Lie element whose Lyndon coordinates are ``values``, in words."""
-    _, element, word, coef = _level_terms(dim, degree)
-    return np.bincount(word, values[element] * coef, minlength=dim**degree)
-
-
-def _expand(values: np.ndarray, dim: int, degree: int, expansion) -> np.ndarray:
-    """``values @ expansion`` for rows of degree-k coordinates, also without the table."""
-    if expansion is not None:
-        return values @ expansion
-    out = np.empty((len(values), dim**degree))
-    for row, v in zip(out, values):
-        row[:] = _expand_level(v, dim, degree)
-    return out
-
-
-def _contract(levels: np.ndarray, dim: int, degree: int, expansion) -> np.ndarray:
-    """``levels @ expansion.T`` for rows of degree-k tensors, also without the table."""
-    if expansion is not None:
-        return levels @ expansion.T
-    _, element, word, coef = _level_terms(dim, degree)
-    out = np.empty((len(levels), witt_dimension(dim, degree)))
-    for row, x in zip(out, levels):
-        row[:] = np.bincount(element, x[word] * coef, minlength=row.size)
+def _scatter(values: np.ndarray, dim: int, degree: int, contract: bool = False) -> np.ndarray:
+    """Rows of ``out[:, dst] += values[:, src] * coef`` over the degree-k terms: with
+    (src, dst) = (element, word), coordinates rebuild their Lie elements; ``contract``
+    swaps them to pair tensors with the Lyndon elements.  One bincount per slice of
+    rows, each slice holding about ``_CHUNK_ELEMENTS`` terms."""
+    rows, src, dst, coef = _level_terms(dim, degree)
+    src, dst, size = (dst, src, len(rows)) if contract else (src, dst, dim**degree)
+    out = np.empty((len(values), size))
+    step = max(tensor_algebra._CHUNK_ELEMENTS // max(coef.size, 1), 1)
+    for lo in range(0, len(values), step):
+        block = values[lo : lo + step, src] * coef
+        n = len(block)
+        index = (np.arange(n)[:, None] * size + dst).ravel()
+        out[lo : lo + n] = np.bincount(index, block.ravel(), n * size).reshape(n, size)
     return out
 
 
 @functools.lru_cache(maxsize=None)
 def _gram_inverse(dim: int, degree: int) -> np.ndarray:
-    """(E E^T)^{-1} for the degree-k expansion E (n_k × d^k).
+    """(E E^T)^{-1} for the degree-k Lyndon elements E (n_k × d^k) in words.
 
-    E E^T is summed over column blocks of at most ``_EXPANSION_BUDGET`` entries;
+    E E^T is summed over column blocks of at most ``_TRIANGLE_BUDGET`` entries;
     its entries are integers, so it comes out exact.
     """
     _, element, word, coef = _level_terms(dim, degree)
     n = witt_dimension(dim, degree)
-    width = max(_EXPANSION_BUDGET // max(n, 1), 1)
+    width = max(_TRIANGLE_BUDGET // max(n, 1), 1)
     gram = np.zeros((n, n))
     for lo in range(0, dim**degree, width):
         on = (word >= lo) & (word < lo + width)
         block = np.zeros((n, min(width, dim**degree - lo)))
         block[element[on], word[on] - lo] = coef[on]
         gram += block @ block.T
+        del block  # before the next one is allocated
     inverse = np.linalg.inv(gram)
     inverse.flags.writeable = False
     return inverse
 
 
-def _least_squares(x: np.ndarray, dim: int, degree: int, expansion) -> np.ndarray:
+def _least_squares(x: np.ndarray, dim: int, degree: int) -> np.ndarray:
     """Least-squares Lyndon coordinates of rows of degree-k tensors.
 
     Corrected semi-normal equations (Björck): each refinement step makes up a
@@ -362,24 +367,30 @@ def _least_squares(x: np.ndarray, dim: int, degree: int, expansion) -> np.ndarra
     cond(E)^2·eps stays well below 1 (cond(E) is 6.5e3 at d = 2, k = 12).
     """
     gram_inverse = _gram_inverse(dim, degree)
-    coords = _contract(x, dim, degree, expansion) @ gram_inverse
+    coords = _scatter(x, dim, degree, contract=True) @ gram_inverse
     for _ in range(_REFINE_STEPS):
-        err = x - _expand(coords, dim, degree, expansion)
-        coords += _contract(err, dim, degree, expansion) @ gram_inverse
+        err = x - _scatter(coords, dim, degree)
+        coords += _scatter(err, dim, degree, contract=True) @ gram_inverse
     return coords
+
+
+def _solve_level(x: np.ndarray, dim: int, degree: int, exact: bool) -> tuple:
+    """Lyndon coordinates of rows of degree-k tensors (by the triangular solve if ``exact``,
+    else least squares) and each row's distance to the Lie element they rebuild."""
+    rows, projection = _level_expansion(dim, degree)
+    coords = x[:, rows] @ projection if exact else _least_squares(x, dim, degree)
+    err = _scatter(coords, dim, degree) - x
+    return coords, np.sqrt(np.einsum("ij,ij->i", err, err))
 
 
 @functools.lru_cache(maxsize=None)
 def _level_expansion(dim: int, degree: int) -> tuple:
-    """(rows, projection, expansion) for degree-k Lyndon coordinates.
+    """(rows, projection) for degree-k Lyndon coordinates.
 
-    Row j of ``expansion`` (n_k × d^k) is the j-th degree-k Lyndon element P_j in
-    words.  Since P_w = w + (larger words) (Reutenauer, Free Lie Algebras, Thm 5.1),
-    its columns at the Lyndon words' ``rows`` form an integral unit upper-triangular
-    block U in basis order, and ``projection`` is U^{-1}: a Lie element x of degree
-    k has coordinates ``x[rows] @ projection`` and equals ``coords @ expansion``.
-    ``expansion`` is None when it would pass ``_EXPANSION_BUDGET``; ``_expand`` and
-    ``_contract`` then work from the sparse terms.
+    Since P_w = w + (larger words) (Reutenauer, Free Lie Algebras, Thm 5.1), the
+    terms of the degree-k Lyndon elements on the Lyndon words' ``rows`` form an
+    integral unit upper-triangular block U in basis order, and ``projection`` is
+    U^{-1}: a Lie element x of degree k has coordinates ``x[rows] @ projection``.
 
     The solve multiplies rounding error by up to ||U^{-1}||, which grows fast with
     k for small d (d = 2: 1.1e2 at k = 8, 1.8e4 at k = 10, 3.1e10 at k = 14).
@@ -392,23 +403,14 @@ def _level_expansion(dim: int, degree: int) -> tuple:
             f"triangular inverse, over the budget of {_TRIANGLE_BUDGET} entries"
         )
     rows, element, word, coef = _level_terms(dim, degree)
-    # U^T straight from the terms on Lyndon words, as the dense table may not be built
-    position = np.full(dim**degree, -1)
-    position[rows] = np.arange(n)
-    on_rows = position[word] >= 0
-    lower = np.zeros((n, n))
-    lower[position[word[on_rows]], element[on_rows]] = coef[on_rows]
+    on = np.isin(word, rows)
+    lower = np.zeros((n, n))  # U^T; the Lyndon rows are in increasing order
+    lower[np.searchsorted(rows, word[on]), element[on]] = coef[on]
     projection = np.ascontiguousarray(_unit_triangular_inverse(lower).T)
     if n and np.abs(projection).sum(axis=0).max() > _SOLVE_GAIN:
-        projection = None
-    expansion = None
-    if n * dim**degree <= _EXPANSION_BUDGET:
-        expansion = np.zeros((n, dim**degree))
-        expansion[element, word] = coef
-    for table in (projection, expansion):
-        if table is not None:
-            table.flags.writeable = False
-    return rows, projection, expansion
+        return rows, None
+    projection.flags.writeable = False
+    return rows, projection
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,14 +457,10 @@ class LieCoordinates:
 
     def to_tensor(self, depth: int | None = None) -> TruncatedTensor:
         depth = self.depth if depth is None else depth
-        levels, start = [np.zeros(1)], 0
-        for k in range(1, depth + 1):
-            if k > self.depth:
-                levels.append(np.zeros(self.dim**k))
-                continue
-            n = witt_dimension(self.dim, k)
-            levels.append(_expand_level(self.values[start : start + n], self.dim, k))
-            start += n
+        ends = np.cumsum([witt_dimension(self.dim, k) for k in range(1, self.depth)])
+        parts = np.split(self.values[None], ends, axis=1)[:depth]
+        levels = [np.zeros(1)] + [_scatter(v, self.dim, k)[0] for k, v in enumerate(parts, 1)]
+        levels += [np.zeros(self.dim**k) for k in range(self.depth + 1, depth + 1)]
         return TruncatedTensor(self.dim, depth, levels)
 
     def as_pairs(self) -> list[tuple[str, float]]:
@@ -518,38 +516,27 @@ def _lie_coords(levels, dim: int, depth: int) -> np.ndarray:
         raise DomainError("a Lie element has zero level-0 coefficient")
     flat = np.concatenate(levels, axis=1)
     tolerance = _LIE_RTOL * np.sqrt(np.einsum("ij,ij->i", flat, flat)) + _LIE_ATOL
+    tolerance[~np.isfinite(tolerance)] = np.nan  # no residual passes a NaN tolerance
     # every degree-1 tensor is a Lie element and its own coordinates
     coords, residuals = [levels[1]], np.zeros((len(flat), depth))
     for degree in range(2, depth + 1):
-        rows, projection, expansion = _level_expansion(dim, degree)
-        x = levels[degree]
-        if projection is None:
-            coords.append(_least_squares(x, dim, degree, expansion))
-        else:
-            coords.append(x[:, rows] @ projection)
-        err = _expand(coords[-1], dim, degree, expansion) - x
-        residuals[:, degree - 1] = np.einsum("ij,ij->i", err, err)
-    residuals = np.sqrt(residuals)
-    failing = residuals > tolerance[:, None]
-    if failing.any():
+        x, exact = levels[degree], _level_expansion(dim, degree)[1] is not None
+        c, residuals[:, degree - 1] = _solve_level(x, dim, degree, exact)
         # the triangular solve gains rounding error by up to _SOLVE_GAIN; rows that it
         # pushed past the tolerance get least squares, which leaves the least residual
-        for degree in range(2, depth + 1):
-            redo = failing[:, degree - 1]
-            _, projection, expansion = _level_expansion(dim, degree)
-            if projection is not None and redo.any():
-                x = levels[degree][redo]
-                c = _least_squares(x, dim, degree, expansion)
-                coords[degree - 1][redo] = c
-                err = _expand(c, dim, degree, expansion) - x
-                residuals[redo, degree - 1] = np.sqrt(np.einsum("ij,ij->i", err, err))
-        failing = residuals > tolerance[:, None]
+        redo = ~(residuals[:, degree - 1] <= tolerance) & ~np.isnan(tolerance)
+        if exact and redo.any():
+            c[redo], residuals[redo, degree - 1] = _solve_level(x[redo], dim, degree, False)
+        coords.append(c)
+    failing = ~(residuals <= tolerance[:, None])  # NaN residuals fail too
     if failing.any():
         row = int(failing.any(axis=1).argmax())
         degree = int(failing[row].argmax()) + 1
         residual = float(residuals[row, degree - 1])
         raise NotALieElementError(
-            f"level-{degree} residual {residual:.3e} exceeds {tolerance[row]:.3e}",
+            "the element's norm is not finite, so no level is certified"
+            if np.isnan(tolerance[row])
+            else f"level-{degree} residual {residual:.3e} exceeds {tolerance[row]:.3e}",
             level=degree,
             residual=residual,
         )

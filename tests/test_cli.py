@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -17,6 +18,25 @@ from sigstream.tensor_algebra import from_json_dict
 
 TWO_SEGMENT = "t,x1,x2\n0,0,0\n1,1,0\n2,1,1\n"
 UNIT_SQUARE = "t,x1,x2\n0,0,0\n1,1,0\n2,1,1\n3,0,1\n4,0,0\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args):
+    """``python *args`` in a subprocess that imports sigstream from this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, env={**os.environ, "PYTHONPATH": path})
+
+
+# finite coordinates whose increments overflow
+HUGE = "t,x1,x2\n0,1e308,-1e308\n1,-1e308,1e308\n"
+
+
+def strict_json(text):
+    """``json.loads`` that rejects the non-JSON tokens NaN, Infinity and -Infinity."""
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture
@@ -49,13 +69,24 @@ class TestBasics:
         code, _, err = run(capsys, "frobnicate")
         assert code == 2
 
+    def test_short_logsig_imports_no_scipy(self, tmp_path):
+        (tmp_path / "s.csv").write_text(TWO_SEGMENT)
+        code = (
+            "import sys; from sigstream import cli; "
+            "code = cli.main(['logsig', '--depth', '4', sys.argv[1]]); "
+            "sys.exit(code or any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        )
+        result = run_python("-c", code, str(tmp_path / "s.csv"))
+        assert result.returncode == 0, result.stderr
+        strict_json(result.stdout)
+
     def test_import_leaves_scipy_stats_out(self):
         code = (
             "import sys, sigstream.cli; "
             "lazy = ('scipy.stats', 'scipy.sparse', 'scipy.linalg'); "
             "sys.exit(any(m in sys.modules for m in lazy))"
         )
-        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+        assert run_python("-c", code).returncode == 0
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "sig", "--depth", 2, tmp_path / "nope.csv")
@@ -128,6 +159,59 @@ class TestDpdist:
                 capsys, "dpdist", "--p", p, "--levels", 2, square_csv, square_csv
             )
             assert code == 3, p
+
+
+class TestNonFiniteResults:
+    """Streams whose increments overflow: every subcommand exits 4, names itself
+    and writes nothing."""
+
+    @pytest.fixture
+    def huge_csv(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text(HUGE)
+        return path
+
+    @pytest.mark.parametrize("argv", [["sig", "--depth", "2"], ["dpdist", "--p", "2", "--levels", "2"]])
+    def test_emit_refuses_non_finite_json(self, capsys, huge_csv, square_csv, argv):
+        files = [huge_csv, square_csv] if argv[0] == "dpdist" else [huge_csv]
+        code, out, err = run(capsys, *argv, *files)
+        assert (code, out) == (4, "")
+        assert f"numerical failure in {argv[0]}:" in err
+
+    def test_logsig_fails_the_membership_test(self, capsys, huge_csv):
+        code, out, err = run(capsys, "logsig", "--depth", 2, huge_csv)
+        assert (code, out) == (4, "")
+        assert "numerical failure in logsig: the element's norm is not finite" in err
+
+    def test_develop_refuses_an_overflowing_generator(self, capsys, tmp_path, huge_csv):
+        pauli = [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]], [[[0, 0], [0, -1]], [[0, 1], [0, 0]]]]
+        (tmp_path / "policy.json").write_text(json.dumps({"u": 2, "generators": pauli}))
+        code, out, err = run(capsys, "develop", "--policy", tmp_path / "policy.json", huge_csv)
+        assert (code, out) == (4, "")
+        assert "numerical failure in develop:" in err
+
+    def test_fit_and_score_write_nothing(self, capsys, tmp_path, huge_csv, square_csv):
+        (tmp_path / "train.txt").write_text(f"{huge_csv.name}\n{square_csv.name}\n")
+        (tmp_path / "good.txt").write_text(f"{square_csv.name}\ntwo_segment.csv\n")
+        (tmp_path / "two_segment.csv").write_text(TWO_SEGMENT)
+        (tmp_path / "labels.txt").write_text("0\n1\n")
+        model = tmp_path / "model.json"
+        for method in ("ridge", "lasso"):
+            code, out, err = run(
+                capsys, "fit", "--depth", 2, "--method", method, "--lambda", 0.1,
+                tmp_path / "train.txt", tmp_path / "labels.txt", "-o", model,
+            )
+            assert (code, out) == (4, ""), method
+            assert "numerical failure in fit:" in err
+            assert not model.exists()
+        code, _, _ = run(
+            capsys, "fit", "--depth", 2, "--method", "ridge", "--lambda", 0.1,
+            tmp_path / "good.txt", tmp_path / "labels.txt", "-o", model,
+        )
+        assert code == 0
+        code, out, err = run(capsys, "score", model, tmp_path / "train.txt", tmp_path / "labels.txt")
+        assert (code, out) == (4, "")
+        assert "numerical failure in score:" in err
 
 
 class TestLogode:
@@ -496,11 +580,14 @@ def fuzz_case(draw):
 @st.composite
 def stream_csv(draw, d=None, faults=True):
     """CSV text of a stream in d <= 4 dimensions (drawn unless given), one to six
-    rows, with at most one fault (none unless ``faults``): a ragged row, a bad
-    cell, or a repeated row (a time that does not increase)."""
+    rows of coordinates in [-3, 3] or of ±1e308 and subnormal ±1e-320, with at most
+    one fault (none unless ``faults``): a ragged row, a bad cell, or a repeated row
+    (a time that does not increase)."""
     d = draw(st.integers(1, 4)) if d is None else d
     times = sorted(draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True)))
-    rows = [[str(t), *(repr(draw(st.floats(-3.0, 3.0))) for _ in range(d))] for t in times]
+    extreme = st.sampled_from([1e308, -1e308, 1e-320, -1e-320])
+    coordinate = st.one_of(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), extreme)
+    rows = [[str(t), *(repr(draw(coordinate)) for _ in range(d))] for t in times]
     fault = draw(st.sampled_from([None, None, "ragged", "cell", "time"])) if faults else None
     at = draw(st.integers(0, len(rows) - 1))
     if fault == "ragged":
@@ -606,6 +693,8 @@ class TestFuzz:
                 code = main(argv)
         assert code in (0, 2, 3, 4), (argv, text, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        if out.getvalue():
+            strict_json(out.getvalue())
 
     @settings(max_examples=120, deadline=None)
     @given(fuzz_case())
@@ -639,5 +728,10 @@ class TestFuzz:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
+            model = Path(tmp) / "model.json"
+            if argv[0] == "fit" and code == 0:
+                strict_json(model.read_text())
         assert code in (0, 2, 3, 4), (argv, files, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        if out.getvalue():
+            strict_json(out.getvalue())

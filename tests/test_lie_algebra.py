@@ -8,13 +8,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sigstream import tensor_algebra
 from sigstream.errors import DomainError, NotALieElementError
 from sigstream.lie_algebra import (
     _LIE_ATOL,
     _LIE_RTOL,
     LieCoordinates,
     _level_expansion,
+    _level_terms,
     _lie_coords,
+    _scatter,
     _unit_triangular_inverse,
     bracket_expand,
     dynkin_check,
@@ -26,7 +29,7 @@ from sigstream.lie_algebra import (
 from sigstream.streams import Stream, log_signature, signature
 from sigstream.tensor_algebra import TruncatedTensor, tensor_exp, tensor_log
 
-from oracles import exact_log_signature_lyndon, lyndon_words_brute
+from oracles import _polynomial_of, _standard_tree, exact_log_signature_lyndon, lyndon_words_brute
 
 
 def random_stream(rng, d, n_samples, scale=1.0):
@@ -168,6 +171,26 @@ class TestCoordinates:
             assert str(batch_err.value) == str(single_err.value)
             levels[3][1, 0] -= 1.0  # mend row 1; row 2 is then the first failing row
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_elements_are_rejected(self, bad):
+        # NaN compares False with any tolerance, and an infinite norm certifies nothing
+        clean = [np.zeros((1, 1)), np.array([[1.0, 0.0]]), np.array([[0.0, 0.5, -0.5, 0.0]])]
+        bent = [lvl.copy() for lvl in clean]
+        bent[2][0, 1:3] = [bad, -bad]  # inf - inf rebuilds to NaN; 1e200 squared overflows
+        with pytest.raises(NotALieElementError) as err:
+            tensor_to_lie_coords(TruncatedTensor(2, 2, [lvl[0] for lvl in bent]))
+        assert err.value.level == 1
+        with pytest.raises(NotALieElementError, match="not finite"):
+            _lie_coords([np.vstack(pair) for pair in zip(clean, bent)], 2, 2)
+        assert np.array_equal(_lie_coords(clean, 2, 2), [[1.0, 0.0, 0.5]])
+
+    def test_log_signature_of_an_overflowing_stream_is_rejected(self):
+        s = Stream([0.0, 1.0], [[1e308, -1e308], [-1e308, 1e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotALieElementError) as err:
+                log_signature(s, 3)
+        assert err.value.level is not None
+
     def test_nonzero_scalar_rejected(self):
         with pytest.raises(DomainError):
             tensor_to_lie_coords(TruncatedTensor.unit(2, 2))
@@ -308,6 +331,42 @@ class TestExactCoordinates:
         assert str(batched.value) == str(single.value)
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_expansion(d, k):
+    """The degree-k Lyndon elements as an integer (n_k, d^k) matrix, from the
+    dict polynomials of ``oracles._polynomial_of``."""
+    words = [w for w in lyndon_words_brute(d, k) if len(w) == k]
+    matrix = np.zeros((len(words), d**k), dtype=np.int64)
+    for r, w in enumerate(words):
+        for letters, c in _polynomial_of(_standard_tree(w)).items():
+            matrix[r, int(np.ravel_multi_index(np.array(letters) - 1, (d,) * k))] += c
+    return matrix
+
+
+class TestLevelTerms:
+    CASES = [(d, k) for d in (1, 2, 3, 4) for k in range(1, 7)] + [(2, k) for k in (10, 11, 12)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CASES), st.integers(1, 6), st.sampled_from([1, 50, 2**22]), st.data())
+    def test_terms_and_scatter_match_the_oracle(self, case, rows, chunk, data):
+        d, k = case
+        matrix = oracle_expansion(d, k)
+        _, element, word, coef = _level_terms(d, k)
+        dense = np.zeros_like(matrix)
+        dense[element, word] = coef
+        assert np.array_equal(dense, matrix)
+        key = element * d**k + word  # ordered by element, then word; no key twice
+        assert np.all(np.diff(key) > 0) and np.all(coef != 0)
+        # small integers: both sides are exact, so they agree bit for bit
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        coords = rng.integers(-9, 10, (rows, len(matrix))).astype(float)
+        x = rng.integers(-9, 10, (rows, d**k)).astype(float)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor_algebra, "_CHUNK_ELEMENTS", chunk)  # slices of rows
+            assert np.array_equal(_scatter(coords, d, k), coords @ matrix)
+            assert np.array_equal(_scatter(x, d, k, contract=True), x @ matrix.T)
+
+
 class TestTriangularBlock:
     CASES = [(d, k) for d in (1, 2, 3, 4) for k in range(1, 7)] + [(2, k) for k in range(7, 11)]
 
@@ -323,11 +382,19 @@ class TestTriangularBlock:
         assert np.array_equal(block, np.rint(block))
         inverse = _unit_triangular_inverse(block)
         assert np.array_equal(block @ inverse, np.eye(n))
-        got_rows, projection, expansion = _level_expansion(d, k)
+        got_rows, projection = _level_expansion(d, k)
         assert got_rows.tolist() == rows
         if (d, k) != (2, 10):  # its gain passes _SOLVE_GAIN
             assert np.array_equal(projection, inverse.T)
-        assert np.array_equal(expansion[:, rows], block.T)
+        _, element, word, coef = _level_terms(d, k)
+        on_rows = np.isin(word, rows)
+        from_terms = np.zeros((n, n))
+        from_terms[element[on_rows], np.searchsorted(rows, word[on_rows])] = coef[on_rows]
+        assert np.array_equal(from_terms, block.T)
+
+    def test_too_large_triangle_fails_fast(self):
+        with pytest.raises(DomainError, match="triangular inverse"):
+            _level_expansion(8, 6)
 
     def test_inverse_checks_its_input(self):
         assert np.array_equal(_unit_triangular_inverse(np.array([[1.0, 0.0], [3.0, 1.0]])), [[1, 0], [-3, 1]])
@@ -357,9 +424,10 @@ class TestExactOracle:
 
 class TestColdSetUp:
     def test_cold_log_signature_peak_memory(self):
-        # the dense d^k x n_k expansion at d = 4, N = 6 is 22 MB
+        # a dense n_k x d^k expansion at d = 4, N = 6 would take 22 MB
         s = random_stream(np.random.default_rng(8), 4, 20, scale=0.3)
         _level_expansion.cache_clear()
+        _level_terms.cache_clear()
         tracemalloc.start()
         try:
             log_signature(s, 6)
@@ -369,12 +437,11 @@ class TestColdSetUp:
         assert peak < 48 * 2**20
 
 
-class TestSparseRebuild:
-    """(5, 6) has a 2,580 x 15,625 expansion, past ``_EXPANSION_BUDGET``: its
-    Lie-membership rebuild runs on the sparse terms instead of a dense table."""
+class TestFiveLetterLevelSix:
+    """(5, 6) has 2,580 Lyndon elements over 15,625 words, a dense expansion of 322 MB;
+    its terms rebuild and check it without one."""
 
     def test_coordinates_round_trip_through_to_tensor(self):
-        assert _level_expansion(5, 6)[2] is None
         rng = np.random.default_rng(10)
         coords = LieCoordinates(5, 6, rng.uniform(-1.0, 1.0, len(lyndon_basis(5, 6))))
         t = coords.to_tensor()
@@ -399,10 +466,6 @@ class TestSparseRebuild:
         assert err.value.level == 6
         assert_close(_lie_coords([lvl[:1] for lvl in batch], 5, 6)[0], coords.values, 1e-12)
 
-    def test_too_large_triangle_fails_fast(self):
-        with pytest.raises(DomainError, match="triangular inverse"):
-            _level_expansion(8, 6)
-
 
 class TestLeastSquaresLevels:
     """From d = 2, k = 10 the triangular solve would multiply rounding error by more
@@ -423,7 +486,6 @@ class TestLeastSquaresLevels:
     def test_degree_fourteen_log_signature(self):
         # a path whose level-14 log the triangular solve could not certify as Lie
         s = Stream(np.arange(4.0), np.array([[0.0, 0.0], [1.0, 0.5], [0.3, 1.0], [-1.0, 0.2]]))
-        assert _level_expansion(2, 14)[2] is None  # sparse rebuild as well
         log = tensor_log(signature(s, 14))
         rebuilt = log_signature(s, 14).to_tensor()
         size = max(np.abs(lvl).max() for lvl in log.levels)
@@ -434,10 +496,10 @@ class TestLeastSquaresLevels:
         rng = np.random.default_rng(11)
         s = Stream(np.arange(5.0), np.cumsum(rng.normal(size=(5, 2)), axis=0))
         t = tensor_log(signature(s, 9))
-        rows, projection, expansion = _level_expansion(2, 9)
+        rows, projection = _level_expansion(2, 9)
         tolerance = _LIE_RTOL * np.sqrt(sum(float(lvl @ lvl) for lvl in t.levels)) + _LIE_ATOL
         solved = t.levels[9][rows] @ projection
-        assert np.linalg.norm(solved @ expansion - t.levels[9]) > tolerance
+        assert np.linalg.norm(least_squares(2, 9)[0] @ solved - t.levels[9]) > tolerance
         # level 9 is redone; the levels below keep the solve's rounding, up to 2e-11 here
         top = -witt_dimension(2, 9)
         got = tensor_to_lie_coords(t).values[top:]
