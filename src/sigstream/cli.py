@@ -193,10 +193,12 @@ def _spec_array(spec, key):
     raw = np.asarray(spec[key], dtype=object)
     if all(type(v) in (int, float) for v in raw.flat):  # no bool, str, None or ragged rows
         try:
-            return raw.astype(float)
+            values = raw.astype(float)
+            if np.isfinite(values).all():  # not NaN, Infinity, or 1e400 (read as inf)
+                return values
         except OverflowError:  # an integer beyond the float range
             pass
-    raise DomainError(f"field {key!r} must be a rectangular array of numbers")
+    raise DomainError(f"field {key!r} must be a rectangular array of finite numbers")
 
 
 def _parse_point(text):
@@ -237,10 +239,14 @@ def _cmd_fit(args) -> int:
     streams = _read_manifest(args.train)
     y = _read_labels(args.labels, len(streams))
     X = learn.featurize(streams, args.depth, args.transform)
+    if not np.isfinite(X.X).all():
+        raise NonFiniteResultError("the features are not finite")
     if args.method == "ridge":
         model = learn.fit_ridge(X, y, args.lam)
     else:
         model = learn.fit_lasso(X, y, args.lam)
+    if not np.isfinite(model.coefficients).all():
+        raise NonFiniteResultError("the coefficients are not finite")
     model_payload = {
         "dimension": X.dim,
         "depth": X.depth,

@@ -46,6 +46,8 @@ class UnitaryPolicy:
             raise DomainError("generators must have shape (d, u, u)")
         if arr.shape[1] < 2:
             raise DomainError("matrix size must be at least 2")
+        if not np.isfinite(arr).all():
+            raise DomainError("generators must be finite")
         scale = max(1.0, float(np.abs(arr).max()))
         for j, h in enumerate(arr):
             if np.abs(h - h.conj().T).max() > 1e-12 * scale:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, TimeCapError
 from . import tensor_algebra
-from .lie_algebra import _expand_lyndon, _prefix_closure, _prefix_plan
+from .lie_algebra import _expand_lyndon, _prefix_plan
 from .streams import _check_budget
 from .tensor_algebra import TruncatedTensor, _prefix_fold, chen_fold, grade_norms
 
@@ -385,8 +385,8 @@ def mc_expected_sig(
     live paths; a path that exits in the block has its exit step cut at the
     boundary and its later steps zeroed.  Each live path carries only the
     signature coordinates on the prefixes of the Lyndon words, which one
-    ``_prefix_fold`` per block updates; a stopped path is expanded to its
-    whole signature once, by ``_expand_lyndon``, in batches of stopped paths.
+    ``_prefix_fold`` per block updates; stopped paths are stored in exit order,
+    and after the loop ``_expand_lyndon`` expands them to whole signatures.
     (Where the expansion tables would exceed _CHUNK_ELEMENTS floats, beyond
     depth 10, live paths carry whole signatures through ``chen_fold``.)
     Stopped signatures are averaged with elementwise standard errors.  Fixed
@@ -409,23 +409,15 @@ def mc_expected_sig(
         plan = _prefix_plan(d, depth)
         fold = functools.partial(_prefix_fold, plan)
         expand = functools.partial(_expand_lyndon, plan)
-        widths = [len(words) for words in _prefix_closure(d, depth)[1:]]
+        widths = [letters.shape[1] for letters in plan.letters[1:]]
     else:
         fold, expand, widths = _chen_fold_columns, list, sizes[1:]
-    sum_levels = [np.zeros(n) for n in sizes[1:]]
-    sumsq_levels = [np.zeros(n) for n in sizes[1:]]
-    stopped = []  # coordinates of stopped paths, expanded and summed in batches
-    batch = max(1, chunk // sum(sizes))
 
-    def add_stopped():
-        for k, lvl in enumerate(expand([np.concatenate(c, axis=1) for c in zip(*stopped)])):
-            sum_levels[k] += lvl.sum(axis=1)
-            sumsq_levels[k] += (lvl**2).sum(axis=1)
-        stopped.clear()
-
-    # paths last: positions (d, paths), levels 1..N (n_k, paths), steps (steps, d, paths)
+    # paths last: positions (d, paths), levels 1..N (n_k, paths), steps (steps, d, paths);
+    # a stopped path moves from ``levels`` to ``store``, whose column ``n_stopped`` is next
     pos = np.tile(start[:, None], (1, paths))
     levels = [np.zeros((n, paths)) for n in widths]
+    store = [np.empty((n, paths)) for n in widths]
     std = math.sqrt(dt)
     max_blocks = int(np.ceil(80.0 / dt / _BLOCK_STEPS))
 
@@ -458,11 +450,9 @@ def mc_expected_sig(
         levels = fold(levels, x)
         pos = positions[-1]
         if exits.size:
-            stopped.append([lvl[:, exits] for lvl in levels])
+            for s, lvl in zip(store, levels):
+                s[:, n_stopped : n_stopped + exits.size] = lvl[:, exits]
             n_stopped += exits.size
-            if n_stopped >= batch:
-                add_stopped()
-                n_stopped = 0
             keep = np.ones(alive, dtype=bool)
             keep[exits] = False
             pos = pos.compress(keep, axis=1)
@@ -472,8 +462,15 @@ def mc_expected_sig(
             f"{pos.shape[1]} paths still running after the time cap; "
             "dt is too coarse for this domain"
         )
-    if stopped:
-        add_stopped()
+
+    # whole signatures of the stopped paths, ``batch`` at a time
+    sum_levels = [np.zeros(n) for n in sizes[1:]]
+    sumsq_levels = [np.zeros(n) for n in sizes[1:]]
+    batch = max(1, chunk // sum(sizes))
+    for lo in range(0, paths, batch):
+        for k, lvl in enumerate(expand([s[:, lo : lo + batch] for s in store])):
+            sum_levels[k] += lvl.sum(axis=1)
+            sumsq_levels[k] += (lvl**2).sum(axis=1)
 
     mean_levels = [np.ones(1)] + [s / paths for s in sum_levels]
     if paths > 1:

@@ -7,11 +7,11 @@ one scatter over them rebuilds Lie elements and pairs tensors with the elements,
 and no dense table is formed.  On the Lyndon words' own coefficients the
 expansion is unit triangular with integer entries, so log-signatures get their
 coordinates exactly, level by level, from a cached integral inverse.  Where that
-inverse would multiply rounding error too much (d = 2 from degree 10), and for
-the rare rows whose rounding it pushes past the membership tolerance, a level
-takes least squares from the exact Gram matrix of its terms.  Lie membership is
-certified two ways: by the residual of the element rebuilt from those
-coordinates and independently by the Dynkin right-bracketing idempotent.
+inverse would multiply rounding error too much (d = 2 from degree 10, d = 3 at
+degree 9), and for the rare rows whose rounding it pushes past the membership
+tolerance, a level takes least squares from the exact Gram matrix of its terms.
+Lie membership is certified two ways: by the residual of the element rebuilt from
+those coordinates and independently by the Dynkin right-bracketing idempotent.
 """
 
 from __future__ import annotations
@@ -129,28 +129,16 @@ def _unit_triangular_inverse(triangle: np.ndarray) -> np.ndarray:
     return inverse
 
 
-@functools.lru_cache(maxsize=None)
-def _prefix_closure(dim: int, depth: int) -> tuple:
-    """Prefixes of the Lyndon words of degree <= depth: ``levels[k]`` lists the
-    words of degree k in lexicographic order (level 0 holds the empty word).
-
-    By Chen's identity the running value of S^w needs S only at prefixes of w, so
-    these coordinates fold on their own; they hold every Lyndon coordinate, which
-    generate the whole signature (see ``_expand_lyndon``).
-    """
-    closure = {w[:i] for w in _lyndon_words(dim, depth) for i in range(len(w) + 1)}
-    return tuple(
-        tuple(sorted(w for w in closure if len(w) == k)) for k in range(depth + 1)
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class _PrefixPlan:
     """Index tables to fold the Lyndon prefix closure and to expand it to all words.
 
-    Level k (1..depth) holds ``_prefix_closure(dim, depth)[k]``.  For the fold,
-    ``letters[k][i]`` is letter i (from 0) of each word and ``prefixes[k][i]`` the
-    row of its prefix w[:i] in level i (row 0 unused).  For the expansion, the
+    Level k (1..depth) holds the degree-k prefixes of the Lyndon words of degree
+    <= depth, in lexicographic order.  By Chen's identity the running value of S^w
+    needs S only at prefixes of w, so these coordinates fold on their own; they
+    hold every Lyndon coordinate, which generate the whole signature.  For the
+    fold, ``letters[k][i]`` is letter i (from 0) of each word and ``prefixes[k][i]``
+    the row of its prefix w[:i] in level i (row 0 unused).  For the expansion, the
     levels are stacked with a trailing row of ones; ``factors[k][j]`` is, for each
     word of degree k in lexicographic order, the stacked row of the j-th factor of
     its Chen-Fox-Lyndon factorisation, or the ones row; ``expansion[k]`` maps those
@@ -175,7 +163,8 @@ def _prefix_plan(dim: int, depth: int) -> _PrefixPlan:
     coefficients of that shuffle.  T_k is unit lower triangular and integral, so
     ``_unit_triangular_inverse`` inverts it exactly.
     """
-    levels = _prefix_closure(dim, depth)
+    closure = {w[:i] for w in _lyndon_words(dim, depth) for i in range(len(w) + 1)}
+    levels = [sorted(w for w in closure if len(w) == k) for k in range(depth + 1)]
     row = {w: i for words in levels for i, w in enumerate(words)}
     # row of each level's first word once levels 1..N are stacked; then the ones row
     offset = [0, *itertools.accumulate(len(words) for words in levels[1:])]
@@ -393,7 +382,8 @@ def _level_expansion(dim: int, degree: int) -> tuple:
     U^{-1}: a Lie element x of degree k has coordinates ``x[rows] @ projection``.
 
     The solve multiplies rounding error by up to ||U^{-1}||, which grows fast with
-    k for small d (d = 2: 1.1e2 at k = 8, 1.8e4 at k = 10, 3.1e10 at k = 14).
+    k for small d (d = 2: 1.1e2 at k = 8, 1.8e4 at k = 10, 3.1e10 at k = 14; d = 3:
+    1.8e3 at k = 8, 1.55e4 at k = 9).
     ``projection`` is None past ``_SOLVE_GAIN``: such levels take least squares.
     """
     n = witt_dimension(dim, degree)

@@ -202,8 +202,19 @@ class TestNonFiniteResults:
                 tmp_path / "train.txt", tmp_path / "labels.txt", "-o", model,
             )
             assert (code, out) == (4, ""), method
-            assert "numerical failure in fit:" in err
+            assert "numerical failure in fit: the features are not finite" in err
             assert not model.exists()
+        # subnormal increments: finite features, but 1/s overflows in the lam = 0 ridge
+        (tmp_path / "sub_a.csv").write_text("t,x1,x2\n0,0,0\n1,1e-310,1e-310\n")
+        (tmp_path / "sub_b.csv").write_text("t,x1,x2\n0,0,0\n1,3e-310,1e-310\n")
+        (tmp_path / "sub.txt").write_text("sub_a.csv\nsub_b.csv\n")
+        code, out, err = run(
+            capsys, "fit", "--depth", 1, "--method", "ridge", "--lambda", 0,
+            tmp_path / "sub.txt", tmp_path / "labels.txt", "-o", model,
+        )
+        assert (code, out) == (4, "")
+        assert "numerical failure in fit: the coefficients are not finite" in err
+        assert not model.exists()
         code, _, _ = run(
             capsys, "fit", "--depth", 2, "--method", "ridge", "--lambda", 0.1,
             tmp_path / "good.txt", tmp_path / "labels.txt", "-o", model,
@@ -344,11 +355,17 @@ class TestExpsig:
         for i, spec in enumerate((
             {"u": "2", "generators": gens},
             {"u": 2.5, "generators": gens},
+            {"u": 3, "generators": gens},  # 2 x 2 generators
+            {"u": 2, "generators": [[[1, 0], [0, -1]], [[0, 1], [1, 0]]]},  # not [re, im] pairs
             {"u": 2, "generators": [[[["1", 0], [0, 0]], [[0, 0], [-1, 0]]], gens[1]]},
             {"u": 2, "generators": [[[[True, 0], [0, 0]], [[0, 0], [-1, 0]]], gens[1]]},
+            # non-finite entries: the NaN and Infinity tokens, and a literal beyond the range
+            {"u": 2, "generators": [[[[float("nan"), 0], [0, 0]], [[0, 0], [-1, 0]]], gens[1]]},
+            {"u": 2, "generators": [[[[float("inf"), 0], [0, 0]], [[0, 0], [-1, 0]]], gens[1]]},
+            {"u": 2, "generators": [[[[1e308, 0], [0, 0]], [[0, 0], [-1e308, 0]]], gens[1]]},
         )):
             policy = tmp_path / f"policy{i}.json"
-            policy.write_text(json.dumps(spec))
+            policy.write_text(json.dumps(spec).replace("1e+308", "1e400"))
             develop.append(("develop", "--policy", policy, driver))
         (tmp_path / "manifest.txt").write_text("driver.csv\n")
         (tmp_path / "labels.txt").write_text("1\n")
@@ -367,12 +384,16 @@ class TestExpsig:
             {"depth": 2, "coefficients": ["0"] * 7},
             {"depth": 2, "coefficients": [False] * 7},
             {"depth": 2, "coefficients": [10**400] * 7},  # beyond the float range
+            {"depth": 2, "coefficients": [float("nan")] + [0.0] * 6},
+            {"depth": 2, "coefficients": [float("-inf")] + [0.0] * 6},
+            {"depth": 2, "coefficients": [1e308] + [0.0] * 6},
         )):
             model = tmp_path / f"model{i}.json"
-            model.write_text(json.dumps(spec))
+            model.write_text(json.dumps(spec).replace("1e+308", "1e400"))
             score.append(("score", model, tmp_path / "manifest2.txt", tmp_path / "labels2.txt"))
         (tmp_path / "latin1.csv").write_bytes("t,x1\n0,0\n1,\xe9\n".encode("latin-1"))
         (tmp_path / "dir_manifest.txt").write_text(".\n")
+        (tmp_path / "empty.txt").write_text("\n")
         synth = ("gen-synth", "--out", tmp_path / "synth", "--seed", 1)
         for argv in (
             *logode,
@@ -388,6 +409,10 @@ class TestExpsig:
              tmp_path / "dir_manifest.txt", tmp_path / "labels.txt", "-o", tmp_path / "m.json"),
             ("fit", "--depth", 2, "--method", "ridge", "--lambda", 0,
              tmp_path / "manifest.txt", tmp_path, "-o", tmp_path / "m.json"),  # labels: a directory
+            ("fit", "--depth", 2, "--method", "ridge", "--lambda", 0,  # one stream, two labels
+             tmp_path / "manifest.txt", tmp_path / "labels2.txt", "-o", tmp_path / "m.json"),
+            ("fit", "--depth", 2, "--method", "ridge", "--lambda", 0,  # an empty manifest
+             tmp_path / "empty.txt", tmp_path / "labels.txt", "-o", tmp_path / "m.json"),
             ("develop", "--policy", tmp_path, driver),  # policy: a directory
             ("dpdist", "--p", 2, "--levels", 30, driver, driver),  # checked before cutting
             ("expsig-mc", "--domain", "disk:1", "--dt", 0.01, *mc, "--depth", 40, "--paths", 10),
@@ -426,8 +451,8 @@ class TestExpsig:
                 )
             ),
         ):
-            code, _, err = run(capsys, *argv)
-            assert code == 3, argv
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, ""), argv
             assert "data error" in err
 
     def test_mc_time_cap_is_numerical_failure(self, capsys):

@@ -211,3 +211,22 @@ class TestBatchedDevelopment:
 
         with pytest.raises(DimensionMismatchError):
             expected_development(pol, sampler, 50, seed=5)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: UnitaryPolicy(np.zeros((1, 2, 3))), DomainError, "shape"),
+        (lambda: UnitaryPolicy(np.zeros((1, 1, 1))), DomainError, "at least 2"),
+        # NaN fails every comparison, so the Hermitian and trace tests alone pass it
+        (lambda: UnitaryPolicy([[[np.nan, 0.0], [0.0, -1.0]]]), DomainError, "finite"),
+        (lambda: UnitaryPolicy([[[np.inf, 0.0], [0.0, -1.0]]]), DomainError, "finite"),
+        (lambda: evaluate_signature(random_policy(2, 2, seed=0),
+                                    signature(Stream([0.0, 1.0], np.zeros((2, 3))), 2)),
+         DimensionMismatchError, "driver dimensions differ"),
+    ],
+    ids=["policy-shape", "policy-size", "policy-nan", "policy-inf", "evaluate-dimension"],
+)
+def test_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

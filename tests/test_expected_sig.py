@@ -5,7 +5,7 @@ import pytest
 
 from sigstream import streams as streams_module
 from sigstream import tensor_algebra
-from sigstream.errors import DomainError
+from sigstream.errors import DimensionMismatchError, DomainError
 from sigstream.expected_sig import (
     DiskDomain,
     GridDomain,
@@ -353,3 +353,22 @@ class TestRadiusDiagnostic:
         s = Stream([0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(DomainError):
             radius_diagnostic(signature(s, 2))
+
+
+# the bounding box's centre, the grid's anchor node, is a vertex of this chevron
+CHEVRON = PolygonDomain([(0.0, 1.0), (1.0, 0.0), (2.0, 1.0), (1.0, 0.5)])
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: PolygonDomain([(0.0, 0.0), (1.0, 0.0)]), DomainError, "three"),
+        (lambda: GridDomain(DISK, 0.1, boundary="bogus"), DomainError, "'exact' or 'snap'"),
+        (lambda: GridDomain(CHEVRON, 10.0), DomainError, "no interior grid points"),
+        (lambda: radius_diagnostic(np.zeros(4)), DimensionMismatchError, "expects"),
+    ],
+    ids=["polygon-vertices", "boundary-name", "no-interior", "radius-input"],
+)
+def test_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -400,3 +400,27 @@ class TestSynthetic:
         # the Levy-area pair (columns for words 12 and 21) should dominate
         area_cols = [X.column_of(Word((1, 2))) - 1, X.column_of(Word((2, 1))) - 1]
         assert max(freq[c] for c in area_cols) >= 0.8
+
+
+PAIR = random_streams(np.random.default_rng(0), 2, 2, 5)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: featurize(PAIR, 2, "bogus"), DomainError, "unknown transform"),
+        (lambda: featurize([], 2), DomainError, "no streams"),
+        (lambda: fit_ridge(np.ones((3, 2)), np.ones(2)), DimensionMismatchError, "row count"),
+        (lambda: fit_lasso(np.ones((3, 2)), np.ones(2), 0.1), DimensionMismatchError, "row count"),
+        (lambda: lasso_kkt_residual(fit_ridge(featurize(PAIR, 2), [0.0, 1.0]),
+                                    featurize(PAIR, 2), [0.0, 1.0]), DomainError, "LASSO"),
+        (lambda: classification_report([0.1, 0.9], [0, 2]), DomainError, "0/1"),
+        (lambda: two_class_streams(1, 8, 1.5), DomainError, "strength"),
+        (lambda: two_class_streams(1, 8, -0.1), DomainError, "strength"),
+    ],
+    ids=["transform", "no-streams", "ridge-rows", "lasso-rows", "kkt-of-ridge", "labels",
+         "strength-high", "strength-low"],
+)
+def test_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -468,12 +468,15 @@ class TestFiveLetterLevelSix:
 
 
 class TestLeastSquaresLevels:
-    """From d = 2, k = 10 the triangular solve would multiply rounding error by more
-    than ``_SOLVE_GAIN``, so those levels are solved by least squares."""
+    """From d = 2, k = 10, and at d = 3, k = 9, the triangular solve would multiply
+    rounding error by more than ``_SOLVE_GAIN``, so those levels are solved by least
+    squares."""
 
     def test_ill_conditioned_levels_switch(self):
         assert _level_expansion(2, 9)[1] is not None
         assert _level_expansion(2, 10)[1] is None
+        assert _level_expansion(3, 8)[1] is not None
+        assert _level_expansion(3, 9)[1] is None  # ||U^{-1}|| = 1.55e4
 
     def test_lie_elements_match_least_squares(self):
         rng = np.random.default_rng(13)
@@ -513,3 +516,19 @@ class TestLeastSquaresLevels:
         with pytest.raises(NotALieElementError) as err:
             tensor_to_lie_coords(TruncatedTensor(2, 12, levels))
         assert err.value.level == 11
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: lyndon_basis(2, 0), DomainError, "positive"),
+        (lambda: LieCoordinates(2, 2, np.zeros(3)).coeff((2, 1)), KeyError, "not a Lyndon"),
+        (lambda: LieCoordinates(2, 2, np.zeros(3)).coeff(1.5), TypeError, "float"),
+        (lambda: dynkin_check(TruncatedTensor(2, 2, [[1.0], np.zeros(2), np.zeros(4)])),
+         DomainError, "zero level-0"),
+    ],
+    ids=["basis-depth", "coeff-key", "coeff-key-type", "dynkin-level-0"],
+)
+def test_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -374,3 +374,31 @@ class TestLinearOracle:
                 float(np.linalg.norm(y0)),
             )
             assert np.linalg.norm(exact - truncated) <= bound * (1 + 1e-9) + 1e-14
+
+
+LINE = Stream([0.0, 1.0], [[0.0], [1.0]])
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: LinearSystem(np.zeros((2, 2, 3))), "shape"),
+        (lambda: LinearSystem(np.full((1, 2, 2), np.nan)), "finite"),
+        (lambda: VectorFieldSystem(2, 2, [np.sin], [np.cos]), "one field and one Jacobian"),
+        (lambda: logode_step(VectorFieldSystem.from_linear(LinearSystem(np.eye(2)[None])),
+                             [1.0, 0.0], LieCoordinates(1, 1, [0.5]), 0), "substeps"),
+        (lambda: LogOdeSchedule([0.0, 0.5, 0.5], 2), "increasing"),
+        (lambda: linear_solve(LinearSystem(np.zeros((2, 2, 2))), LINE, [1.0, 0.0]),
+         "driver dimension"),
+        (lambda: linear_series_apply(LinearSystem(np.zeros((2, 2, 2))), signature(LINE, 2),
+                                     [1.0, 0.0]), "driver dimensions differ"),
+        (lambda: logode_step(VectorFieldSystem.from_linear(LinearSystem(np.eye(2)[None])),
+                             [1.0, 0.0], LieCoordinates(2, 1, [0.5, 0.5]), 1), "2-dimensional"),
+        (lambda: LogOdeSchedule([0.0, 1.0], 0), "truncation degree"),
+    ],
+    ids=["system-shape", "system-nan", "field-count", "zero-substeps", "boundaries",
+         "solve-dimension", "series-dimension", "coords-dimension", "schedule-depth"],
+)
+def test_input_checks(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()

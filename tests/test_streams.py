@@ -363,3 +363,29 @@ class TestCut:
             product = tensor_mul(product, piece)
         whole = signature(restrict(s, cuts[0], cuts[-1]), depth)
         assert_close(np.concatenate(product.levels), np.concatenate(whole.levels))
+
+
+LINE = Stream([0.0, 1.0], [[0.0], [1.0]])
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: Stream([0.0, 1.0], [[0.0, 0.0]]), DimensionMismatchError, "one point per timestamp"),
+        (lambda: Stream([], np.zeros((0, 2))), DomainError, "at least one sample"),
+        (lambda: Stream([0.0, 0.0], [[0.0], [1.0]]), DomainError, "strictly increasing"),
+        (lambda: Stream([1.0, 0.0], [[0.0], [1.0]]), DomainError, "strictly increasing"),
+        (lambda: LINE.total_variation("l3"), DomainError, "norm flavor"),
+        (lambda: LINE.value_at(2.0), DomainError, "outside stream interval"),
+        (lambda: concat(LINE, UNIT_SQUARE), DimensionMismatchError, "concatenate"),
+        (lambda: restrict(LINE, 0.5, 2.0), DomainError, "is not inside"),
+        (lambda: dp_distance_estimate(LINE, LINE, p=2.0, max_level=0), DomainError, "max_level"),
+        (lambda: ingest_csv(io.StringIO("")), StreamParseError, "empty file"),
+        (lambda: ingest_csv(io.StringIO("t,x1\n")), StreamParseError, "no data rows"),
+    ],
+    ids=["shape", "no-samples", "repeated-time", "decreasing-time", "flavor", "value-at",
+         "concat", "restrict", "dp-levels", "empty-csv", "header-only-csv"],
+)
+def test_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from sigstream import tensor_algebra
 from sigstream.errors import DimensionMismatchError, DomainError, OutOfDepthError
-from sigstream.lie_algebra import _expand_lyndon, _prefix_closure, _prefix_plan
+from sigstream.lie_algebra import _expand_lyndon, _prefix_plan
 from sigstream.streams import Stream, signature
 from sigstream.tensor_algebra import (
     EMPTY_WORD,
@@ -244,7 +244,7 @@ def prefix_fold_inputs(draw):
 class TestPrefixFold:
     @pytest.mark.parametrize("d, depth, size", [(2, 3, 6), (2, 4, 10), (4, 4, 99), (4, 6, 1065)])
     def test_closure_sizes(self, d, depth, size):
-        assert sum(len(words) for words in _prefix_closure(d, depth)[1:]) == size
+        assert sum(letters.shape[1] for letters in _prefix_plan(d, depth).letters[1:]) == size
 
     @settings(max_examples=80, deadline=None)
     @given(prefix_fold_inputs(), st.data())
@@ -254,7 +254,7 @@ class TestPrefixFold:
         unit = [np.ones((paths, 1))] + [np.zeros((paths, d**k)) for k in range(1, depth + 1)]
         want = chen_fold(unit, inc)[1:]
         plan = _prefix_plan(d, depth)
-        levels = [np.zeros((len(words), paths)) for words in _prefix_closure(d, depth)[1:]]
+        levels = [np.zeros((letters.shape[1], paths)) for letters in plan.letters[1:]]
         cut = data.draw(st.integers(0, steps))  # fold in two blocks
         for piece in (inc[:, :cut], inc[:, cut:]):
             levels = _prefix_fold(plan, levels, np.ascontiguousarray(piece.transpose(1, 2, 0)))
@@ -437,3 +437,26 @@ class TestJson:
         assert cmap["1,1"] == 0.5
         assert cmap["1,2"] == 0.0
         assert Word.from_string("1,2,2").letters == (1, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: Word((1, 0)), DomainError, "letters must be >= 1"),
+        (lambda: Word((1, 3)).index(2), DomainError, "out of range"),
+        (lambda: TruncatedTensor(2, 2, [[1.0], [0.0, 0.0]]), DimensionMismatchError, "3 levels"),
+        (lambda: TruncatedTensor(2, 1, [[1.0], [0.0, 0.0, 0.0]]), DimensionMismatchError,
+         "level 1 must hold 2"),
+        (lambda: TruncatedTensor(0, 1), DomainError, "positive"),
+        (lambda: TruncatedTensor(2, 1).level(2), OutOfDepthError, "outside"),
+        (lambda: TruncatedTensor(2, 1).truncated(2), OutOfDepthError, "cannot extend"),
+        (lambda: TruncatedTensor(2, 1) + 1.0, TypeError, "expected TruncatedTensor"),
+        (lambda: shuffle_inner(Word((1,)), Word((2,)), TruncatedTensor(2, 1)), OutOfDepthError,
+         "exceeds depth"),
+    ],
+    ids=["letter-zero", "letter-over-dim", "level-count", "level-size", "dim-zero",
+         "level-index", "extend", "add-non-tensor", "shuffle-depth"],
+)
+def test_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
