@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateReportError, DimensionMismatchError, DomainError
+from .errors import DegenerateReportError, DimensionMismatchError, DomainError, NonFiniteResultError
 from .lie_algebra import _lie_coords, lyndon_basis
 from .streams import TRANSFORMS, Stream, _signature_levels
 from .tensor_algebra import Word, _log_levels, words_of_degree
@@ -137,19 +137,24 @@ def _ridge(body, Y, lam):
 
     The intercept is unpenalized.  Solved through the SVD of the centred
     body, so lam = 0 returns the minimum-norm least-squares solution on
-    rank-deficient inputs.
+    rank-deficient inputs.  Coefficients that overflow (1 / s of subnormal
+    singular values at lam = 0) raise NonFiniteResultError.
     """
     _check_lam(lam)
     mu = body.mean(axis=0)
     y_mean = Y.mean(axis=0)
     u, s, vt = np.linalg.svd(body - mu, full_matrices=False)
-    if lam == 0.0:
-        filt = np.divide(1.0, s, out=np.zeros_like(s), where=s > s.max(initial=0) * 1e-12)
-    else:
-        filt = s / (s**2 + lam)
-    filt = filt.reshape((-1,) + (1,) * (Y.ndim - 1))
-    beta = vt.T @ (filt * (u.T @ (Y - y_mean)))
-    return y_mean - mu @ beta, beta
+    with np.errstate(over="ignore", invalid="ignore"):
+        if lam == 0.0:
+            filt = np.divide(1.0, s, out=np.zeros_like(s), where=s > s.max(initial=0) * 1e-12)
+        else:
+            filt = s / (s**2 + lam)
+        filt = filt.reshape((-1,) + (1,) * (Y.ndim - 1))
+        beta = vt.T @ (filt * (u.T @ (Y - y_mean)))
+        intercept = y_mean - mu @ beta
+    if not (np.isfinite(beta).all() and np.isfinite(intercept).all()):
+        raise NonFiniteResultError("the coefficients are not finite")
+    return intercept, beta
 
 
 def fit_ridge(X, y, lam: float = 0.0) -> LinearModel:

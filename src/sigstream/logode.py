@@ -9,11 +9,13 @@ algebra, freeze the resulting field, and integrate it for unit time with RK4
 Brackets follow [V, W](y) = DW(y) V(y) - DV(y) W(y); on linear fields
 V_i(y) = A_i y this gives [V_i, V_j] -> (A_j A_i - A_i A_j) y, the
 composition order that reproduces the exact segment-exponential solution
-of a linear system (see ``linear_solve``).
+of a linear system (see ``linear_solve``).  Other fields are called once per
+point; each differentiated bracket of degree >= 2 takes one central difference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +76,10 @@ class VectorFieldSystem:
     each Jacobian is checked against central finite differences of its field
     at those points (1e-5 relative).
 
-    Brackets of degree >= 3 of general fields take nested central differences
-    with step ``_FD_SCALE * (1 + |y|)``; ``from_linear`` systems instead cache
-    each bracket as an exact m x m matrix.
+    General fields are called once per point; brackets of degree >= 3 take one
+    central difference per differentiated sub-bracket and point, with step
+    ``_FD_SCALE * (1 + |y|)``.  ``from_linear`` systems instead cache each
+    bracket as an exact m x m matrix.
     """
 
     def __init__(
@@ -137,49 +140,72 @@ class VectorFieldSystem:
     # -- bracket fields -----------------------------------------------------
 
     def _field_for_tree(self, tree):
-        """Evaluable field (and exact Jacobian when available) for a bracket tree.
-
-        Linear systems give (y -> M y, M) with M_[L,R] = M_R M_L - M_L M_R.
-        """
-        cached = self._tree_cache.get(tree)
-        if cached is not None:
-            return cached
-        if self._matrices is not None:
+        """Matrix M of a linear system's bracket field y -> M y: M_[L,R] = M_R M_L - M_L M_R."""
+        mat = self._tree_cache.get(tree)
+        if mat is None:
             if isinstance(tree, int):
                 mat = self._matrices[tree - 1]
             else:
-                left, right = (self._field_for_tree(t)[1] for t in tree)
+                left, right = (self._field_for_tree(t) for t in tree)
                 mat = right @ left - left @ right
-            out = ((lambda y, a=mat: a @ y), mat)
-        elif isinstance(tree, int):
-            out = (self.fields[tree - 1], self.jacobians[tree - 1])
-        else:
-            f_left, jac_left = self._field_for_tree(tree[0])
-            f_right, jac_right = self._field_for_tree(tree[1])
+            self._tree_cache[tree] = mat
+        return mat
 
-            def bracket(y, fl=f_left, jl=jac_left, fr=f_right, jr=jac_right):
-                vl = np.asarray(fl(y), dtype=float)
-                vr = np.asarray(fr(y), dtype=float)
-                dvr_vl = _directional(fr, jr, y, vl)
-                dvl_vr = _directional(fl, jl, y, vr)
-                return dvr_vl - dvl_vr
 
-            out = (bracket, None)
-        self._tree_cache[tree] = out
+class _Point:
+    """Bracket values at one point y, each field and Jacobian called at most once there."""
+
+    __slots__ = ("vfs", "y", "values", "jacobians")
+
+    def __init__(self, vfs: VectorFieldSystem, y: np.ndarray):
+        self.vfs, self.y, self.values, self.jacobians = vfs, y, {}, {}
+
+    def value(self, tree) -> np.ndarray:
+        """B_tree(y), with B_[L,R] = DB_R B_L - DB_L B_R."""
+        out = self.values.get(tree)
+        if out is None:
+            if isinstance(tree, int):
+                out = np.asarray(self.vfs.fields[tree - 1](self.y), dtype=float)
+            else:
+                left, right = tree
+                out = self.derivative(right, self.value(left))
+                out = out - self.derivative(left, self.value(right))
+            self.values[tree] = out
+        return out
+
+    def derivative(self, tree, w: np.ndarray) -> np.ndarray:
+        """DB_tree(y) w: through the Jacobian for a letter, else by a central difference."""
+        if not isinstance(tree, int):
+            return _central_difference(self.vfs, tree, self.y, w)
+        if tree not in self.jacobians:
+            self.jacobians[tree] = np.asarray(self.vfs.jacobians[tree - 1](self.y), dtype=float)
+        return self.jacobians[tree] @ w
+
+    def combination(self, terms: dict) -> np.ndarray:
+        """sum_b lambda_b B_b(y) as sum_i lambda_i V_i(y) + sum_X DB_X(y) w_X, where
+        b = [L, R] adds DB_R B_L - DB_L B_R, so w_X = sum_{b=[L,X]} lambda_b B_L -
+        sum_{b=[X,R]} lambda_b B_R: one directional derivative per sub-bracket X."""
+        out, w = np.zeros(self.vfs.state_dim), {}
+        for tree, lam in terms.items():
+            if isinstance(tree, int):
+                out = out + lam * self.value(tree)
+            else:
+                left, right = tree
+                for x, v in ((right, lam * self.value(left)), (left, -lam * self.value(right))):
+                    w[x] = w[x] + v if x in w else v
+        for tree, w_x in w.items():
+            out = out + self.derivative(tree, w_x)
         return out
 
 
-def _directional(f, jac, y, w):
-    """Directional derivative Df(y) w: exact Jacobian when supplied, else central FD."""
-    if jac is not None:
-        return np.asarray(jac(y), dtype=float) @ w
-    norm_w = float(np.linalg.norm(w))
+def _central_difference(vfs: VectorFieldSystem, tree, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """DB_tree(y) w by one central difference along w, step ``_FD_SCALE * (1 + |y|)``."""
+    norm_w = math.hypot(*w)  # |w|^2 would under- or overflow for tiny or huge lambda_b
     if norm_w == 0.0:
-        return np.zeros_like(np.asarray(w, dtype=float))
-    h = _FD_SCALE * (1.0 + float(np.linalg.norm(y)))
-    unit = w / norm_w
-    plus = np.asarray(f(y + h * unit), dtype=float)
-    minus = np.asarray(f(y - h * unit), dtype=float)
+        return np.zeros_like(w)
+    h = _FD_SCALE * (1.0 + math.hypot(*y))
+    step = h * (w / norm_w)
+    plus, minus = _Point(vfs, y + step).value(tree), _Point(vfs, y - step).value(tree)
     return (plus - minus) * (norm_w / (2.0 * h))
 
 
@@ -195,13 +221,12 @@ def _frozen_field(vfs: VectorFieldSystem, coords: LieCoordinates):
             f"degree-{top} brackets need {top - 1} derivatives; "
             f"system declares {vfs.smoothness}"
         )
-    pairs = zip(coords.values, coords.basis)
-    terms = [(lam, vfs._field_for_tree(b.bracketing)) for lam, b in pairs if lam != 0.0]
+    terms = {b.bracketing: lam for lam, b in zip(coords.values, coords.basis) if lam != 0.0}
     if vfs._matrices is not None:
-        K = sum((lam * mat for lam, (_, mat) in terms), np.zeros((vfs.state_dim,) * 2))
+        mats = (lam * vfs._field_for_tree(tree) for tree, lam in terms.items())
+        K = sum(mats, np.zeros((vfs.state_dim,) * 2))
         return (lambda y: K @ y), K
-    zero = np.zeros(vfs.state_dim)
-    return (lambda y: sum((lam * np.asarray(f(y), dtype=float) for lam, (f, _) in terms), zero)), None
+    return (lambda y: _Point(vfs, y).combination(terms)), None
 
 
 def lie_extend_evaluate(vfs: VectorFieldSystem, coords: LieCoordinates, y) -> np.ndarray:
@@ -240,7 +265,7 @@ def logode_step(
             k3 = field(y + 0.5 * dt * k2)
             k4 = field(y + dt * k3)
             y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise DivergenceError(
                 f"state became non-finite at substep {step + 1}", substep=step + 1
             )

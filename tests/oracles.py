@@ -371,3 +371,46 @@ def rk4_linear(K, y0, substeps):
         if not np.all(np.isfinite(y)):
             return y, step + 1
     return y, None
+
+
+def _nested_directional(f, jac, y, w, fd_scale):
+    """Df(y) w: the Jacobian product when one is given, else a central difference along w."""
+    if jac is not None:
+        return np.asarray(jac(y), dtype=float) @ w
+    norm_w = float(np.linalg.norm(w))
+    if norm_w == 0.0:
+        return np.zeros_like(np.asarray(w, dtype=float))
+    h = fd_scale * (1.0 + float(np.linalg.norm(y)))
+    unit = w / norm_w
+    plus = np.asarray(f(y + h * unit), dtype=float)
+    minus = np.asarray(f(y - h * unit), dtype=float)
+    return (plus - minus) * (norm_w / (2.0 * h))
+
+
+def nested_bracket_field(fields, jacobians, tree, fd_scale=1e-5):
+    """(field, Jacobian or None) of the vector-field bracket following ``tree``.
+
+    [V, W](y) = DW(y) V(y) - DV(y) W(y), built as nested closures: each bracket
+    calls its two sub-brackets afresh, and every bracket of degree >= 2 that is
+    differentiated takes its own central difference along the direction it is
+    applied to, step fd_scale * (1 + |y|).
+    """
+    if isinstance(tree, int):
+        return fields[tree - 1], jacobians[tree - 1]
+    f_left, jac_left = nested_bracket_field(fields, jacobians, tree[0], fd_scale)
+    f_right, jac_right = nested_bracket_field(fields, jacobians, tree[1], fd_scale)
+
+    def bracket(y):
+        vl = np.asarray(f_left(y), dtype=float)
+        vr = np.asarray(f_right(y), dtype=float)
+        return (_nested_directional(f_right, jac_right, y, vl, fd_scale)
+                - _nested_directional(f_left, jac_left, y, vr, fd_scale))
+
+    return bracket, None
+
+
+def nested_lie_terms(fields, jacobians, trees, lams, y):
+    """The terms lambda_b B_b(y) of a Lie extension, one row per bracket tree."""
+    y = np.asarray(y, dtype=float)
+    fields_of = (nested_bracket_field(fields, jacobians, tree)[0] for tree in trees)
+    return np.array([lam * np.asarray(f(y), dtype=float) for f, lam in zip(fields_of, lams)])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -6,7 +8,12 @@ from hypothesis import strategies as st
 
 from sigstream import streams as streams_module
 from sigstream import tensor_algebra
-from sigstream.errors import DegenerateReportError, DimensionMismatchError, DomainError
+from sigstream.errors import (
+    DegenerateReportError,
+    DimensionMismatchError,
+    DomainError,
+    NonFiniteResultError,
+)
 from sigstream.learn import (
     classification_report,
     coordinate_r2,
@@ -187,6 +194,16 @@ class TestRidge:
                 fit_lasso(X, y, lam)
             with pytest.raises(DomainError):
                 fit_conditional_law(pairs, 2, 2, lam=lam)
+
+    def test_overflowing_coefficients_raise(self):
+        # at lam = 0, 1 / s of subnormal singular values overflows
+        streams = [Stream([0.0, 1.0], [[0.0, 0.0], [a, 1e-310]]) for a in (1e-310, 3e-310)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError, match="coefficients are not finite"):
+                fit_ridge(featurize(streams, 1), [0.0, 1.0], 0.0)
+            with pytest.raises(NonFiniteResultError, match="coefficients are not finite"):
+                fit_conditional_law(list(zip(streams, streams[::-1])), 1, 1, lam=0.0)
 
     def test_shrinkage_monotonicity(self):
         rng = np.random.default_rng(6)

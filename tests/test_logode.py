@@ -21,7 +21,7 @@ from sigstream.logode import (
 from sigstream.streams import Stream, log_signature, restrict, signature
 from sigstream.tensor_algebra import _represent
 
-from oracles import expm, rk4_linear
+from oracles import expm, nested_bracket_field, nested_lie_terms, rk4_linear
 
 
 def coords_on(d, depth, rendering, value=1.0):
@@ -153,9 +153,94 @@ class TestCompiledLinearField:
         def no_fd(*args):
             raise AssertionError("linear systems take no finite differences")
 
-        monkeypatch.setattr(logode, "_directional", no_fd)
+        monkeypatch.setattr(logode, "_central_difference", no_fd)
         exact = logode_step(compiled, y0, coords, 16)
         assert np.abs(general - exact).max() < 1e-9
+
+
+def general_fields(kind, A, B):
+    """Fields V_i(y) = sin(A_i y + b_i), b_i the first row of B_i, or the quadratic
+    V_i(y) = (A_i y) * (B_i y + 1), with their Jacobians."""
+    if kind == "trig":
+        fields = [lambda y, a=a, b=b: np.sin(a @ y + b[0]) for a, b in zip(A, B)]
+        jacobians = [lambda y, a=a, b=b: np.cos(a @ y + b[0])[:, None] * a for a, b in zip(A, B)]
+    else:
+        fields = [lambda y, a=a, b=b: (a @ y) * (b @ y + 1.0) for a, b in zip(A, B)]
+        jacobians = [lambda y, a=a, b=b: (b @ y + 1.0)[:, None] * a + (a @ y)[:, None] * b
+                     for a, b in zip(A, B)]
+    return fields, jacobians
+
+
+@st.composite
+def general_cases(draw):
+    """Trigonometric or quadratic fields over d <= 3 letters on R^m, m <= 3, Lie
+    coordinates up to depth 4, and a state."""
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    depth = draw(st.integers(1, 4))
+    values = st.floats(-1.0, 1.0, allow_nan=False)
+    A = draw(arrays(float, (d, m, m), elements=values))
+    B = draw(arrays(float, (d, m, m), elements=values))
+    lam = draw(arrays(float, len(lyndon_basis(d, depth)), elements=values))
+    y = draw(arrays(float, m, elements=values))
+    return draw(st.sampled_from(["trig", "quadratic"])), A, B, LieCoordinates(d, depth, lam), y
+
+
+class TestGeneralField:
+    @settings(max_examples=100, deadline=None)
+    @given(general_cases())
+    def test_matches_nested_closures(self, case):
+        kind, A, B, coords, y = case
+        fields, jacobians = general_fields(kind, A, B)
+        vfs = VectorFieldSystem(y.size, coords.dim, fields, jacobians, smoothness=10)
+        got = lie_extend_evaluate(vfs, coords, y)
+        trees = [b.bracketing for b in coords.basis]
+        want = nested_lie_terms(fields, jacobians, trees, coords.values, y).sum(axis=0)
+        # a degree-k bracket is a sum of products of k factors (field values and
+        # derivatives), each bounded by `size` for these fields
+        size = 1.0 + max(np.abs(f(y)).max() + np.abs(j(y)).sum(axis=1).max()
+                         for f, j in zip(fields, jacobians))
+        scale = float(np.abs(coords.values) @ size ** np.array([b.degree for b in coords.basis]))
+        # depth <= 2 takes no differences; deeper brackets take central differences
+        # of step 1e-5 (1 + |y|) along other directions than the nested closures
+        tol = 1e-12 if coords.depth <= 2 else 1e-7
+        # products lambda_b B below the normal range keep no relative precision
+        assert np.abs(got - want).max() <= tol * scale + 1e-300
+
+    def test_linear_in_huge_and_tiny_coordinates(self):
+        # the differences run along w_X = sum lambda_b B_L - ..., whose |w_X|^2
+        # under- or overflows at these scales while |w_X| does not
+        rng = np.random.default_rng(10)
+        fields, jacobians = general_fields("trig", *rng.uniform(-1.0, 1.0, (2, 2, 2, 2)))
+        vfs = VectorFieldSystem(2, 2, fields, jacobians, smoothness=10)
+        lam, y = rng.uniform(-1.0, 1.0, 5), rng.uniform(-1.0, 1.0, 2)
+        want = lie_extend_evaluate(vfs, LieCoordinates(2, 3, lam), y)
+        for k in (-600, 600):
+            got = lie_extend_evaluate(vfs, LieCoordinates(2, 3, 2.0**k * lam), y)
+            assert np.abs(2.0**-k * got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_one_call_per_field_and_point(self):
+        rng = np.random.default_rng(9)
+        fields, jacobians = general_fields("trig", *rng.uniform(-1.0, 1.0, (2, 2, 2, 2)))
+        calls = []
+
+        def counted(f, name):
+            def call(y):
+                calls.append((name, y.tobytes()))
+                return f(y)
+            return call
+
+        counted_fields = [counted(f, ("V", i)) for i, f in enumerate(fields)]
+        counted_jacobians = [counted(j, ("J", i)) for i, j in enumerate(jacobians)]
+        vfs = VectorFieldSystem(2, 2, counted_fields, counted_jacobians, smoothness=10)
+        coords = LieCoordinates(2, 3, rng.uniform(-1.0, 1.0, 5))
+        y = rng.uniform(-1.0, 1.0, 2)
+        lie_extend_evaluate(vfs, coords, y)
+        # V_1, V_2, J_1, J_2 at y, and at the two points of the one difference of [1,2]
+        assert len(calls) == 12 and len(set(calls)) == len(calls)
+        calls.clear()
+        for b in coords.basis:
+            nested_bracket_field(counted_fields, counted_jacobians, b.bracketing)[0](y)
+        assert len(calls) == 34
 
 
 class TestStep:
@@ -217,7 +302,8 @@ class TestLinearStep:
         # scale of rounding even where the solution itself cancels towards zero
         scale = float(rk4_linear(np.abs(K), np.abs(y), substeps)[0].max())
         got = logode_step(vfs, y, coords, substeps)
-        assert np.abs(got - want).max() <= 1e-13 * scale
+        # four ulps of the scale where it is subnormal, below 1e-13 * scale's reach
+        assert np.abs(got - want).max() <= max(1e-13 * scale, 4 * np.spacing(scale))
 
     def test_overflow_substep_matches_four_stage_rk4(self):
         # growth 1.0253 per substep from just under the float limit: the state
