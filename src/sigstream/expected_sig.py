@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError, TimeCapError
 from . import tensor_algebra
 from .lie_algebra import _expand_lyndon, _prefix_plan
-from .streams import _check_budget
+from .streams import _COEFF_BUDGET, _check_budget
 from .tensor_algebra import TruncatedTensor, _prefix_fold, chen_fold, grade_norms
 
 __all__ = [
@@ -205,10 +205,11 @@ class GridDomain:
         self.boundary = boundary
         x0, x1, y0, y1 = descriptor.bbox
         ax, ay = descriptor.anchor
-        nx_lo = math.ceil((ax - x0) / h + 1e-12)
-        nx_hi = math.ceil((x1 - ax) / h + 1e-12)
-        ny_lo = math.ceil((ay - y0) / h + 1e-12)
-        ny_hi = math.ceil((y1 - ay) / h + 1e-12)
+        # nodes per side of the anchor, each capped at the budget, which it then exceeds
+        spans = (ax - x0, x1 - ax, ay - y0, y1 - ay)
+        nx_lo, nx_hi, ny_lo, ny_hi = (math.ceil(min(s / h + 1e-12, _COEFF_BUDGET)) for s in spans)
+        if (nx_lo + nx_hi + 1) * (ny_lo + ny_hi + 1) > _COEFF_BUDGET:
+            raise DomainError(f"a grid of spacing {h} needs more than {_COEFF_BUDGET} nodes")
         self.xs = ax + h * np.arange(-nx_lo, nx_hi + 1)
         self.ys = ay + h * np.arange(-ny_lo, ny_hi + 1)
         gx, gy = np.meshgrid(self.xs, self.ys, indexing="ij")

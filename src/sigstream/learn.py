@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateReportError, DimensionMismatchError, DomainError, NonFiniteResultError
 from .lie_algebra import _lie_coords, lyndon_basis
-from .streams import TRANSFORMS, Stream, _signature_levels
+from .streams import _COEFF_BUDGET, TRANSFORMS, Stream, _signature_levels
 from .tensor_algebra import Word, _log_levels, words_of_degree
 
 __all__ = [
@@ -424,6 +424,8 @@ def two_class_streams(
         raise DomainError("n_per_class must be >= 1")
     if n_steps < 2:
         raise DomainError("n_steps must be >= 2 to standardize the increments")
+    if 4 * n_per_class * (n_steps + 1) > _COEFF_BUDGET:  # 2 n_per_class streams in R^2
+        raise DomainError(f"the streams need more than {_COEFF_BUDGET} coordinates")
     if seed < 0:
         raise DomainError("seed must be >= 0")
     rng = np.random.default_rng(seed)

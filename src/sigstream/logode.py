@@ -9,8 +9,10 @@ algebra, freeze the resulting field, and integrate it for unit time with RK4
 Brackets follow [V, W](y) = DW(y) V(y) - DV(y) W(y); on linear fields
 V_i(y) = A_i y this gives [V_i, V_j] -> (A_j A_i - A_i A_j) y, the
 composition order that reproduces the exact segment-exponential solution
-of a linear system (see ``linear_solve``).  Other fields are called once per
-point; each differentiated bracket of degree >= 2 takes one central difference.
+of a linear system (see ``linear_solve``): its bracket matrices are its bracket
+values at the point Y = I, where letter i takes the value A_i.  Other fields
+are called once per point; each differentiated bracket of degree >= 2 takes
+one central difference.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import CapabilityError, DivergenceError, DomainError
 from .lie_algebra import LieCoordinates, _lie_coords
-from .streams import Stream, _cut, _signature_levels
+from .streams import _COEFF_BUDGET, Stream, _cut, _signature_levels
 from .tensor_algebra import TruncatedTensor, _exp_tail, _log_levels, _represent
 
 __all__ = [
@@ -78,8 +80,9 @@ class VectorFieldSystem:
 
     General fields are called once per point; brackets of degree >= 3 take one
     central difference per differentiated sub-bracket and point, with step
-    ``_FD_SCALE * (1 + |y|)``.  ``from_linear`` systems instead cache each
-    bracket as an exact m x m matrix.
+    ``_FD_SCALE * (1 + |y|)``.  ``from_linear`` systems instead keep their
+    bracket values at the identity point Y = I_m, the exact m x m matrices M_b
+    of the bracket fields y -> M_b y.
     """
 
     def __init__(
@@ -98,67 +101,43 @@ class VectorFieldSystem:
         self.fields = tuple(fields)
         self.jacobians = tuple(jacobians)
         self.smoothness = smoothness
-        self._tree_cache: dict = {}
-        self._matrices = None  # A_1..A_d when built by from_linear
+        self._identity = None  # from_linear: the _Point at Y = I_m, letters valued A_i
         if validate_at is not None:
             self._validate_jacobians(validate_at)
 
     @classmethod
     def from_linear(cls, lin: LinearSystem) -> "VectorFieldSystem":
         mats = lin.matrices
-
-        def make(a):
-            return (lambda y: a @ y), (lambda y: a)
-
-        pairs = [make(a) for a in mats]
-        vfs = cls(
-            lin.state_dim,
-            lin.driver_dim,
-            [f for f, _ in pairs],
-            [j for _, j in pairs],
-            smoothness=10**9,
-        )
-        vfs._matrices = mats
+        fields = [lambda y, a=a: a @ y for a in mats]
+        jacobians = [lambda y, a=a: a for a in mats]
+        vfs = cls(lin.state_dim, lin.driver_dim, fields, jacobians, smoothness=10**9)
+        vfs._identity = _Point(vfs, np.eye(lin.state_dim), {})
+        vfs._identity.values.update(enumerate(mats, start=1))
         return vfs
 
     def _validate_jacobians(self, points):
+        units = np.eye(self.state_dim)
         for y in np.atleast_2d(np.asarray(points, dtype=float)):
-            for i, (f, jac) in enumerate(zip(self.fields, self.jacobians)):
+            point = _Point(self, y, {})
+            for i, jac in enumerate(self.jacobians):
                 J = np.asarray(jac(y), dtype=float)
-                h = 1e-6 * (1.0 + float(np.linalg.norm(y)))
-                fd = np.empty_like(J)
-                for k in range(self.state_dim):
-                    e = np.zeros(self.state_dim)
-                    e[k] = h
-                    fd[:, k] = (np.asarray(f(y + e)) - np.asarray(f(y - e))) / (2 * h)
+                fd = np.column_stack([_central_difference(point, i + 1, e) for e in units])
                 scale = max(1.0, float(np.abs(J).max()))
                 if np.abs(J - fd).max() > 1e-5 * scale:
                     raise DomainError(
                         f"Jacobian {i + 1} disagrees with finite differences at {y}"
                     )
 
-    # -- bracket fields -----------------------------------------------------
-
-    def _field_for_tree(self, tree):
-        """Matrix M of a linear system's bracket field y -> M y: M_[L,R] = M_R M_L - M_L M_R."""
-        mat = self._tree_cache.get(tree)
-        if mat is None:
-            if isinstance(tree, int):
-                mat = self._matrices[tree - 1]
-            else:
-                left, right = (self._field_for_tree(t) for t in tree)
-                mat = right @ left - left @ right
-            self._tree_cache[tree] = mat
-        return mat
-
 
 class _Point:
-    """Bracket values at one point y, each field and Jacobian called at most once there."""
+    """Bracket values at one point y, each field and Jacobian called at most once there;
+    the points of one evaluation share one ``table`` of these values, keyed by y's bytes."""
 
-    __slots__ = ("vfs", "y", "values", "jacobians")
+    __slots__ = ("vfs", "y", "values", "jacobians", "table")
 
-    def __init__(self, vfs: VectorFieldSystem, y: np.ndarray):
-        self.vfs, self.y, self.values, self.jacobians = vfs, y, {}, {}
+    def __init__(self, vfs: VectorFieldSystem, y: np.ndarray, table: dict):
+        self.vfs, self.y, self.table = vfs, y, table
+        self.values, self.jacobians = table.setdefault(y.tobytes(), ({}, {}))
 
     def value(self, tree) -> np.ndarray:
         """B_tree(y), with B_[L,R] = DB_R B_L - DB_L B_R."""
@@ -174,9 +153,12 @@ class _Point:
         return out
 
     def derivative(self, tree, w: np.ndarray) -> np.ndarray:
-        """DB_tree(y) w: through the Jacobian for a letter, else by a central difference."""
+        """DB_tree(y) w: through the Jacobian for a letter; for a bracket, M_tree w on a
+        linear system, else by a central difference."""
         if not isinstance(tree, int):
-            return _central_difference(self.vfs, tree, self.y, w)
+            if self.vfs._identity is not None:
+                return self.vfs._identity.value(tree) @ w
+            return _central_difference(self, tree, w)
         if tree not in self.jacobians:
             self.jacobians[tree] = np.asarray(self.vfs.jacobians[tree - 1](self.y), dtype=float)
         return self.jacobians[tree] @ w
@@ -198,14 +180,15 @@ class _Point:
         return out
 
 
-def _central_difference(vfs: VectorFieldSystem, tree, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _central_difference(point: _Point, tree, w: np.ndarray) -> np.ndarray:
     """DB_tree(y) w by one central difference along w, step ``_FD_SCALE * (1 + |y|)``."""
     norm_w = math.hypot(*w)  # |w|^2 would under- or overflow for tiny or huge lambda_b
     if norm_w == 0.0:
         return np.zeros_like(w)
+    vfs, y, table = point.vfs, point.y, point.table
     h = _FD_SCALE * (1.0 + math.hypot(*y))
     step = h * (w / norm_w)
-    plus, minus = _Point(vfs, y + step).value(tree), _Point(vfs, y - step).value(tree)
+    plus, minus = _Point(vfs, y + step, table).value(tree), _Point(vfs, y - step, table).value(tree)
     return (plus - minus) * (norm_w / (2.0 * h))
 
 
@@ -222,11 +205,11 @@ def _frozen_field(vfs: VectorFieldSystem, coords: LieCoordinates):
             f"system declares {vfs.smoothness}"
         )
     terms = {b.bracketing: lam for lam, b in zip(coords.values, coords.basis) if lam != 0.0}
-    if vfs._matrices is not None:
-        mats = (lam * vfs._field_for_tree(tree) for tree, lam in terms.items())
+    if vfs._identity is not None:
+        mats = (lam * vfs._identity.value(tree) for tree, lam in terms.items())
         K = sum(mats, np.zeros((vfs.state_dim,) * 2))
         return (lambda y: K @ y), K
-    return (lambda y: _Point(vfs, y).combination(terms)), None
+    return (lambda y: _Point(vfs, y, {}).combination(terms)), None
 
 
 def lie_extend_evaluate(vfs: VectorFieldSystem, coords: LieCoordinates, y) -> np.ndarray:
@@ -291,8 +274,8 @@ class LogOdeSchedule:
 
     @classmethod
     def uniform(cls, stream: Stream, steps: int, depth: int, substeps: int = 16):
-        if steps < 1:
-            raise DomainError("steps must be >= 1")
+        if not 1 <= steps <= _COEFF_BUDGET:  # linspace below allocates steps + 1 floats
+            raise DomainError(f"steps must lie in [1, {_COEFF_BUDGET}]")
         t0, t1 = stream.interval
         return cls(np.linspace(t0, t1, steps + 1), depth, substeps)
 

@@ -414,3 +414,29 @@ def nested_lie_terms(fields, jacobians, trees, lams, y):
     y = np.asarray(y, dtype=float)
     fields_of = (nested_bracket_field(fields, jacobians, tree)[0] for tree in trees)
     return np.array([lam * np.asarray(f(y), dtype=float) for f, lam in zip(fields_of, lams)])
+
+
+def commutator_matrix(mats, tree):
+    """M_tree of a linear system's bracket field y -> M_tree y by nested commutators:
+    M_i = A_i for a letter, M_[L,R] = M_R M_L - M_L M_R."""
+    if isinstance(tree, int):
+        return mats[tree - 1]
+    left, right = (commutator_matrix(mats, t) for t in tree)
+    return right @ left - left @ right
+
+
+def linear_logode_step(mats, trees, lams, y0, substeps):
+    """One log-ODE step of a linear system, rounding as the compiled route does:
+    K = 0 + sum_b lambda_b M_b over the nonzero lambda_b in basis order, then
+    ``substeps`` times y <- y + (R - I) y with R - I = hK(I + hK/2(I + hK/3(I + hK/4))),
+    h = 1 / substeps."""
+    K = np.zeros(np.shape(mats)[1:])
+    for tree, lam in zip(trees, lams):
+        if lam != 0.0:
+            K = K + lam * commutator_matrix(mats, tree)
+    eye, hk = np.eye(K.shape[0]), (1.0 / substeps) * K
+    delta = hk @ (eye + (hk / 2) @ (eye + (hk / 3) @ (eye + hk / 4)))
+    y = np.asarray(y0, dtype=float).copy()
+    for _ in range(substeps):
+        y = y + delta @ y
+    return y

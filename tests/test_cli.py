@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -21,10 +22,16 @@ UNIT_SQUARE = "t,x1,x2\n0,0,0\n1,1,0\n2,1,1\n3,0,1\n4,0,0\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(*args):
+def run_python(*args, **kwargs):
     """``python *args`` in a subprocess that imports sigstream from this checkout."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
+def cap_address_space():
+    """Cap the process's address space at 2 GiB, so a huge allocation fails at once."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
 # finite coordinates whose increments overflow
@@ -98,6 +105,34 @@ class TestBasics:
         bad.write_text("t,x1\n0,0\n0,1\n")
         code, _, err = run(capsys, "sig", "--depth", 2, bad)
         assert code == 3
+
+
+class TestOversizedArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expsig", "--domain", "disk:1", "--h", "1e-6", "--depth", "2"],  # a 29 TiB grid
+            ["expsig", "--domain", "polygon:0,0;1e9,0;0,1", "--h", "1", "--depth", "2"],
+            ["expsig", "--domain", "disk:1", "--h", "1e-320", "--depth", "2"],  # 1 / h overflows
+            ["logode", "--depth", "2", "--steps", "1000000000", "--system", "{system}",
+             "{driver}"],
+            ["gen-synth", "--out", "{out}", "--n-per-class", "1", "--steps", "1000000000",
+             "--seed", "0"],
+        ],
+        ids=["expsig-disk", "expsig-polygon", "expsig-subnormal-h", "logode", "gen-synth"],
+    )
+    def test_refused_before_allocating(self, tmp_path, monkeypatch, argv):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # per-thread buffers count in the cap
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps({"m": 1, "d": 1, "matrices": [[[1.0]]], "y0": [1.0]}))
+        (tmp_path / "driver.csv").write_text("t,x1\n0,0\n1,1\n")
+        paths = {"system": system, "driver": tmp_path / "driver.csv", "out": tmp_path / "out"}
+        argv = [a.format(**paths) for a in argv]
+        result = run_python("-m", "sigstream.cli", *argv, preexec_fn=cap_address_space,
+                            timeout=20)
+        assert result.returncode == 3, result.stderr
+        assert b"Traceback" not in result.stderr
+        assert not paths["out"].exists()
 
 
 class TestSig:

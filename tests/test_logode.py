@@ -21,7 +21,9 @@ from sigstream.logode import (
 from sigstream.streams import Stream, log_signature, restrict, signature
 from sigstream.tensor_algebra import _represent
 
-from oracles import expm, nested_bracket_field, nested_lie_terms, rk4_linear
+from oracles import (
+    expm, linear_logode_step, nested_bracket_field, nested_lie_terms, rk4_linear
+)
 
 
 def coords_on(d, depth, rendering, value=1.0):
@@ -50,13 +52,14 @@ class TestVectorFieldSystem:
             validate_at=[[0.3], [-1.0]],
         )
 
-    def test_jacobian_validation_catches_mismatch(self):
+    @pytest.mark.parametrize("factor", [2.0, 1.0 + 1e-4])
+    def test_jacobian_validation_catches_mismatch(self, factor):
         with pytest.raises(DomainError, match="Jacobian"):
             VectorFieldSystem(
                 1,
                 1,
                 [lambda y: np.sin(y)],
-                [lambda y: np.diag(2.0 * np.cos(y))],
+                [lambda y: np.diag(factor * np.cos(y))],
                 validate_at=[[0.3]],
             )
 
@@ -117,7 +120,7 @@ def linear_cases(draw, max_depth=5):
     d = draw(st.integers(1, 3))
     m = draw(st.integers(1, 4))
     depth = draw(st.integers(1, max_depth))
-    values = st.floats(-1.0, 1.0, allow_nan=False)
+    values = st.floats(-1.0, 1.0, allow_nan=False) | st.just(-0.0)
     A = draw(arrays(float, (d, m, m), elements=values))
     lam = draw(arrays(float, len(lyndon_basis(d, depth)), elements=values))
     y = draw(arrays(float, m, elements=values))
@@ -133,6 +136,16 @@ class TestCompiledLinearField:
         got = lie_extend_evaluate(VectorFieldSystem.from_linear(LinearSystem(A)), coords, y)
         want = _represent(coords.to_tensor(), A.transpose(0, 2, 1)).T @ y
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
+
+    @settings(max_examples=80, deadline=None)
+    @given(linear_cases(), st.integers(1, 16))
+    def test_step_is_the_commutator_algorithm_bit_for_bit(self, case, substeps):
+        # K = sum_b lambda_b M_b in basis order and powers of RK4's one-step matrix,
+        # signed zeros included
+        A, coords, y = case
+        got = logode_step(VectorFieldSystem.from_linear(LinearSystem(A)), y, coords, substeps)
+        trees = [b.bracketing for b in coords.basis]
+        assert got.tobytes() == linear_logode_step(A, trees, coords.values, y, substeps).tobytes()
 
     def test_general_route_agrees_at_depth_4(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -218,7 +231,8 @@ class TestGeneralField:
             got = lie_extend_evaluate(vfs, LieCoordinates(2, 3, 2.0**k * lam), y)
             assert np.abs(2.0**-k * got - want).max() <= 1e-14 * np.abs(want).max()
 
-    def test_one_call_per_field_and_point(self):
+    @pytest.mark.parametrize("depth, n_calls, n_nested", [(3, 12, 34), (4, 68, 166), (5, 244, 810)])
+    def test_one_call_per_field_and_point(self, depth, n_calls, n_nested):
         rng = np.random.default_rng(9)
         fields, jacobians = general_fields("trig", *rng.uniform(-1.0, 1.0, (2, 2, 2, 2)))
         calls = []
@@ -232,15 +246,16 @@ class TestGeneralField:
         counted_fields = [counted(f, ("V", i)) for i, f in enumerate(fields)]
         counted_jacobians = [counted(j, ("J", i)) for i, j in enumerate(jacobians)]
         vfs = VectorFieldSystem(2, 2, counted_fields, counted_jacobians, smoothness=10)
-        coords = LieCoordinates(2, 3, rng.uniform(-1.0, 1.0, 5))
+        coords = LieCoordinates(2, depth, rng.uniform(-1.0, 1.0, len(lyndon_basis(2, depth))))
         y = rng.uniform(-1.0, 1.0, 2)
         lie_extend_evaluate(vfs, coords, y)
-        # V_1, V_2, J_1, J_2 at y, and at the two points of the one difference of [1,2]
-        assert len(calls) == 12 and len(set(calls)) == len(calls)
+        # depth 3: V_1, V_2, J_1, J_2 at y, and at the two points of the one difference
+        # of [1,2]; deeper, differences that land on one point share its calls
+        assert len(calls) == len(set(calls)) == n_calls
         calls.clear()
         for b in coords.basis:
             nested_bracket_field(counted_fields, counted_jacobians, b.bracketing)[0](y)
-        assert len(calls) == 34
+        assert len(calls) == n_nested
 
 
 class TestStep:
