@@ -1,8 +1,9 @@
 """Command-line interface: every operation as a subcommand with JSON output.
 
-Exit codes: 0 success, 2 usage error, 3 data error (malformed input files),
-4 numerical failure.  All randomness sits behind a mandatory ``--seed`` on
-the stochastic subcommands, and output is byte-stable for fixed inputs.
+Exit codes: 0 success, 2 usage error, 3 data error (malformed input files, or too
+little memory), 4 numerical failure; a failure prints one stderr line, and stdout
+carries only the JSON result, which ``main`` alone writes.  All randomness sits behind
+a mandatory ``--seed`` on the stochastic subcommands; output is byte-stable for fixed inputs.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ _DATA_ERRORS = (
     KeyError,
     DomainError,
     DegenerateReportError,
+    MemoryError,  # numpy's names the allocation; SuperLU's may carry no text
 )
 # LinAlgError: an SVD or eigensolver that did not converge, as on overflowing input
 _NUMERIC_ERRORS = (DivergenceError, NotALieElementError, NonFiniteResultError, TimeCapError,
@@ -66,42 +68,35 @@ def _emit(payload: dict, out_path) -> None:
 # -- subcommand handlers -------------------------------------------------------
 
 
-def _cmd_sig(args) -> int:
+def _cmd_sig(args) -> dict:
     sig = signature(TRANSFORMS[args.transform](ingest_csv(args.stream)), args.depth)
-    payload = to_json_dict(sig)
-    payload["coefficients"] = coeff_map(sig)
-    _emit(payload, args.output)
-    return 0
+    return {**to_json_dict(sig), "coefficients": coeff_map(sig)}
 
 
-def _cmd_logsig(args) -> int:
+def _cmd_logsig(args) -> dict:
     stream = TRANSFORMS[args.transform](ingest_csv(args.stream))
     coords = log_signature(stream, args.depth)
     pairs = coords.as_pairs()
-    payload = {
+    return {
         "d": coords.dim,
         "depth": coords.depth,
         "pairs": [[name, value] for name, value in pairs],
         "coords": {name: value for name, value in pairs},
     }
-    _emit(payload, args.output)
-    return 0
 
 
-def _cmd_dpdist(args) -> int:
+def _cmd_dpdist(args) -> dict:
     report = dp_distance_estimate(
         ingest_csv(args.stream_a), ingest_csv(args.stream_b), args.p, args.levels
     )
-    payload = {
+    return {
         "p": report.p,
         "levels": list(report.levels),
         "estimates": report.estimates.tolist(),
     }
-    _emit(payload, args.output)
-    return 0
 
 
-def _cmd_logode(args) -> int:
+def _cmd_logode(args) -> dict:
     spec = _read_spec(args.system, "system", "{m, d, matrices, y0}")
     lin = LinearSystem(_spec_array(spec, "matrices"))
     if lin.state_dim != _spec_int(spec, "m") or lin.driver_dim != _spec_int(spec, "d"):
@@ -110,15 +105,13 @@ def _cmd_logode(args) -> int:
     driver = ingest_csv(args.driver)
     schedule = LogOdeSchedule.uniform(driver, args.steps, args.depth, args.substeps)
     trajectory = solve(VectorFieldSystem.from_linear(lin), driver, y0, schedule)
-    payload = {
+    return {
         "times": schedule.boundaries.tolist(),
         "states": trajectory.tolist(),
     }
-    _emit(payload, args.output)
-    return 0
 
 
-def _cmd_develop(args) -> int:
+def _cmd_develop(args) -> dict:
     spec = _read_spec(args.policy, "policy", "{u, generators}")
     gens = _spec_array(spec, "generators")
     if gens.ndim != 4 or gens.shape[-1] != 2:
@@ -128,22 +121,20 @@ def _cmd_develop(args) -> int:
         raise DimensionMismatchError("policy u field disagrees with generators")
     result = develop(policy, ingest_csv(args.stream))
     psi = result.psi
-    payload = {
+    return {
         "u": policy.size,
         "interval": list(result.interval),
         "psi": [[[float(z.real), float(z.imag)] for z in row] for row in psi],
         "unitarity_defect": unitarity_defect(psi),
     }
-    _emit(payload, args.output)
-    return 0
 
 
-def _cmd_expsig(args) -> int:
+def _cmd_expsig(args) -> dict:
     domain = parse_domain(args.domain)
     grid = GridDomain(domain, args.h, boundary=args.boundary)
     field = solve_recurrence(grid, args.depth)
     center = field.center_values()
-    payload = {
+    return {
         "domain": args.domain,
         "h": args.h,
         "depth": args.depth,
@@ -151,15 +142,13 @@ def _cmd_expsig(args) -> int:
         "center": [float(v) for v in grid.descriptor.anchor],
         "values": coeff_map(center),
     }
-    _emit(payload, args.output)
-    return 0
 
 
-def _cmd_expsig_mc(args) -> int:
+def _cmd_expsig_mc(args) -> dict:
     domain = parse_domain(args.domain)
     start = _parse_point(args.start) if args.start else domain.anchor
     out = mc_expected_sig(domain, start, args.depth, args.paths, args.dt, args.seed)
-    payload = {
+    return {
         "domain": args.domain,
         "start": [float(v) for v in start],
         "depth": args.depth,
@@ -169,8 +158,6 @@ def _cmd_expsig_mc(args) -> int:
         "mean": coeff_map(out.mean),
         "stderr": coeff_map(TruncatedTensor(2, args.depth, out.stderr)),
     }
-    _emit(payload, args.output)
-    return 0
 
 
 def _read_spec(path, what, fields):
@@ -235,7 +222,7 @@ def _read_labels(path, expected):
     return values
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> dict:
     streams = _read_manifest(args.train)
     y = _read_labels(args.labels, len(streams))
     X = learn.featurize(streams, args.depth, args.transform)
@@ -247,7 +234,7 @@ def _cmd_fit(args) -> int:
         model = learn.fit_lasso(X, y, args.lam)
     if not np.isfinite(model.coefficients).all():
         raise NonFiniteResultError("the coefficients are not finite")
-    model_payload = {
+    _emit({
         "dimension": X.dim,
         "depth": X.depth,
         "transform": X.transform,
@@ -257,19 +244,16 @@ def _cmd_fit(args) -> int:
         "coefficients": model.coefficients.tolist(),
         "converged": bool(model.converged),
         "n_iter": int(model.n_iter),
-    }
-    _emit(model_payload, args.output)
-    summary = {
-        "model": str(args.output),
+    }, args.model)
+    return {
+        "model": str(args.model),
         "n_streams": len(streams),
         "n_features": len(X.words),
         "active_coefficients": int(np.count_nonzero(model.coefficients[1:])),
     }
-    _emit(summary, None)
-    return 0
 
 
-def _cmd_score(args) -> int:
+def _cmd_score(args) -> dict:
     model_spec = _read_spec(args.model, "model", "{depth, transform, coefficients}")
     transform = model_spec.get("transform", "none")
     if not isinstance(transform, str):
@@ -285,17 +269,15 @@ def _cmd_score(args) -> int:
     if not np.isfinite(scores := X.X @ coef).all():
         raise NonFiniteResultError("the scores are not finite")
     report = learn.classification_report(scores, y.astype(int))
-    payload = {
+    return {
         "ks": report.ks,
         "auc": report.auc,
         "accuracy": report.accuracy,
         "roc": report.roc.tolist(),
     }
-    _emit(payload, args.output)
-    return 0
 
 
-def _cmd_gen_synth(args) -> int:
+def _cmd_gen_synth(args) -> dict:
     streams, labels = learn.two_class_streams(
         args.n_per_class, args.steps, args.strength, args.seed
     )
@@ -310,7 +292,7 @@ def _cmd_gen_synth(args) -> int:
     (out_dir / "labels.txt").write_text(
         "\n".join(str(int(v)) for v in labels) + "\n"
     )
-    payload = {
+    return {
         "out": str(out_dir),
         "n_streams": len(streams),
         "manifest": str(out_dir / "manifest.txt"),
@@ -318,8 +300,6 @@ def _cmd_gen_synth(args) -> int:
         "seed": args.seed,
         "strength": args.strength,
     }
-    _emit(payload, None)
-    return 0
 
 
 # -- parser ---------------------------------------------------------------------
@@ -398,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transform", choices=list(TRANSFORMS), default="none")
     p.add_argument("train", help="manifest: one stream CSV path per line")
     p.add_argument("labels", help="one integer label per line")
-    p.add_argument("-o", "--output", required=True, help="model JSON path")
+    p.add_argument("-o", "--output", dest="model", required=True, help="model JSON path")
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("score", help="classification report of a fitted model")
@@ -426,12 +406,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.handler(args)
+        with np.errstate(all="ignore"):  # a failure prints its one message and no warnings
+            _emit(args.handler(args), getattr(args, "output", None))
+        return 0
     except _NUMERIC_ERRORS as exc:
         print(f"numerical failure in {args.command}: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
     except _DATA_ERRORS as exc:
-        print(f"data error in {args.command}: {exc}", file=sys.stderr)
+        reason = f"out of memory. {exc}".rstrip() if isinstance(exc, MemoryError) else exc
+        print(f"data error in {args.command}: {reason}", file=sys.stderr)
         return DATA_ERROR
 
 

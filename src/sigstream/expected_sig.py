@@ -268,7 +268,12 @@ class GridDomain:
         if self._lu is None:
             import scipy.sparse.linalg
 
-            self._lu = scipy.sparse.linalg.splu(self.laplacian.tocsc())
+            try:
+                self._lu = scipy.sparse.linalg.splu(self.laplacian.tocsc())
+            except RuntimeError as exc:  # "SUPERLU_MALLOC fails for ..."
+                if "SUPERLU_MALLOC" not in str(exc):
+                    raise
+                raise MemoryError(str(exc)) from None
         return self._lu.solve(np.asarray(rhs, dtype=float))
 
     def derivative(self, u: np.ndarray, axis: int) -> np.ndarray:

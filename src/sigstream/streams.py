@@ -266,10 +266,10 @@ def _check_budget(rows: int, dim: int, depth: int, what: str) -> None:
     """Raise DomainError when rows x sum_{k <= depth} dim^k exceeds _COEFF_BUDGET,
     or when depth exceeds the budget's bit length.
 
-    The sum stops once it is over the budget, so a huge depth costs nothing, and
-    the message names the request instead of the total, which may be huge.  For
-    dim >= 2 the sum already forbids such depths; for dim = 1 the depth bound caps
-    the O(depth^2) work of folding the levels and of naming their words.
+    The depth bound comes first, so the sum has at most 29 terms; it is taken in Python
+    integers, where numpy integers could wrap.  For dim = 1 the depth bound also caps the
+    O(depth^2) work of folding the levels and of naming their words.  The message names
+    the request, not the total.
     """
     limit = _COEFF_BUDGET.bit_length()
     if depth > limit:
@@ -277,16 +277,7 @@ def _check_budget(rows: int, dim: int, depth: int, what: str) -> None:
             f"{what} at depth {depth} exceed the depth limit of {limit}, the bit "
             "length of the coefficient budget"
         )
-    if dim == 1:
-        total = rows * (depth + 1)
-    else:
-        total, level = 0, rows
-        for _ in range(depth + 1):
-            total += level
-            if total > _COEFF_BUDGET:
-                break
-            level *= dim
-    if total > _COEFF_BUDGET:
+    if int(rows) * sum(int(dim) ** k for k in range(depth + 1)) > _COEFF_BUDGET:
         raise DomainError(
             f"{what} of dimension {dim} at depth {depth} need more coefficients than "
             f"the budget of {_COEFF_BUDGET}"

@@ -114,12 +114,17 @@ class TestOversizedArguments:
             ["expsig", "--domain", "disk:1", "--h", "1e-6", "--depth", "2"],  # a 29 TiB grid
             ["expsig", "--domain", "polygon:0,0;1e9,0;0,1", "--h", "1", "--depth", "2"],
             ["expsig", "--domain", "disk:1", "--h", "1e-320", "--depth", "2"],  # 1 / h overflows
+            # under the node budget, but the grid's arrays (2e-4) or its LU factors (2e-3) do
+            # not fit: memory errors, where SuperLU also prints a line of its own
+            ["expsig", "--domain", "disk:1", "--h", "2e-4", "--depth", "2"],
+            ["expsig", "--domain", "disk:1", "--h", "2e-3", "--depth", "2"],
             ["logode", "--depth", "2", "--steps", "1000000000", "--system", "{system}",
              "{driver}"],
             ["gen-synth", "--out", "{out}", "--n-per-class", "1", "--steps", "1000000000",
              "--seed", "0"],
         ],
-        ids=["expsig-disk", "expsig-polygon", "expsig-subnormal-h", "logode", "gen-synth"],
+        ids=["expsig-disk", "expsig-polygon", "expsig-subnormal-h", "expsig-grid-memory",
+             "expsig-lu-memory", "logode", "gen-synth"],
     )
     def test_refused_before_allocating(self, tmp_path, monkeypatch, argv):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # per-thread buffers count in the cap
@@ -133,6 +138,44 @@ class TestOversizedArguments:
         assert result.returncode == 3, result.stderr
         assert b"Traceback" not in result.stderr
         assert not paths["out"].exists()
+
+
+class TestSingleWritePath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sig", "--depth", "3", "--transform", "leadlag", "{square}"],
+            ["logsig", "--depth", "3", "{square}"],
+            ["dpdist", "--p", "2", "--levels", "2", "{square}", "{two_segment}"],
+            ["logode", "--depth", "2", "--steps", "2", "--system", "{system}", "{two_segment}"],
+            ["develop", "--policy", "{policy}", "{square}"],
+            ["expsig", "--domain", "disk:1", "--h", "0.1", "--depth", "2"],
+            ["expsig-mc", "--domain", "disk:1", "--depth", "2", "--paths", "20", "--dt", "0.01",
+             "--seed", "3"],
+            ["score", "{model}", "{data}/manifest.txt", "{data}/labels.txt"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, square_csv,
+                                                 two_segment_csv, argv):
+        system = {"m": 2, "d": 2, "matrices": [[[0, 1], [-1, 0]], [[1, 0], [0, 0]]], "y0": [1, 0]}
+        pauli = [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]], [[[0, 0], [0, -1]], [[0, 1], [0, 0]]]]
+        (tmp_path / "system.json").write_text(json.dumps(system))
+        (tmp_path / "policy.json").write_text(json.dumps({"u": 2, "generators": pauli}))
+        paths = {"square": square_csv, "two_segment": two_segment_csv, "data": tmp_path / "data",
+                 "system": tmp_path / "system.json", "policy": tmp_path / "policy.json",
+                 "model": tmp_path / "model.json"}
+        if argv[0] == "score":
+            run(capsys, "gen-synth", "--out", paths["data"], "--n-per-class", 2, "--steps", 8,
+                "--seed", 1)
+            run(capsys, "fit", "--depth", 2, "--method", "ridge", "--lambda", 0.1,
+                paths["data"] / "manifest.txt", paths["data"] / "labels.txt", "-o", paths["model"])
+        argv = [a.format(**paths) for a in argv]
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0 and expected
+        target = tmp_path / "out.json"
+        assert run(capsys, *argv, "-o", target) == (0, "", "")
+        assert target.read_bytes() == expected.encode()
 
 
 class TestSig:
@@ -212,6 +255,19 @@ class TestNonFiniteResults:
         code, out, err = run(capsys, *argv, *files)
         assert (code, out) == (4, "")
         assert f"numerical failure in {argv[0]}:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sig", "--depth", "3"], ["logsig", "--depth", "3"],
+         ["dpdist", "--p", "2", "--levels", "2"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_one_stderr_line_and_no_warnings(self, huge_csv, argv):
+        # a subprocess, since capsys does not capture the warnings numpy writes
+        files = [str(huge_csv)] * (2 if argv[0] == "dpdist" else 1)
+        result = run_python("-m", "sigstream.cli", *argv, *files)
+        assert (result.returncode, result.stdout) == (4, b"")
+        assert len(result.stderr.splitlines()) == 1, result.stderr
 
     def test_logsig_fails_the_membership_test(self, capsys, huge_csv):
         code, out, err = run(capsys, "logsig", "--depth", 2, huge_csv)

@@ -129,6 +129,21 @@ class TestGrid:
         residual = np.linalg.norm(grid.laplacian @ u - rhs) / np.linalg.norm(rhs)
         assert residual < 1e-10
 
+    @pytest.mark.parametrize(
+        "message, error",
+        [("SUPERLU_MALLOC fails for buf in intCalloc()", MemoryError),
+         ("Factor is exactly singular", RuntimeError)],
+    )
+    def test_superlu_allocation_failure_is_a_memory_error(self, monkeypatch, message, error):
+        import scipy.sparse.linalg
+
+        def failing_splu(matrix):
+            raise RuntimeError(message)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", failing_splu)
+        with pytest.raises(error, match=message[:20]):
+            GridDomain(DISK, 0.2).solve_poisson(np.zeros(1))
+
     def test_maximum_principle(self):
         # negative source, zero boundary: solution strictly positive inside
         grid = GridDomain(DISK, 0.05)

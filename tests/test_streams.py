@@ -382,9 +382,14 @@ LINE = Stream([0.0, 1.0], [[0.0], [1.0]])
         (lambda: dp_distance_estimate(LINE, LINE, p=2.0, max_level=0), DomainError, "max_level"),
         (lambda: ingest_csv(io.StringIO("")), StreamParseError, "empty file"),
         (lambda: ingest_csv(io.StringIO("t,x1\n")), StreamParseError, "no data rows"),
+        # 2^32 x (1 + (2^32 - 1)) wraps around to 0 in int64
+        (lambda: streams_module._check_budget(np.int64(2**32), np.int64(2**32 - 1), 1, "rows"),
+         DomainError, "budget of"),
+        (lambda: streams_module._check_budget(1, 1, 29, "rows"), DomainError, "depth limit"),
     ],
     ids=["shape", "no-samples", "repeated-time", "decreasing-time", "flavor", "value-at",
-         "concat", "restrict", "dp-levels", "empty-csv", "header-only-csv"],
+         "concat", "restrict", "dp-levels", "empty-csv", "header-only-csv", "budget-int64",
+         "budget-depth"],
 )
 def test_input_checks(call, error, match):
     with pytest.raises(error, match=match):
