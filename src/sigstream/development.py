@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 from .streams import Stream
-from .tensor_algebra import TruncatedTensor, _exp_tail, _represent
+from .tensor_algebra import TruncatedTensor, _exp_tail, _frozen, _mean_stderr, _represent
 
 __all__ = [
     "UnitaryPolicy",
@@ -41,7 +41,7 @@ class UnitaryPolicy:
     generators: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.generators, dtype=complex).copy()
+        arr = _frozen(self.generators, complex)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise DomainError("generators must have shape (d, u, u)")
         if arr.shape[1] < 2:
@@ -54,7 +54,6 @@ class UnitaryPolicy:
                 raise DomainError(f"generator {j + 1} is not Hermitian")
             if abs(np.trace(h)) > 1e-12 * scale * arr.shape[1]:
                 raise DomainError(f"generator {j + 1} is not traceless")
-        arr.flags.writeable = False
         object.__setattr__(self, "generators", arr)
 
     @property
@@ -75,9 +74,7 @@ class DevelopmentResult:
     interval: tuple[float, float]
 
     def __post_init__(self):
-        arr = np.asarray(self.psi, dtype=complex).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "psi", arr)
+        object.__setattr__(self, "psi", _frozen(self.psi, complex))
 
 
 def _develop_batch(policy: UnitaryPolicy, increments: np.ndarray) -> np.ndarray:
@@ -147,13 +144,7 @@ def expected_development(
         for psi, sq in zip(psis, np.abs(psis) ** 2):
             total += psi
             total_sq += sq
-    mean = total / count
-    if count == 1:
-        stderr = np.zeros((u, u))
-    else:
-        variance = np.maximum(total_sq / count - np.abs(mean) ** 2, 0.0)
-        stderr = np.sqrt(variance / (count - 1))
-    return MonteCarloDevelopment(mean, stderr, count)
+    return MonteCarloDevelopment(*_mean_stderr(total, total_sq, count), count)
 
 
 def evaluate_signature(policy: UnitaryPolicy, sig: TruncatedTensor) -> np.ndarray:

@@ -19,7 +19,7 @@ from .errors import DimensionMismatchError, DomainError, TimeCapError
 from . import tensor_algebra
 from .lie_algebra import _expand_lyndon, _prefix_plan
 from .streams import _COEFF_BUDGET, _check_budget
-from .tensor_algebra import TruncatedTensor, _prefix_fold, chen_fold, grade_norms
+from .tensor_algebra import TruncatedTensor, _mean_stderr, _prefix_fold, chen_fold, grade_norms
 
 __all__ = [
     "DiskDomain",
@@ -102,12 +102,12 @@ class PolygonDomain(_RayDomain):
 
     def __init__(self, vertices):
         pts = np.asarray(vertices, dtype=float)
+        if pts.ndim == 2 and np.array_equal(pts[:1], pts[-1:]):
+            pts = pts[:-1]  # an explicit closing vertex
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
             raise DomainError("polygon needs at least three 2-D vertices")
         if not np.all(np.isfinite(pts)):
             raise DomainError("polygon vertices must be finite")
-        if np.allclose(pts[0], pts[-1]):
-            pts = pts[:-1]
         self.vertices = pts
         self._edges = (pts, np.roll(pts, -1, axis=0))
 
@@ -478,16 +478,9 @@ def mc_expected_sig(
             sum_levels[k] += lvl.sum(axis=1)
             sumsq_levels[k] += (lvl**2).sum(axis=1)
 
-    mean_levels = [np.ones(1)] + [s / paths for s in sum_levels]
-    if paths > 1:
-        stderr = (np.zeros(1),) + tuple(
-            np.sqrt(np.maximum(sq / paths - m**2, 0.0) / (paths - 1))
-            for sq, m in zip(sumsq_levels, mean_levels[1:])
-        )
-    else:
-        stderr = tuple(np.zeros(sz) for sz in sizes)
-    mean = TruncatedTensor(d, depth, mean_levels)
-    return McExpectedSignature(mean, stderr, paths, dt, seed)
+    means, stderrs = zip(*(_mean_stderr(s, sq, paths) for s, sq in zip(sum_levels, sumsq_levels)))
+    mean = TruncatedTensor(d, depth, [np.ones(1), *means])
+    return McExpectedSignature(mean, (np.zeros(1), *stderrs), paths, dt, seed)
 
 
 # -- radius diagnostic ---------------------------------------------------------

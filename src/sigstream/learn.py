@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateReportError, DimensionMismatchError, DomainError, NonFiniteResultError
-from .lie_algebra import _lie_coords, lyndon_basis
-from .streams import _COEFF_BUDGET, TRANSFORMS, Stream, _signature_levels
-from .tensor_algebra import Word, _log_levels, words_of_degree
+from .lie_algebra import lyndon_basis
+from .streams import _COEFF_BUDGET, TRANSFORMS, Stream, _log_signature_rows, _signature_levels
+from .tensor_algebra import Word, _frozen, words_of_degree
 
 __all__ = [
     "FeatureMatrix",
@@ -64,8 +64,8 @@ class FeatureMatrix:
 
 def featurize(streams, depth: int, transform: str = "none") -> FeatureMatrix:
     """Signature coordinates up to ``depth`` for each stream, one row per stream."""
-    levels, d = _signed(streams, depth, transform)
-    rows = np.hstack(levels)
+    points, starts, ends, d = _stacked(streams, transform)
+    rows = np.hstack(_signature_levels(points, starts, ends, depth))
     return FeatureMatrix(rows, tuple(feature_words(d, depth)), d, depth, transform)
 
 
@@ -75,15 +75,15 @@ def featurize_logsig(streams, depth: int, transform: str = "none") -> FeatureMat
     An alternative to raw signature coordinates: far fewer columns, but the
     shuffle-product linearity of pointwise products no longer applies.
     """
-    levels, d = _signed(streams, depth, transform)
-    coords = _lie_coords(_log_levels(levels), d, depth)
+    points, starts, ends, d = _stacked(streams, transform)
+    coords = _log_signature_rows(points, starts, ends, depth)
     rows = np.hstack([np.ones((len(coords), 1)), coords])
     words = (Word(()),) + tuple(b.word for b in lyndon_basis(d, depth))
     return FeatureMatrix(rows, words, d, depth, transform)
 
 
-def _signed(streams, depth, transform):
-    """Signature levels of the transformed streams, one row per stream, and their dimension."""
+def _stacked(streams, transform):
+    """The transformed streams' points stacked, each one's first and last row, and dimension."""
     if transform not in TRANSFORMS:
         raise DomainError(f"unknown transform {transform!r}")
     streams = list(streams)
@@ -96,7 +96,7 @@ def _signed(streams, depth, transform):
     sizes = np.array([s.n_samples for s in mapped])
     starts = np.cumsum(sizes) - sizes
     points = np.concatenate([s.points for s in mapped])
-    return _signature_levels(points, starts, starts + sizes - 1, depth), mapped[0].dimension
+    return points, starts, starts + sizes - 1, mapped[0].dimension
 
 
 @dataclass(eq=False)
@@ -281,9 +281,7 @@ class ClassificationReport:
     roc: np.ndarray  # rows (false positive rate, true positive rate)
 
     def __post_init__(self):
-        arr = np.asarray(self.roc, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "roc", arr)
+        object.__setattr__(self, "roc", _frozen(self.roc))
 
 
 def roc_points(scores, labels) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, NotALieElementError
 from . import tensor_algebra
-from .tensor_algebra import TruncatedTensor, Word, _batch_of_one, _shuffle_letters
+from .tensor_algebra import TruncatedTensor, Word, _batch_of_one, _frozen, _shuffle_letters
 
 __all__ = [
     "LyndonBasisElement",
@@ -417,13 +417,12 @@ class LieCoordinates:
     def __post_init__(self):
         if self.dim < 1 or self.depth < 1:
             raise DomainError("dim and depth must be positive")
-        arr = np.asarray(self.values, dtype=float).reshape(-1).copy()
+        arr = _frozen(self.values).reshape(-1)
         expected = sum(witt_dimension(self.dim, k) for k in range(1, self.depth + 1))
         if arr.size != expected:
             raise DomainError(
                 f"expected {expected} coordinates for dim={self.dim}, depth={self.depth}"
             )
-        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
     @property
@@ -509,15 +508,16 @@ def _lie_coords(levels, dim: int, depth: int) -> np.ndarray:
     tolerance[~np.isfinite(tolerance)] = np.nan  # no residual passes a NaN tolerance
     # every degree-1 tensor is a Lie element and its own coordinates
     coords, residuals = [levels[1]], np.zeros((len(flat), depth))
-    for degree in range(2, depth + 1):
-        x, exact = levels[degree], _level_expansion(dim, degree)[1] is not None
-        c, residuals[:, degree - 1] = _solve_level(x, dim, degree, exact)
-        # the triangular solve gains rounding error by up to _SOLVE_GAIN; rows that it
-        # pushed past the tolerance get least squares, which leaves the least residual
-        redo = ~(residuals[:, degree - 1] <= tolerance) & ~np.isnan(tolerance)
-        if exact and redo.any():
-            c[redo], residuals[redo, degree - 1] = _solve_level(x[redo], dim, degree, False)
-        coords.append(c)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows fail below
+        for degree in range(2, depth + 1):
+            x, exact = levels[degree], _level_expansion(dim, degree)[1] is not None
+            c, residuals[:, degree - 1] = _solve_level(x, dim, degree, exact)
+            # the triangular solve gains rounding error by up to _SOLVE_GAIN; rows that it
+            # pushed past the tolerance get least squares, which leaves the least residual
+            redo = ~(residuals[:, degree - 1] <= tolerance) & ~np.isnan(tolerance)
+            if exact and redo.any():
+                c[redo], residuals[redo, degree - 1] = _solve_level(x[redo], dim, degree, False)
+            coords.append(c)
     failing = ~(residuals <= tolerance[:, None])  # NaN residuals fail too
     if failing.any():
         row = int(failing.any(axis=1).argmax())

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DivergenceError, DomainError
-from .lie_algebra import LieCoordinates, _lie_coords
-from .streams import _COEFF_BUDGET, Stream, _cut, _signature_levels
-from .tensor_algebra import TruncatedTensor, _exp_tail, _log_levels, _represent
+from .lie_algebra import LieCoordinates
+from .streams import _COEFF_BUDGET, Stream, _cut, _log_signature_rows
+from .tensor_algebra import TruncatedTensor, _exp_tail, _frozen, _represent
 
 __all__ = [
     "VectorFieldSystem",
@@ -49,12 +49,11 @@ class LinearSystem:
     matrices: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.matrices, dtype=float).copy()
+        arr = _frozen(self.matrices)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise DomainError("matrices must have shape (d, m, m)")
         if not np.all(np.isfinite(arr)):
             raise DomainError("matrices must be finite")
-        arr.flags.writeable = False
         object.__setattr__(self, "matrices", arr)
 
     @property
@@ -264,12 +263,11 @@ class LogOdeSchedule:
     substeps: int = 16
 
     def __post_init__(self):
-        arr = np.asarray(self.boundaries, dtype=float).reshape(-1)
+        arr = _frozen(self.boundaries).reshape(-1)
         if arr.size < 2 or not np.all(np.diff(arr) > 0):
             raise DomainError("boundaries must be increasing with at least two entries")
         if self.depth < 1:
             raise DomainError("truncation degree must be >= 1")
-        arr.flags.writeable = False
         object.__setattr__(self, "boundaries", arr)
 
     @classmethod
@@ -293,10 +291,9 @@ def solve(
         raise DomainError(f"y0 must hold {vfs.state_dim} finite numbers")
     d, depth = stream.dimension, schedule.depth
     _, points, index = _cut(stream, bounds)
-    sig = _signature_levels(points, index[:-1], index[1:], depth)
     states = np.empty((bounds.size, vfs.state_dim))
     states[0] = y
-    for i, row in enumerate(_lie_coords(_log_levels(sig), d, depth), start=1):
+    for i, row in enumerate(_log_signature_rows(points, index[:-1], index[1:], depth), start=1):
         y = logode_step(vfs, y, LieCoordinates(d, depth, row), schedule.substeps)
         states[i] = y
     return states

@@ -19,7 +19,9 @@ import numpy as np
 
 from . import lie_algebra, tensor_algebra
 from .errors import DimensionMismatchError, DomainError, StreamParseError
-from .tensor_algebra import TruncatedTensor, _mul_levels, chen_fold, tensor_log
+from .tensor_algebra import (
+    TruncatedTensor, _frozen, _log_levels, _mul_levels, _vector_norms, chen_fold
+)
 
 __all__ = [
     "Stream",
@@ -42,8 +44,8 @@ class Stream:
     __slots__ = ("times", "points")
 
     def __init__(self, times, points):
-        times = np.asarray(times, dtype=float).reshape(-1).copy()
-        points = np.asarray(points, dtype=float).copy()
+        times = _frozen(times).reshape(-1)
+        points = _frozen(points)
         if points.ndim == 1:
             points = points[:, None]
         if points.ndim != 2 or points.shape[0] != times.size:
@@ -56,8 +58,6 @@ class Stream:
             raise DomainError("stream samples must be finite")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise DomainError("timestamps must be strictly increasing")
-        times.flags.writeable = False
-        points.flags.writeable = False
         self.times = times
         self.points = points
 
@@ -78,18 +78,7 @@ class Stream:
 
     def total_variation(self, flavor: str = "l2") -> float:
         """Length of the polygonal path under the chosen vector norm."""
-        inc = self.increments()
-        if inc.size == 0:
-            return 0.0
-        if flavor == "l2":
-            seg = np.sqrt((inc**2).sum(axis=1))
-        elif flavor == "l1":
-            seg = np.abs(inc).sum(axis=1)
-        elif flavor == "linf":
-            seg = np.abs(inc).max(axis=1)
-        else:
-            raise DomainError(f"unknown norm flavor {flavor!r}")
-        return float(seg.sum())
+        return float(_vector_norms(self.increments(), flavor).sum())
 
     def value_at(self, t: float) -> np.ndarray:
         """Piecewise-linear interpolation at time t (inside the interval)."""
@@ -317,7 +306,15 @@ def _signature_levels(points, starts, ends, depth: int) -> list[np.ndarray]:
 
 def log_signature(s: Stream, depth: int) -> lie_algebra.LieCoordinates:
     """Lyndon-basis coordinates of log of the stream's signature."""
-    return lie_algebra.tensor_to_lie_coords(tensor_log(signature(s, depth)))
+    values = _log_signature_rows(s.points, [0], [s.n_samples - 1], depth)
+    return lie_algebra.LieCoordinates(s.dimension, depth, values[0])
+
+
+def _log_signature_rows(points, starts, ends, depth: int) -> np.ndarray:
+    """Lyndon coordinates of the log-signatures of the sub-paths points[start:end + 1],
+    one row each: the one route from points to log-signatures."""
+    levels = _log_levels(_signature_levels(points, starts, ends, depth))
+    return lie_algebra._lie_coords(levels, points.shape[1], depth)
 
 
 # -- p-variation metric profile ----------------------------------------------
@@ -337,9 +334,7 @@ class PartitionDistanceReport:
     estimates: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.estimates, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "estimates", arr)
+        object.__setattr__(self, "estimates", _frozen(self.estimates))
 
 
 def dp_distance_estimate(

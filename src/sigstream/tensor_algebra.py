@@ -82,6 +82,13 @@ class Word:
 EMPTY_WORD = Word(())
 
 
+def _frozen(values, dtype=float) -> np.ndarray:
+    """A read-only copy of ``values`` in C order, for the arrays that objects hold."""
+    arr = np.array(values, dtype=dtype, order="C")
+    arr.flags.writeable = False
+    return arr
+
+
 def words_of_degree(dim: int, degree: int):
     """All words of the given degree in lexicographic order."""
     for letters in itertools.product(range(1, dim + 1), repeat=degree):
@@ -106,22 +113,19 @@ class TruncatedTensor:
         self.dim = int(dim)
         self.depth = int(depth)
         if levels is None:
-            stored = [np.zeros(self.dim**k) for k in range(self.depth + 1)]
-        else:
-            if len(levels) != self.depth + 1:
+            levels = [np.zeros(self.dim**k) for k in range(self.depth + 1)]
+        if len(levels) != self.depth + 1:
+            raise DimensionMismatchError(
+                f"expected {self.depth + 1} levels, got {len(levels)}"
+            )
+        stored = []
+        for k, lvl in enumerate(levels):
+            arr = _frozen(lvl).reshape(-1)
+            if arr.size != self.dim**k:
                 raise DimensionMismatchError(
-                    f"expected {self.depth + 1} levels, got {len(levels)}"
+                    f"level {k} must hold {self.dim**k} coefficients, got {arr.size}"
                 )
-            stored = []
-            for k, lvl in enumerate(levels):
-                arr = np.asarray(lvl, dtype=float).reshape(-1).copy()
-                if arr.size != self.dim**k:
-                    raise DimensionMismatchError(
-                        f"level {k} must hold {self.dim**k} coefficients, got {arr.size}"
-                    )
-                stored.append(arr)
-        for arr in stored:
-            arr.flags.writeable = False
+            stored.append(arr)
         self.levels = tuple(stored)
         self.grouplike = bool(grouplike)
 
@@ -464,24 +468,34 @@ class GradeNorms:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen(self.values))
 
 
 _NORMS = {
-    "l1": lambda x: float(np.abs(x).sum()),
-    "l2": lambda x: float(np.sqrt(x @ x)),
-    "linf": lambda x: float(np.abs(x).max()) if x.size else 0.0,
+    "l1": lambda x: np.abs(x).sum(axis=-1),
+    "l2": lambda x: np.sqrt((x**2).sum(axis=-1)),
+    "linf": lambda x: np.abs(x).max(axis=-1, initial=0.0),
 }
+
+
+def _vector_norms(x: np.ndarray, flavor: str) -> np.ndarray:
+    """Norms of the vectors along the last axis of ``x`` under ``flavor`` (l1, l2 or linf)."""
+    if flavor not in _NORMS:
+        raise DomainError(f"unknown norm flavor {flavor!r}; use l1, l2 or linf")
+    return _NORMS[flavor](x)
 
 
 def grade_norms(a: TruncatedTensor, flavor: str = "l1") -> GradeNorms:
     """Per-level norms of ``a`` under the selected flavor (l1, l2 or linf)."""
-    if flavor not in _NORMS:
-        raise DomainError(f"unknown norm flavor {flavor!r}; use l1, l2 or linf")
-    fn = _NORMS[flavor]
-    return GradeNorms(flavor, np.array([fn(lvl) for lvl in a.levels]))
+    return GradeNorms(flavor, np.array([_vector_norms(lvl, flavor) for lvl in a.levels]))
+
+
+def _mean_stderr(total, total_sq, count: int) -> tuple:
+    """Mean and elementwise standard error of ``count`` samples from their sum ``total``
+    and their sum of |x|^2 ``total_sq``; a single sample has zero standard error."""
+    mean = total / count
+    variance = np.maximum(total_sq / count - np.abs(mean) ** 2, 0.0)
+    return mean, np.sqrt(variance / max(count - 1, 1))
 
 
 # -- JSON wire format -------------------------------------------------------

@@ -90,6 +90,11 @@ class TestDomains:
         for bad in ("torus:1", "disk:abc", "disk:inf", "polygon:0,0;1", "polygon:0,0;1,0;nan,1"):
             with pytest.raises(DomainError):
                 parse_domain(bad)
+        # a closing vertex is dropped only when it repeats the first one exactly; the
+        # tiny square's last vertex is within 1e-8 of its first, but its own
+        for text, count in (("polygon:0,0;1,0;1,1;0,0", 3),
+                            ("polygon:0,0;1e-9,0;1e-9,1e-9;0,1e-9", 4)):
+            assert parse_domain(text).vertices.shape == (count, 2)
 
     def test_polygon_edges_and_vertices_are_outside(self):
         square = PolygonDomain([(-1, -1), (1, -1), (1, 1), (-1, 1)])
@@ -378,11 +383,14 @@ CHEVRON = PolygonDomain([(0.0, 1.0), (1.0, 0.0), (2.0, 1.0), (1.0, 0.5)])
     "call, error, match",
     [
         (lambda: PolygonDomain([(0.0, 0.0), (1.0, 0.0)]), DomainError, "three"),
+        # two vertices once the closing one is dropped
+        (lambda: parse_domain("polygon:0,0;1,0;0,0"), DomainError, "three"),
         (lambda: GridDomain(DISK, 0.1, boundary="bogus"), DomainError, "'exact' or 'snap'"),
         (lambda: GridDomain(CHEVRON, 10.0), DomainError, "no interior grid points"),
         (lambda: radius_diagnostic(np.zeros(4)), DimensionMismatchError, "expects"),
     ],
-    ids=["polygon-vertices", "boundary-name", "no-interior", "radius-input"],
+    ids=["polygon-vertices", "polygon-closed-vertices", "boundary-name", "no-interior",
+         "radius-input"],
 )
 def test_input_checks(call, error, match):
     with pytest.raises(error, match=match):

@@ -171,6 +171,7 @@ class TestCoordinates:
             assert str(batch_err.value) == str(single_err.value)
             levels[3][1, 0] -= 1.0  # mend row 1; row 2 is then the first failing row
 
+    @pytest.mark.filterwarnings("error")  # one NotALieElementError, no numpy warning first
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
     def test_non_finite_elements_are_rejected(self, bad):
         # NaN compares False with any tolerance, and an infinite norm certifies nothing

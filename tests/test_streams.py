@@ -376,6 +376,8 @@ LINE = Stream([0.0, 1.0], [[0.0], [1.0]])
         (lambda: Stream([0.0, 0.0], [[0.0], [1.0]]), DomainError, "strictly increasing"),
         (lambda: Stream([1.0, 0.0], [[0.0], [1.0]]), DomainError, "strictly increasing"),
         (lambda: LINE.total_variation("l3"), DomainError, "norm flavor"),
+        (lambda: Stream([0.0], [[1.0, 2.0]]).total_variation("bogus"), DomainError,
+         "norm flavor"),
         (lambda: LINE.value_at(2.0), DomainError, "outside stream interval"),
         (lambda: concat(LINE, UNIT_SQUARE), DimensionMismatchError, "concatenate"),
         (lambda: restrict(LINE, 0.5, 2.0), DomainError, "is not inside"),
@@ -387,7 +389,8 @@ LINE = Stream([0.0, 1.0], [[0.0], [1.0]])
          DomainError, "budget of"),
         (lambda: streams_module._check_budget(1, 1, 29, "rows"), DomainError, "depth limit"),
     ],
-    ids=["shape", "no-samples", "repeated-time", "decreasing-time", "flavor", "value-at",
+    ids=["shape", "no-samples", "repeated-time", "decreasing-time", "flavor",
+         "flavor-one-sample", "value-at",
          "concat", "restrict", "dp-levels", "empty-csv", "header-only-csv", "budget-int64",
          "budget-depth"],
 )

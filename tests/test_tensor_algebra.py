@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sigstream import tensor_algebra
+from sigstream.development import DevelopmentResult, UnitaryPolicy
 from sigstream.errors import DimensionMismatchError, DomainError, OutOfDepthError
-from sigstream.lie_algebra import _expand_lyndon, _prefix_plan
-from sigstream.streams import Stream, signature
+from sigstream.learn import ClassificationReport
+from sigstream.lie_algebra import LieCoordinates, _expand_lyndon, _prefix_plan
+from sigstream.logode import LinearSystem, LogOdeSchedule
+from sigstream.streams import PartitionDistanceReport, Stream, signature
 from sigstream.tensor_algebra import (
     EMPTY_WORD,
+    GradeNorms,
     TruncatedTensor,
     Word,
     _prefix_fold,
@@ -437,6 +441,39 @@ class TestJson:
         assert cmap["1,1"] == 0.5
         assert cmap["1,2"] == 0.0
         assert Word.from_string("1,2,2").letters == (1, 2, 2)
+
+
+# every class that holds arrays: (name, the caller's array, construct from it, the array held)
+ARRAY_HOLDERS = [
+    ("Stream", [[0.0, 1.0], [1.0, 0.0]], lambda a: Stream([0.0, 1.0], a), lambda o: o.points),
+    ("TruncatedTensor", [0.5, 0.25], lambda a: TruncatedTensor(2, 1, [[1.0], a]),
+     lambda o: o.levels[1]),
+    ("LieCoordinates", [0.5, 0.25], lambda a: LieCoordinates(2, 1, a), lambda o: o.values),
+    ("LinearSystem", [[[0.0, 1.0], [2.0, 0.0]]], LinearSystem, lambda o: o.matrices),
+    ("UnitaryPolicy", [[[1.0, 1j], [-1j, -1.0]]], UnitaryPolicy, lambda o: o.generators),
+    ("DevelopmentResult", [[0.0, 1j], [1j, 0.0]], lambda a: DevelopmentResult(a, (0.0, 1.0)),
+     lambda o: o.psi),
+    ("LogOdeSchedule", np.linspace(0.0, 1.0, 5), lambda a: LogOdeSchedule(a, 2),
+     lambda o: o.boundaries),
+    ("GradeNorms", [1.0, 0.5], lambda a: GradeNorms("l1", a), lambda o: o.values),
+    ("PartitionDistanceReport", [0.1, 0.2], lambda a: PartitionDistanceReport(2.0, (1, 2), a),
+     lambda o: o.estimates),
+    ("ClassificationReport", [[0.0, 0.0], [1.0, 1.0]],
+     lambda a: ClassificationReport(1.0, 1.0, 1.0, a), lambda o: o.roc),
+]
+
+
+@pytest.mark.parametrize(
+    "values, build, held", [h[1:] for h in ARRAY_HOLDERS], ids=[h[0] for h in ARRAY_HOLDERS]
+)
+def test_array_holders_keep_read_only_copies(values, build, held):
+    given = np.array(values)
+    obj = build(given)
+    kept = held(obj).copy()
+    assert given.flags.writeable  # the caller's array is not frozen in place
+    given += 1.0
+    assert np.array_equal(held(obj), kept)  # nor aliased
+    assert not held(obj).flags.writeable
 
 
 @pytest.mark.parametrize(
