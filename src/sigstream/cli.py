@@ -233,8 +233,6 @@ def _cmd_fit(args) -> dict:
         model = learn.fit_ridge(X, y, args.lam)
     else:
         model = learn.fit_lasso(X, y, args.lam)
-    if not np.isfinite(model.coefficients).all():
-        raise NonFiniteResultError("the coefficients are not finite")
     _emit({
         "dimension": X.dim,
         "depth": X.depth,

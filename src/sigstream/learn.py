@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateReportError, DimensionMismatchError, DomainError, NonFiniteResultError
 from .lie_algebra import lyndon_basis
 from .streams import _COEFF_BUDGET, TRANSFORMS, Stream, _log_signature_rows, _signature_levels
-from .tensor_algebra import Word, _frozen, words_of_degree
+from .tensor_algebra import Word, _frozen, _words_up_to
 
 __all__ = [
     "FeatureMatrix",
@@ -40,16 +40,13 @@ __all__ = [
 ]
 
 
-def feature_words(dim: int, depth: int) -> list[Word]:
-    out = []
-    for k in range(depth + 1):
-        out.extend(words_of_degree(dim, k))
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
-    """Rows are streams, columns are signature coordinates (empty word first)."""
+    """Rows are streams, columns are coordinates named by ``words`` (empty word first).
+
+    The columns are signature coordinates (``featurize``) or Lyndon log-signature
+    coordinates (``featurize_logsig``); ``column_of`` works for either layout.
+    """
 
     X: np.ndarray
     words: tuple
@@ -58,15 +55,16 @@ class FeatureMatrix:
     transform: str
 
     def column_of(self, word: Word) -> int:
-        base = sum(self.dim**k for k in range(word.degree))
-        return base + word.index(self.dim)
+        if word not in self.words:
+            raise KeyError(f"not a feature column here: {word!r}")
+        return self.words.index(word)
 
 
 def featurize(streams, depth: int, transform: str = "none") -> FeatureMatrix:
     """Signature coordinates up to ``depth`` for each stream, one row per stream."""
     points, starts, ends, d = _stacked(streams, transform)
     rows = np.hstack(_signature_levels(points, starts, ends, depth))
-    return FeatureMatrix(rows, tuple(feature_words(d, depth)), d, depth, transform)
+    return FeatureMatrix(rows, _words_up_to(d, depth), d, depth, transform)
 
 
 def featurize_logsig(streams, depth: int, transform: str = "none") -> FeatureMatrix:
@@ -111,8 +109,7 @@ class LinearModel:
     n_iter: int = 0
 
     def predict(self, X) -> np.ndarray:
-        X = X.X if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=float)
-        return X @ self.coefficients
+        return _as_array(X) @ self.coefficients
 
     @property
     def active_set(self) -> np.ndarray:
@@ -121,6 +118,15 @@ class LinearModel:
 
 def _as_array(X):
     return X.X if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=float)
+
+
+def _design(X, y):
+    """X as an array and y as a vector, with one label per row of X."""
+    A = _as_array(X)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if A.shape[0] != y.size:
+        raise DimensionMismatchError("row count of X must match len(y)")
+    return A, y
 
 
 def _words_of(X):
@@ -159,10 +165,7 @@ def _ridge(body, Y, lam):
 
 def fit_ridge(X, y, lam: float = 0.0) -> LinearModel:
     """Ridge regression, intercept (empty-word column) unpenalized; lam = 0 is min-norm OLS."""
-    A = _as_array(X)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if A.shape[0] != y.size:
-        raise DimensionMismatchError("row count of X must match len(y)")
+    A, y = _design(X, y)
     intercept, beta = _ridge(A[:, 1:], y, lam)
     coef = np.concatenate([[intercept], beta])
     return LinearModel(coef, "ridge", lam, words=_words_of(X))
@@ -180,8 +183,7 @@ def _standardize(A):
 
 def lasso_max_penalty(X, y) -> float:
     """Smallest lam that zeroes every penalized coefficient (standardized columns)."""
-    A = _as_array(X)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    A, y = _design(X, y)
     z, _, _, _ = _standardize(A)
     yc = y - y.mean()
     return float(np.abs(z.T @ yc).max() / y.size)
@@ -198,10 +200,7 @@ def fit_lasso(
     sweep drops below ``tol``; if ``max_iter`` sweeps do not converge the
     model is returned with ``converged=False``.
     """
-    A = _as_array(X)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if A.shape[0] != y.size:
-        raise DimensionMismatchError("row count of X must match len(y)")
+    A, y = _design(X, y)
     _check_lam(lam)
     n = y.size
     z, mu, sigma, usable = _standardize(A)
@@ -229,9 +228,11 @@ def fit_lasso(
             converged = True
             break
     raw = np.zeros(p)
-    raw[usable] = beta[usable] / sigma[usable]
-    intercept = y.mean() - mu @ raw
-    coef = np.concatenate([[intercept], raw])
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw[usable] = beta[usable] / sigma[usable]
+        coef = np.concatenate([[y.mean() - mu @ raw], raw])
+    if not np.isfinite(coef).all():
+        raise NonFiniteResultError("the coefficients are not finite")
     return LinearModel(
         coef,
         "lasso",
@@ -251,19 +252,16 @@ def lasso_kkt_residual(model: LinearModel, X, y) -> tuple[float, float]:
     """
     if model.method != "lasso":
         raise DomainError("KKT residuals are defined for LASSO models")
-    A = _as_array(X)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    A, y = _design(X, y)
     z, mu, sigma, usable = _standardize(A)
     yc = y - y.mean()
     beta_std = model.coefficients[1:] * sigma
     grad = z.T @ (yc - z @ beta_std) / y.size
     zero = (beta_std == 0) & usable
     active = (beta_std != 0) & usable
-    worst_zero = float(np.maximum(np.abs(grad[zero]) - model.lam, 0.0).max()) if zero.any() else 0.0
-    worst_active = (
-        float(np.abs(grad[active] - model.lam * np.sign(beta_std[active])).max())
-        if active.any()
-        else 0.0
+    worst_zero = float(np.maximum(np.abs(grad[zero]) - model.lam, 0.0).max(initial=0.0))
+    worst_active = float(
+        np.abs(grad[active] - model.lam * np.sign(beta_std[active])).max(initial=0.0)
     )
     return worst_zero, worst_active
 
@@ -453,8 +451,7 @@ def stability_selection(
     A plain repeated-subsampling wrapper around ``fit_lasso``; frequencies
     near 1 indicate features selected robustly at this penalty.
     """
-    A = _as_array(X)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    A, y = _design(X, y)
     rng = np.random.default_rng(seed)
     n = y.size
     take = max(2, int(round(fraction * n)))

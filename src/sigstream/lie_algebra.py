@@ -122,8 +122,7 @@ def _unit_triangular_inverse(triangle: np.ndarray) -> np.ndarray:
         cols = np.flatnonzero(row)
         if row[r] != 1.0 or cols[-1] != r:
             raise AssertionError("expected a unit lower-triangular matrix")
-        if cols.size > 1:
-            inverse[r] -= row[cols[:-1]] @ inverse[cols[:-1]]
+        inverse[r] -= row[cols[:-1]] @ inverse[cols[:-1]]
     if inverse.size and np.abs(inverse).max() >= 2.0**53:
         raise DomainError("a triangular inverse has entries beyond the exact float range")
     return inverse

@@ -56,7 +56,7 @@ class Stream:
             raise DomainError("a stream needs at least one sample")
         if not np.all(np.isfinite(times)) or not np.all(np.isfinite(points)):
             raise DomainError("stream samples must be finite")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
+        if not np.all(np.diff(times) > 0):
             raise DomainError("timestamps must be strictly increasing")
         self.times = times
         self.points = points
@@ -176,8 +176,6 @@ def lead_lag(s: Stream) -> Stream:
     1..d) moves first, then the lag block (dimensions d+1..2d) follows.
     """
     n = s.n_samples
-    if n == 1:
-        return Stream(s.times, np.hstack([s.points, s.points]))
     times = np.empty(2 * n - 1)
     times[0::2] = s.times
     times[1::2] = 0.5 * (s.times[:-1] + s.times[1:])
@@ -203,8 +201,6 @@ def concat(a: Stream, b: Stream) -> Stream:
         raise DimensionMismatchError(
             f"cannot concatenate streams of dimension {a.dimension} and {b.dimension}"
         )
-    if b.n_samples == 1:
-        return a
     shift_t = a.times[-1] - b.times[0]
     shift_x = a.points[-1] - b.points[0]
     times = np.concatenate([a.times, b.times[1:] + shift_t])

@@ -95,6 +95,11 @@ def words_of_degree(dim: int, degree: int):
         yield Word(letters)
 
 
+def _words_up_to(dim: int, depth: int) -> tuple:
+    """All words of degrees 0..depth: level by level, each level in lexicographic order."""
+    return tuple(w for k in range(depth + 1) for w in words_of_degree(dim, k))
+
+
 class TruncatedTensor:
     """Element of the depth-N truncated tensor algebra over R^dim.
 
@@ -135,20 +140,13 @@ class TruncatedTensor:
 
     @classmethod
     def unit(cls, dim, depth):
-        t = cls(dim, depth)
-        return t._replace_level(0, np.ones(1))
+        return cls(dim, depth, [np.ones(1)] + [np.zeros(dim**k) for k in range(1, depth + 1)])
 
     @classmethod
     def from_level1(cls, vec, depth, grouplike=False):
         vec = np.asarray(vec, dtype=float).reshape(-1)
-        t = cls(vec.size, depth, grouplike=grouplike)
-        return t._replace_level(1, vec)
-
-    def _replace_level(self, k, arr):
-        levels = list(self.levels)
-        arr = np.asarray(arr, dtype=float).reshape(-1)
-        levels[k] = arr
-        return TruncatedTensor(self.dim, self.depth, levels, grouplike=self.grouplike)
+        zeros = [np.zeros(vec.size**k) for k in range(2, depth + 1)]
+        return cls(vec.size, depth, [np.zeros(1), vec] + zeros, grouplike=grouplike)
 
     def level(self, k) -> np.ndarray:
         if not 0 <= k <= self.depth:
@@ -375,38 +373,31 @@ def tensor_exp(a: TruncatedTensor, assume_lie: bool | None = None) -> TruncatedT
     """
     if abs(float(a.levels[0][0])) != 0.0:
         raise DomainError("tensor_exp requires a zero level-0 coefficient")
-    n = a.depth
-    x = _batch_of_one(a)
-    # Horner form: 1 + a(1 + a/2 (1 + a/3 (...)))
-    acc = [np.zeros((1, a.dim**k)) for k in range(n + 1)]
-    acc[0] = np.ones((1, 1))
-    for k in range(n, 0, -1):
-        acc = _mul_levels([lvl / k for lvl in x], acc, n)
-        acc[0] = acc[0] + 1.0
-    if assume_lie is None:
-        assume_lie = all(
-            not lvl.any() for lvl in a.levels[2:]
-        )  # a single level-1 element is trivially Lie
-    levels = [lvl[0] for lvl in acc]
-    return TruncatedTensor(a.dim, a.depth, levels, grouplike=bool(assume_lie))
+    total = _power_series(_batch_of_one(a), lambda j: 1.0 / math.factorial(j))
+    total[0] += 1.0
+    if assume_lie is None:  # a single level-1 element is trivially Lie
+        assume_lie = not any(lvl.any() for lvl in a.levels[2:])
+    return TruncatedTensor(a.dim, a.depth, [lvl[0] for lvl in total], grouplike=bool(assume_lie))
 
 
 def tensor_log(a: TruncatedTensor) -> TruncatedTensor:
     """log(a) = sum_k (-1)^(k+1) (a - 1)^k / k, truncated; requires unit scalar term."""
     if float(a.levels[0][0]) != 1.0:
         raise DomainError("tensor_log requires a unit level-0 coefficient")
-    total = _log_levels(_batch_of_one(a))
-    return TruncatedTensor(a.dim, a.depth, [lvl[0] for lvl in total])
+    return TruncatedTensor(a.dim, a.depth, [lvl[0] for lvl in _log_levels(_batch_of_one(a))])
 
 
 def _log_levels(levels):
-    """Row-wise log of (rows, d^k) levels whose level-0 entries are all 1.
+    """Row-wise log(1 + x) = sum_j (-1)^(j+1) x^j / j of (rows, d^k) levels 1 + x."""
+    return _power_series(levels, lambda j: (1.0 if j % 2 else -1.0) / j)
 
-    log(1 + x) = sum_j (-1)^(j+1) x^j / j.  With x the levels above 0, x^j has
-    no level below j, so only the products that reach levels j..N are formed.
-    """
+
+def _power_series(levels, coefficient):
+    """Row-wise sum_{j=1..N} coefficient(j) x^j, x the (rows, d^k) levels above 0; the
+    result's level 0 is zero.  x^j has no level below j, so only the products that
+    reach levels j..N are formed."""
     n = len(levels) - 1
-    total = [np.zeros_like(levels[0])] + [lvl.copy() for lvl in levels[1:]]
+    total = [np.zeros_like(levels[0])] + [coefficient(1) * lvl for lvl in levels[1:]]
     power = levels  # x^j at levels j..N
     for j in range(2, n + 1):
         power = [None] * j + [
@@ -414,7 +405,7 @@ def _log_levels(levels):
             for k in range(j, n + 1)
         ]
         for k in range(j, n + 1):
-            total[k] += (1.0 if j % 2 else -1.0) / j * power[k]
+            total[k] += coefficient(j) * power[k]
     return total
 
 
@@ -516,8 +507,5 @@ def from_json_dict(obj: dict) -> TruncatedTensor:
 
 def coeff_map(a: TruncatedTensor) -> dict[str, float]:
     """Word-keyed coefficient map, words rendered as comma-joined letters."""
-    out = {}
-    for k in range(a.depth + 1):
-        for word, value in zip(words_of_degree(a.dim, k), a.levels[k]):
-            out[str(word)] = float(value)
-    return out
+    values = np.concatenate(a.levels).tolist()
+    return {str(w): v for w, v in zip(_words_up_to(a.dim, a.depth), values)}

@@ -6,7 +6,8 @@ exhaustive partition search) and shares no code path with the package.
 """
 
 import itertools
-from math import comb
+from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import scipy.linalg
@@ -254,6 +255,32 @@ def exact_log_signature_lyndon(vertices, depth):
         if words:
             coords += list(block.lower_triangular_solve(rhs))
     return coords
+
+
+def fraction_exp_log(levels, dim, depth, log):
+    """exp(a) = sum_j a^j / j! (log false) or log(a) = sum_j (-1)^(j+1) (a - 1)^j / j
+    (log true) of the depth-N truncated tensor ``a``, in exact Fractions.
+
+    ``levels[k]`` lists the d^k level-k coefficients of ``a`` in lexicographic word
+    order, as float-exact values; level 0 must be 0 for exp and 1 for log.  Each power
+    is a word-keyed dict multiplied by concatenating words.
+    """
+    words = [w for k in range(depth + 1) for w in itertools.product(range(1, dim + 1), repeat=k)]
+    values = [Fraction(float(v)) for lvl in levels for v in lvl]
+    x = {w: v for w, v in zip(words, values) if w}
+    total = {(): Fraction(0 if log else 1)}
+    power = {(): Fraction(1)}
+    for j in range(1, depth + 1):
+        step = {}
+        for u, p in power.items():
+            for v, q in x.items():
+                if len(u) + len(v) <= depth:
+                    step[u + v] = step.get(u + v, 0) + p * q
+        power = step
+        c = Fraction((-1) ** (j + 1), j) if log else Fraction(1, factorial(j))
+        for w, p in power.items():
+            total[w] = total.get(w, 0) + c * p
+    return [total.get(w, Fraction(0)) for w in words]
 
 
 # -- Poisson grid, one offset, direction and word at a time --------------------

@@ -135,6 +135,14 @@ class TestFeaturize:
         for i, s in enumerate(streams):
             assert X.X[i, 3] == pytest.approx(log_signature(s, 3).coeff("[1,2]"))
 
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_column_of_logsig_features(self, depth):
+        # Lyndon columns are not laid out like signature columns: the lookup goes by name
+        X = featurize_logsig(random_streams(np.random.default_rng(depth), 3, 2, 6), depth)
+        assert [X.column_of(w) for w in X.words] == list(range(X.X.shape[1]))
+        with pytest.raises(KeyError, match="not a feature column"):
+            X.column_of(Word((2, 1)))
+
     def test_shuffle_consistency_of_columns(self):
         # pointwise products of feature columns match shuffle combinations
         rng = np.random.default_rng(2)
@@ -204,6 +212,14 @@ class TestRidge:
                 fit_ridge(featurize(streams, 1), [0.0, 1.0], 0.0)
             with pytest.raises(NonFiniteResultError, match="coefficients are not finite"):
                 fit_conditional_law(list(zip(streams, streams[::-1])), 1, 1, lam=0.0)
+
+    def test_overflowing_lasso_coefficients_raise(self):
+        # undoing the standardization of a 1e-150-scale column overflows 1e160-scale weights
+        X = np.column_stack([np.ones(5), 1e-150 * np.arange(5.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError, match="coefficients are not finite"):
+                fit_lasso(X, 1e160 * np.arange(5.0), 0.0)
 
     def test_shrinkage_monotonicity(self):
         rng = np.random.default_rng(6)
@@ -429,13 +445,21 @@ PAIR = random_streams(np.random.default_rng(0), 2, 2, 5)
         (lambda: featurize([], 2), DomainError, "no streams"),
         (lambda: fit_ridge(np.ones((3, 2)), np.ones(2)), DimensionMismatchError, "row count"),
         (lambda: fit_lasso(np.ones((3, 2)), np.ones(2), 0.1), DimensionMismatchError, "row count"),
+        (lambda: lasso_max_penalty(np.ones((3, 2)), np.ones(2)), DimensionMismatchError,
+         "row count"),
+        (lambda: lasso_kkt_residual(fit_lasso(featurize(PAIR, 2), [0.0, 1.0], 0.1),
+                                    featurize(PAIR, 2), [0.0, 1.0, 2.0]), DimensionMismatchError,
+         "row count"),
+        (lambda: stability_selection(np.ones((6, 3)), np.ones(4), 0.1), DimensionMismatchError,
+         "row count"),
         (lambda: lasso_kkt_residual(fit_ridge(featurize(PAIR, 2), [0.0, 1.0]),
                                     featurize(PAIR, 2), [0.0, 1.0]), DomainError, "LASSO"),
         (lambda: classification_report([0.1, 0.9], [0, 2]), DomainError, "0/1"),
         (lambda: two_class_streams(1, 8, 1.5), DomainError, "strength"),
         (lambda: two_class_streams(1, 8, -0.1), DomainError, "strength"),
     ],
-    ids=["transform", "no-streams", "ridge-rows", "lasso-rows", "kkt-of-ridge", "labels",
+    ids=["transform", "no-streams", "ridge-rows", "lasso-rows", "max-penalty-rows", "kkt-rows",
+         "stability-rows", "kkt-of-ridge", "labels",
          "strength-high", "strength-low"],
 )
 def test_input_checks(call, error, match):

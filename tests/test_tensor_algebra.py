@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from sigstream.tensor_algebra import (
     words_of_degree,
 )
 
-from oracles import riemann_iterated_integrals, shuffle_by_interleaving
+from oracles import fraction_exp_log, riemann_iterated_integrals, shuffle_by_interleaving
 
 
 def letter(i, d, depth):
@@ -153,6 +154,19 @@ class TestExpLog:
         s = tensor_mul(tensor_exp(letter(1, 2, 2)), tensor_exp(letter(2, 2, 2)))
         log = tensor_log(s)
         assert np.allclose(log.levels[2], [0.0, 0.5, -0.5, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_exp_and_log_match_exact_series(self, seed):
+        # dyadic entries are exact in floats, so only the series' own rounding remains
+        rng = np.random.default_rng(seed)
+        d, depth = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        levels = [rng.integers(-8, 9, d**k) / 16 for k in range(depth + 1)]
+        for fn, head, log in ((tensor_exp, 0.0, False), (tensor_log, 1.0, True)):
+            levels[0] = np.array([head])
+            got = np.concatenate(fn(TruncatedTensor(d, depth, levels)).levels)
+            exact = fraction_exp_log(levels, d, depth, log)
+            err = max(abs(Fraction(float(g)) - e) for g, e in zip(got, exact))
+            assert err <= 1e-15 * max(abs(e) for e in exact)
 
     def test_log_requires_unit_scalar(self):
         with pytest.raises(DomainError):
