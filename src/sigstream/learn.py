@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DegenerateReportError, DimensionMismatchError, DomainError, NonFiniteResultError
 from .lie_algebra import lyndon_basis
 from .streams import _COEFF_BUDGET, TRANSFORMS, Stream, _log_signature_rows, _signature_levels
+from .streams import _transformed
 from .tensor_algebra import Word, _frozen, _words_up_to
 
 __all__ = [
@@ -90,11 +91,12 @@ def _stacked(streams, transform):
     dims = {s.dimension for s in streams}
     if len(dims) != 1:
         raise DimensionMismatchError(f"streams have mixed dimensions {sorted(dims)}")
-    mapped = [TRANSFORMS[transform](s) for s in streams]
-    sizes = np.array([s.n_samples for s in mapped])
-    starts = np.cumsum(sizes) - sizes
-    points = np.concatenate([s.points for s in mapped])
-    return points, starts, starts + sizes - 1, mapped[0].dimension
+    times = np.concatenate([s.times for s in streams])
+    _, points = _transformed(times, np.concatenate([s.points for s in streams]), transform)
+    ends = np.cumsum([s.n_samples for s in streams]) - 1
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    step = 2 if transform == "leadlag" else 1  # sample i is row 2i of the lead-lag
+    return points, step * starts, step * ends, points.shape[1]
 
 
 @dataclass(eq=False)
@@ -196,9 +198,12 @@ def fit_lasso(
 
     Objective: (1/2n) |y - X beta|^2 + lam |beta|_1 over standardized
     feature columns (intercept unpenalized; the standardization is inverted
-    on output).  Iterates until the largest coefficient change per
-    sweep drops below ``tol``; if ``max_iter`` sweeps do not converge the
-    model is returned with ``converged=False``.
+    on output).  Passes cycle over the active set (Friedman, Hastie &
+    Tibshirani, J. Stat. Softw. 33, 2010): a full pass over all columns that
+    moves a coefficient by ``tol`` or more is followed by passes over the nonzero
+    coefficients until none moves by ``tol``.  A full pass that moves none
+    converges; ``n_iter`` counts passes, and ``max_iter`` of them without
+    converging return the model with ``converged=False``.
     """
     A, y = _design(X, y)
     _check_lam(lam)
@@ -209,13 +214,12 @@ def fit_lasso(
     beta = np.zeros(p)
     residual = yc.copy()
     converged = False
-    sweeps = 0
+    passes = 0
     cols = [z[:, j] for j in range(p)]
-    for sweeps in range(1, max_iter + 1):
+    sweep = everything = np.flatnonzero(usable).tolist()
+    for passes in range(1, max_iter + 1):
         biggest = 0.0
-        for j in range(p):
-            if not usable[j]:
-                continue
+        for j in sweep:
             zj = cols[j]
             old = beta[j]
             rho = (zj @ residual) / n + old  # z columns have unit variance
@@ -224,9 +228,10 @@ def fit_lasso(
                 residual += zj * (old - new)
                 beta[j] = new
                 biggest = max(biggest, abs(new - old))
-        if biggest < tol:
-            converged = True
+        converged = biggest < tol and sweep is everything
+        if converged:
             break
+        sweep = everything if biggest < tol else np.flatnonzero(beta).tolist()
     raw = np.zeros(p)
     with np.errstate(over="ignore", invalid="ignore"):
         raw[usable] = beta[usable] / sigma[usable]
@@ -239,7 +244,7 @@ def fit_lasso(
         lam,
         words=_words_of(X),
         converged=converged,
-        n_iter=sweeps,
+        n_iter=passes,
     )
 
 
@@ -452,6 +457,8 @@ def stability_selection(
     near 1 indicate features selected robustly at this penalty.
     """
     A, y = _design(X, y)
+    if n_rounds < 1 or not 0.0 < fraction <= 1.0:
+        raise DomainError(f"need n_rounds >= 1 and fraction in (0, 1], got {n_rounds}, {fraction}")
     rng = np.random.default_rng(seed)
     n = y.size
     take = max(2, int(round(fraction * n)))

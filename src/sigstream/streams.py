@@ -166,7 +166,7 @@ def write_csv(stream: Stream, dest) -> None:
 
 def time_augment(s: Stream) -> Stream:
     """Prepend time as coordinate 0, turning a d-stream into a (d+1)-stream."""
-    return Stream(s.times, np.column_stack([s.times, s.points]))
+    return Stream(*_transformed(s.times, s.points, "time"))
 
 
 def lead_lag(s: Stream) -> Stream:
@@ -175,13 +175,21 @@ def lead_lag(s: Stream) -> Stream:
     Convention: over each data increment the lead block (dimensions
     1..d) moves first, then the lag block (dimensions d+1..2d) follows.
     """
-    n = s.n_samples
-    times = np.empty(2 * n - 1)
-    times[0::2] = s.times
-    times[1::2] = 0.5 * (s.times[:-1] + s.times[1:])
-    lead = np.repeat(s.points, 2, axis=0)[1:]
-    lag = np.repeat(s.points, 2, axis=0)[:-1]
-    return Stream(times, np.hstack([lead, lag]))
+    return Stream(*_transformed(s.times, s.points, "leadlag"))
+
+
+def _transformed(times, points, transform: str):
+    """Times and points of the named transform of samples (times, points), unchecked.  Rows
+    i..j (2i..2j under lead-lag) depend on samples i..j alone, so stacked streams can share it."""
+    if transform == "time":
+        return times, np.column_stack([times, points])
+    if transform == "leadlag":
+        out = np.empty(2 * len(times) - 1)
+        out[0::2] = times
+        out[1::2] = 0.5 * (times[:-1] + times[1:])
+        doubled = np.repeat(points, 2, axis=0)
+        return out, np.hstack([doubled[1:], doubled[:-1]])
+    return times, points
 
 
 # stream transforms by name, as featurize and the CLI's --transform take them
@@ -274,7 +282,7 @@ def _signature_levels(points, starts, ends, depth: int) -> list[np.ndarray]:
 
     Rows with the same segment count are grouped in first-seen order and folded
     together by ``chen_fold``; a group is folded in slices of rows so that each
-    slice holds at most about _CHUNK_ELEMENTS floats per level of the fold.
+    slice holds about _CACHE_ELEMENTS floats per level, and these stay in cache.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
@@ -286,7 +294,7 @@ def _signature_levels(points, starts, ends, depth: int) -> list[np.ndarray]:
     values, first = np.unique(counts, return_index=True)
     for n in values[np.argsort(first)]:
         members = np.flatnonzero(counts == n)
-        per_slice = max(tensor_algebra._CHUNK_ELEMENTS // (max(n, 1) * d ** (depth - 1)), 1)
+        per_slice = max(tensor_algebra._CACHE_ELEMENTS // (max(n, 1) * d ** (depth - 1)), 1)
         for lo in range(0, members.size, per_slice):
             idx = members[lo : lo + per_slice]
             unit = [np.ones((idx.size, 1))]

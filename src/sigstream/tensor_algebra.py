@@ -34,9 +34,12 @@ __all__ = [
     "from_json_dict",
 ]
 
-# chen_fold takes steps, _prefix_fold paths and streams._signature_levels rows in
-# chunks so that one level's temporaries hold about this many floats (32 MB)
+# memory cap: _prefix_fold's path chunks, lie_algebra._scatter's row slices and the
+# Monte Carlo route test and expansion batch hold about this many floats (32 MB)
 _CHUNK_ELEMENTS = 2**22
+# chen_fold takes steps and streams._signature_levels rows in chunks so that one
+# level's temporaries hold about this many floats (512 KB) and stay in L2 cache
+_CACHE_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,7 @@ def words_of_degree(dim: int, degree: int):
         yield Word(letters)
 
 
+@functools.lru_cache(maxsize=32)
 def _words_up_to(dim: int, depth: int) -> tuple:
     """All words of degrees 0..depth: level by level, each level in lexicographic order."""
     return tuple(w for k in range(depth + 1) for w in words_of_degree(dim, k))
@@ -257,12 +261,13 @@ def chen_fold(levels, increments):
     running level i just before the step.  Levels below N keep their prefix
     over the steps; level N only needs its sum over the steps, which is one
     matmul.  Steps are taken in chunks so that no temporary holds more than
-    about _CHUNK_ELEMENTS floats per level.
+    about _CACHE_ELEMENTS floats per level: temporaries that stay in cache
+    make the fold faster than fewer, larger chunks.
     """
     depth = len(levels) - 1
     batch, steps, d = increments.shape
     out = list(levels)
-    chunk = max(1, _CHUNK_ELEMENTS // (batch * d ** (depth - 1)))
+    chunk = max(1, _CACHE_ELEMENTS // (batch * d ** (depth - 1)))
     for lo in range(0, steps, chunk):
         x = increments[:, lo : lo + chunk]
         n = x.shape[1]

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,7 +33,7 @@ from sigstream.learn import (
 from sigstream.streams import TRANSFORMS, Stream, log_signature, signature
 from sigstream.tensor_algebra import Word, shuffle
 
-from oracles import best_subset_support
+from oracles import best_subset_support, lasso_full_sweeps
 
 
 def random_streams(rng, count, d, n_samples, scale=0.6):
@@ -85,10 +86,29 @@ class TestFeaturize:
             return tensor_algebra.chen_fold(levels, increments)
 
         monkeypatch.setattr(streams_module, "chen_fold", counting_fold)
-        monkeypatch.setattr(tensor_algebra, "_CHUNK_ELEMENTS", 2 * 8 * 4)  # 2 rows of 8 steps
+        monkeypatch.setattr(tensor_algebra, "_CACHE_ELEMENTS", 2 * 8 * 4)  # 2 rows of 8 steps
         sliced = featurize(batch, 3).X
         assert folds == [2, 2, 2, 1, 3]
         assert_rows_close(sliced, whole)
+
+    @pytest.mark.parametrize("case, limit", [("long signature", 8), ("lead-lag batch", 4)])
+    def test_fold_temporaries_stay_small(self, case, limit):
+        # the folds work in cache-sized slices: a 10^5-step signature at depth 4 once
+        # peaked at 28.4 MiB and a 100-stream lead-lag batch at 19.2 MiB
+        rng = np.random.default_rng(12)
+        if case == "long signature":
+            points = rng.standard_normal((100_000, 2)).cumsum(axis=0)
+            call, args = signature, (Stream(np.arange(100_000.0), points), 4)
+        else:
+            call, args = featurize, (random_streams(rng, 100, 2, 65), 4, "leadlag")
+        call(*args)
+        tracemalloc.start()
+        try:
+            call(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * 2**20
 
     def test_coefficient_budget(self, monkeypatch):
         batch = random_streams(np.random.default_rng(9), 3, 2, 5)
@@ -232,6 +252,21 @@ class TestRidge:
         assert all(a >= b - 1e-12 for a, b in zip(norms[:-1], norms[1:]))
 
 
+@st.composite
+def sparse_designs(draw):
+    """A Gaussian design with an intercept column, labels from a planted sparse beta
+    plus noise, and a penalty in [0.05, 0.9] lam_max."""
+    n, p = draw(st.integers(20, 120)), draw(st.integers(3, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    body = rng.standard_normal((n, p))
+    beta = np.zeros(p)
+    planted = rng.choice(p, draw(st.integers(1, min(p, 5))), replace=False)
+    beta[planted] = rng.choice([-1.0, 1.0], planted.size) * rng.uniform(0.5, 2.0, planted.size)
+    A = np.column_stack([np.ones(n), body])
+    y = body @ beta + 0.1 * rng.standard_normal(n)
+    return A, y, draw(st.floats(0.05, 0.9)) * lasso_max_penalty(A, y)
+
+
 class TestLasso:
     def test_unpenalized_matches_ridge(self):
         rng = np.random.default_rng(7)
@@ -279,6 +314,19 @@ class TestLasso:
         worst_zero, worst_active = lasso_kkt_residual(model, A, y)
         assert worst_zero <= 1e-10
         assert worst_active <= 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_designs(), st.integers(1, 5))
+    def test_active_set_passes_match_full_sweeps(self, case, few):
+        A, y, lam = case
+        model = fit_lasso(A, y, lam)
+        want, converged, _ = lasso_full_sweeps(A, y, lam)
+        assert model.converged and converged
+        assert np.array_equal(model.active_set, np.flatnonzero(want[1:]) + 1)
+        assert np.abs(model.coefficients - want).max() <= 1e-8 * np.abs(want).max()
+        assert max(lasso_kkt_residual(model, A, y)) <= 1e-8
+        assert model.n_iter <= 10_000
+        assert fit_lasso(A, y, lam, max_iter=few).n_iter <= few
 
     def test_non_convergence_flagged(self):
         rng = np.random.default_rng(11)
@@ -452,6 +500,14 @@ PAIR = random_streams(np.random.default_rng(0), 2, 2, 5)
          "row count"),
         (lambda: stability_selection(np.ones((6, 3)), np.ones(4), 0.1), DimensionMismatchError,
          "row count"),
+        (lambda: stability_selection(np.ones((6, 3)), np.ones(6), 0.1, n_rounds=0), DomainError,
+         "n_rounds"),
+        (lambda: stability_selection(np.ones((6, 3)), np.ones(6), 0.1, fraction=1.5), DomainError,
+         "fraction"),
+        (lambda: stability_selection(np.ones((6, 3)), np.ones(6), 0.1, fraction=np.nan),
+         DomainError, "fraction"),
+        (lambda: stability_selection(np.ones((6, 3)), np.ones(6), 0.1, fraction=0.0), DomainError,
+         "fraction"),
         (lambda: lasso_kkt_residual(fit_ridge(featurize(PAIR, 2), [0.0, 1.0]),
                                     featurize(PAIR, 2), [0.0, 1.0]), DomainError, "LASSO"),
         (lambda: classification_report([0.1, 0.9], [0, 2]), DomainError, "0/1"),
@@ -459,7 +515,8 @@ PAIR = random_streams(np.random.default_rng(0), 2, 2, 5)
         (lambda: two_class_streams(1, 8, -0.1), DomainError, "strength"),
     ],
     ids=["transform", "no-streams", "ridge-rows", "lasso-rows", "max-penalty-rows", "kkt-rows",
-         "stability-rows", "kkt-of-ridge", "labels",
+         "stability-rows", "stability-rounds", "stability-fraction-high", "stability-fraction-nan",
+         "stability-fraction-zero", "kkt-of-ridge", "labels",
          "strength-high", "strength-low"],
 )
 def test_input_checks(call, error, match):

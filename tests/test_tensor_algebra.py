@@ -239,7 +239,7 @@ class TestChenFold:
         inc = np.concatenate([a, b], axis=1)
         whole = chen_fold(levels, inc)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tensor_algebra, "_CHUNK_ELEMENTS", 1)  # one step per chunk
+            mp.setattr(tensor_algebra, "_CACHE_ELEMENTS", 1)  # one step per chunk
             chunked = chen_fold(levels, inc)
         assert close_levels(chunked, whole)
 
