@@ -462,6 +462,8 @@ def stability_selection(
     rng = np.random.default_rng(seed)
     n = y.size
     take = max(2, int(round(fraction * n)))
+    if take > n:
+        raise DomainError(f"the design has {n} row(s), fewer than the subsample of {take}")
     counts = np.zeros(A.shape[1] - 1)
     for _ in range(n_rounds):
         rows = rng.choice(n, size=take, replace=False)

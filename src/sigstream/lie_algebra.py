@@ -2,16 +2,18 @@
 
 Lyndon words realize a Hall basis: each word w carries its standard right
 factorization w = uv, and its Lie element P_w = [P_u, P_v] expands into words.
-Each degree is held only as integer term arrays, built from two lower degrees;
-one scatter over them rebuilds Lie elements and pairs tensors with the elements,
-and no dense table is formed.  On the Lyndon words' own coefficients the
-expansion is unit triangular with integer entries, so log-signatures get their
-coordinates exactly, level by level, from a cached integral inverse.  Where that
-inverse would multiply rounding error too much (d = 2 from degree 10, d = 3 at
-degree 9), and for the rare rows whose rounding it pushes past the membership
-tolerance, a level takes least squares from the exact Gram matrix of its terms.
-Lie membership is certified two ways: by the residual of the element rebuilt from
-those coordinates and independently by the Dynkin right-bracketing idempotent.
+Each degree is held as integer term arrays, built from two lower degrees, and one
+scatter applies every term table: the elements' terms rebuild Lie elements and,
+swapped, pair tensors with them.  On the Lyndon words' own coefficients the
+expansion is unit triangular and integral, so log-signatures get exact coordinates,
+level by level, from its inverse, cached as a third term table: each row's
+coordinates depend on that row alone.  Where that inverse would multiply rounding
+error too much (d = 2 from degree 10, d = 3 at degree 9), and for the rare rows
+whose rounding it pushes past the membership tolerance, a level takes least squares
+from the exact Gram matrix of its terms; that matrix's column blocks and inverse stay
+dense, as do the Monte Carlo expansion tables of the Lyndon prefix closure.  Lie
+membership is certified by the residual of the element rebuilt from those
+coordinates and independently by the Dynkin right-bracketing idempotent.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotALieElementError
+from .errors import DomainError, NotALieElementError, OutOfDepthError
 from . import tensor_algebra
 from .tensor_algebra import TruncatedTensor, Word, _batch_of_one, _frozen, _shuffle_letters
 
@@ -41,9 +43,9 @@ __all__ = [
 # Lie-membership tolerance of tensor_to_lie_coords: relative to |a|, plus a floor
 _LIE_RTOL = 1e-9
 _LIE_ATOL = 1e-12
-# largest Lyndon-row block (n_k x n_k floats, 128 MiB) whose exact inverse one degree
-# may build and cache (larger degrees raise DomainError), and the widest column block
-# of a Gram matrix sum
+# largest Lyndon-row block (n_k x n_k floats, 128 MiB) that one degree may build and
+# invert densely before keeping the inverse's terms (larger degrees raise DomainError),
+# and the widest column block of a Gram matrix sum
 _TRIANGLE_BUDGET = 2**24
 # largest error gain ||U^{-1}|| of a level's triangular solve; past it, least squares
 _SOLVE_GAIN = 2**12
@@ -243,15 +245,22 @@ def lyndon_basis(dim: int, depth: int) -> tuple[LyndonBasisElement, ...]:
 
 
 def bracket_expand(element, dim: int, depth: int | None = None) -> TruncatedTensor:
-    """Expand a basis element (or raw bracketing tree) into the tensor algebra."""
+    """Expand a basis element (or raw bracketing tree) into the tensor algebra.
+
+    Letters outside 1..dim raise DomainError; a depth below the tree's degree raises
+    OutOfDepthError."""
     tree = element.bracketing if isinstance(element, LyndonBasisElement) else element
     if isinstance(tree, int):
+        if not 1 <= tree <= dim:
+            raise DomainError(f"letter {tree} out of range for dimension {dim}")
         degree, level = 1, np.eye(dim)[tree - 1]
     else:  # [a, b] = ab - ba
         left, right = (bracket_expand(t, dim) for t in tree)
         a, b = left.levels[-1], right.levels[-1]
         degree, level = left.depth + right.depth, np.outer(a, b).ravel() - np.outer(b, a).ravel()
     depth = degree if depth is None else depth
+    if depth < degree:
+        raise OutOfDepthError(f"a bracketing of degree {degree} exceeds depth {depth}")
     levels = [np.zeros(dim**k) for k in range(depth + 1)]
     levels[degree][:] = level
     return TruncatedTensor(dim, depth, levels)
@@ -308,13 +317,12 @@ def _level_terms(dim: int, degree: int) -> tuple:
     return rows, element, word, coef
 
 
-def _scatter(values: np.ndarray, dim: int, degree: int, contract: bool = False) -> np.ndarray:
-    """Rows of ``out[:, dst] += values[:, src] * coef`` over the degree-k terms: with
-    (src, dst) = (element, word), coordinates rebuild their Lie elements; ``contract``
-    swaps them to pair tensors with the Lyndon elements.  One bincount per slice of
-    rows, each slice holding about ``_CHUNK_ELEMENTS`` terms."""
-    rows, src, dst, coef = _level_terms(dim, degree)
-    src, dst, size = (dst, src, len(rows)) if contract else (src, dst, dim**degree)
+def _scatter(values: np.ndarray, src, dst, coef, size: int) -> np.ndarray:
+    """Rows of ``out[:, dst] += values[:, src] * coef``, ``size`` wide: with (src, dst) =
+    (element, word) of ``_level_terms``, coordinates rebuild Lie elements; with (word,
+    element), tensors pair with the elements; ``_level_expansion``'s table solves for
+    coordinates.  One bincount per slice of rows, each slice holding about
+    ``_CHUNK_ELEMENTS`` terms; each row sums in table order, whatever the other rows."""
     out = np.empty((len(values), size))
     step = max(tensor_algebra._CHUNK_ELEMENTS // max(coef.size, 1), 1)
     for lo in range(0, len(values), step):
@@ -342,48 +350,44 @@ def _gram_inverse(dim: int, degree: int) -> np.ndarray:
         block[element[on], word[on] - lo] = coef[on]
         gram += block @ block.T
         del block  # before the next one is allocated
-    inverse = np.linalg.inv(gram)
-    inverse.flags.writeable = False
-    return inverse
+    return _frozen(np.linalg.inv(gram))
 
 
-def _least_squares(x: np.ndarray, dim: int, degree: int) -> np.ndarray:
-    """Least-squares Lyndon coordinates of rows of degree-k tensors.
+def _solve_level(x: np.ndarray, dim: int, degree: int, solve) -> tuple:
+    """Lyndon coordinates of rows of degree-k tensors, by the term table ``solve`` or,
+    if it is None, least squares; and each row's distance to the element they rebuild.
 
-    Corrected semi-normal equations (Björck): each refinement step makes up a
-    factor cond(E E^T)·eps, so the result is as accurate as a QR solve while
-    cond(E)^2·eps stays well below 1 (cond(E) is 6.5e3 at d = 2, k = 12).
+    Least squares takes corrected semi-normal equations (Björck): each refinement step
+    makes up a factor cond(E E^T)·eps, so it is as accurate as QR while cond(E)^2·eps
+    stays well below 1 (cond(E) is 6.5e3 at d = 2, k = 12).  Its products with the Gram
+    inverse are unoptimised einsums: each row sums in one order, whatever the row count.
     """
-    gram_inverse = _gram_inverse(dim, degree)
-    coords = _scatter(x, dim, degree, contract=True) @ gram_inverse
-    for _ in range(_REFINE_STEPS):
-        err = x - _scatter(coords, dim, degree)
-        coords += _scatter(err, dim, degree, contract=True) @ gram_inverse
-    return coords
-
-
-def _solve_level(x: np.ndarray, dim: int, degree: int, exact: bool) -> tuple:
-    """Lyndon coordinates of rows of degree-k tensors (by the triangular solve if ``exact``,
-    else least squares) and each row's distance to the Lie element they rebuild."""
-    rows, projection = _level_expansion(dim, degree)
-    coords = x[:, rows] @ projection if exact else _least_squares(x, dim, degree)
-    err = _scatter(coords, dim, degree) - x
+    rows, element, word, coef = _level_terms(dim, degree)
+    if solve is not None:
+        coords = _scatter(x, *solve)
+        err = x - _scatter(coords, element, word, coef, dim**degree)
+    else:
+        gram_inverse, coords, err = _gram_inverse(dim, degree), 0.0, x
+        for _ in range(_REFINE_STEPS + 1):
+            paired = _scatter(err, word, element, coef, len(rows))
+            coords = coords + np.einsum("ij,jk->ik", paired, gram_inverse, optimize=False)
+            err = x - _scatter(coords, element, word, coef, dim**degree)
     return coords, np.sqrt(np.einsum("ij,ij->i", err, err))
 
 
 @functools.lru_cache(maxsize=None)
-def _level_expansion(dim: int, degree: int) -> tuple:
-    """(rows, projection) for degree-k Lyndon coordinates.
+def _level_expansion(dim: int, degree: int):
+    """The degree-k triangular solve as a term table (src, dst, coef, size), or None.
 
     Since P_w = w + (larger words) (Reutenauer, Free Lie Algebras, Thm 5.1), the
-    terms of the degree-k Lyndon elements on the Lyndon words' ``rows`` form an
-    integral unit upper-triangular block U in basis order, and ``projection`` is
-    U^{-1}: a Lie element x of degree k has coordinates ``x[rows] @ projection``.
+    degree-k Lyndon elements on the Lyndon words form an integral unit triangular
+    block U.  Its inverse, built densely, is kept as terms: coordinate dst gains coef
+    times the coefficient of Lyndon word src (a flat word index).
 
     The solve multiplies rounding error by up to ||U^{-1}||, which grows fast with
     k for small d (d = 2: 1.1e2 at k = 8, 1.8e4 at k = 10, 3.1e10 at k = 14; d = 3:
-    1.8e3 at k = 8, 1.55e4 at k = 9).
-    ``projection`` is None past ``_SOLVE_GAIN``: such levels take least squares.
+    1.8e3 at k = 8, 1.55e4 at k = 9).  Past ``_SOLVE_GAIN`` it is None: such levels
+    take least squares.
     """
     n = witt_dimension(dim, degree)
     if n * n > _TRIANGLE_BUDGET:
@@ -395,11 +399,11 @@ def _level_expansion(dim: int, degree: int) -> tuple:
     on = np.isin(word, rows)
     lower = np.zeros((n, n))  # U^T; the Lyndon rows are in increasing order
     lower[np.searchsorted(rows, word[on]), element[on]] = coef[on]
-    projection = np.ascontiguousarray(_unit_triangular_inverse(lower).T)
-    if n and np.abs(projection).sum(axis=0).max() > _SOLVE_GAIN:
-        return rows, None
-    projection.flags.writeable = False
-    return rows, projection
+    inverse = _unit_triangular_inverse(lower)  # row c: coordinate c on the Lyndon words
+    if n and np.abs(inverse).sum(axis=1).max() > _SOLVE_GAIN:
+        return None
+    dst, j = np.nonzero(inverse)
+    return _frozen(rows[j], np.intp), _frozen(dst, np.intp), _frozen(inverse[dst, j]), n
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,7 +451,9 @@ class LieCoordinates:
         depth = self.depth if depth is None else depth
         ends = np.cumsum([witt_dimension(self.dim, k) for k in range(1, self.depth)])
         parts = np.split(self.values[None], ends, axis=1)[:depth]
-        levels = [np.zeros(1)] + [_scatter(v, self.dim, k)[0] for k, v in enumerate(parts, 1)]
+        levels = [np.zeros(1)]
+        for k, v in enumerate(parts, 1):
+            levels.append(_scatter(v, *_level_terms(self.dim, k)[1:], self.dim**k)[0])
         levels += [np.zeros(self.dim**k) for k in range(self.depth + 1, depth + 1)]
         return TruncatedTensor(self.dim, depth, levels)
 
@@ -483,7 +489,7 @@ def tensor_to_lie_coords(a: TruncatedTensor) -> LieCoordinates:
 
     Each level's coordinates solve the unit-triangular system of the Lyndon
     elements on the Lyndon words' coefficients (see ``_level_expansion``), or,
-    where that solve would lose accuracy, least squares (``_least_squares``).
+    where that solve would lose accuracy, least squares (``_solve_level``).
     Raises NotALieElementError when any level differs from the element rebuilt
     from them by more than ``_LIE_RTOL * |a| + _LIE_ATOL``; this residual test
     is the Lie-membership check.  The absolute floor keeps rounding-level residue
@@ -497,8 +503,9 @@ def tensor_to_lie_coords(a: TruncatedTensor) -> LieCoordinates:
 def _lie_coords(levels, dim: int, depth: int) -> np.ndarray:
     """Lyndon coordinates of each row of (rows, d^k) levels, shape (rows, basis size).
 
-    Each row is checked as ``tensor_to_lie_coords`` checks one tensor, against
-    its own tolerance; the error names the first failing row's lowest failing level.
+    A row's coordinates do not depend on the other rows, and it is checked as one tensor
+    is (``tensor_to_lie_coords``); the error names the first failing row's lowest failing
+    level.
     """
     if levels[0].any():
         raise DomainError("a Lie element has zero level-0 coefficient")
@@ -509,13 +516,13 @@ def _lie_coords(levels, dim: int, depth: int) -> np.ndarray:
     coords, residuals = [levels[1]], np.zeros((len(flat), depth))
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows fail below
         for degree in range(2, depth + 1):
-            x, exact = levels[degree], _level_expansion(dim, degree)[1] is not None
-            c, residuals[:, degree - 1] = _solve_level(x, dim, degree, exact)
+            x, solve = levels[degree], _level_expansion(dim, degree)
+            c, residuals[:, degree - 1] = _solve_level(x, dim, degree, solve)
             # the triangular solve gains rounding error by up to _SOLVE_GAIN; rows that it
             # pushed past the tolerance get least squares, which leaves the least residual
             redo = ~(residuals[:, degree - 1] <= tolerance) & ~np.isnan(tolerance)
-            if exact and redo.any():
-                c[redo], residuals[redo, degree - 1] = _solve_level(x[redo], dim, degree, False)
+            if solve is not None and redo.any():
+                c[redo], residuals[redo, degree - 1] = _solve_level(x[redo], dim, degree, None)
             coords.append(c)
     failing = ~(residuals <= tolerance[:, None])  # NaN residuals fail too
     if failing.any():

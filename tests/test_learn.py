@@ -508,6 +508,7 @@ PAIR = random_streams(np.random.default_rng(0), 2, 2, 5)
          DomainError, "fraction"),
         (lambda: stability_selection(np.ones((6, 3)), np.ones(6), 0.1, fraction=0.0), DomainError,
          "fraction"),
+        (lambda: stability_selection(np.ones((1, 3)), [1.0], 0.1), DomainError, "subsample"),
         (lambda: lasso_kkt_residual(fit_ridge(featurize(PAIR, 2), [0.0, 1.0]),
                                     featurize(PAIR, 2), [0.0, 1.0]), DomainError, "LASSO"),
         (lambda: classification_report([0.1, 0.9], [0, 2]), DomainError, "0/1"),
@@ -516,7 +517,7 @@ PAIR = random_streams(np.random.default_rng(0), 2, 2, 5)
     ],
     ids=["transform", "no-streams", "ridge-rows", "lasso-rows", "max-penalty-rows", "kkt-rows",
          "stability-rows", "stability-rounds", "stability-fraction-high", "stability-fraction-nan",
-         "stability-fraction-zero", "kkt-of-ridge", "labels",
+         "stability-fraction-zero", "stability-one-row", "kkt-of-ridge", "labels",
          "strength-high", "strength-low"],
 )
 def test_input_checks(call, error, match):

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sigstream import tensor_algebra
-from sigstream.errors import DomainError, NotALieElementError
+from sigstream.errors import DomainError, NotALieElementError, OutOfDepthError
+from sigstream.learn import featurize_logsig
 from sigstream.lie_algebra import (
     _LIE_ATOL,
     _LIE_RTOL,
@@ -26,7 +27,15 @@ from sigstream.lie_algebra import (
     tensor_to_lie_coords,
     witt_dimension,
 )
-from sigstream.streams import Stream, log_signature, signature
+from sigstream.streams import (
+    TRANSFORMS,
+    Stream,
+    _cut,
+    _log_signature_rows,
+    log_signature,
+    restrict,
+    signature,
+)
 from sigstream.tensor_algebra import TruncatedTensor, tensor_exp, tensor_log
 
 from oracles import _polynomial_of, _standard_tree, exact_log_signature_lyndon, lyndon_words_brute
@@ -130,6 +139,16 @@ class TestBracketExpand:
         expected[0b010] = -2.0
         expected[0b100] = 1.0
         assert np.allclose(t.levels[3], expected)
+
+    @pytest.mark.parametrize(
+        "tree, depth, error",
+        [(0, None, DomainError), ((1, 0), None, DomainError), (3, None, DomainError),
+         ((1, 2), 1, OutOfDepthError)],
+        ids=["letter-zero", "nested-letter-zero", "letter-above-dim", "depth-below-degree"],
+    )
+    def test_bad_input(self, tree, depth, error):
+        with pytest.raises(error):
+            bracket_expand(tree, 2, depth)
 
 
 class TestCoordinates:
@@ -364,8 +383,8 @@ class TestLevelTerms:
         x = rng.integers(-9, 10, (rows, d**k)).astype(float)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tensor_algebra, "_CHUNK_ELEMENTS", chunk)  # slices of rows
-            assert np.array_equal(_scatter(coords, d, k), coords @ matrix)
-            assert np.array_equal(_scatter(x, d, k, contract=True), x @ matrix.T)
+            assert np.array_equal(_scatter(coords, element, word, coef, d**k), coords @ matrix)
+            assert np.array_equal(_scatter(x, word, element, coef, len(matrix)), x @ matrix.T)
 
 
 class TestTriangularBlock:
@@ -383,10 +402,15 @@ class TestTriangularBlock:
         assert np.array_equal(block, np.rint(block))
         inverse = _unit_triangular_inverse(block)
         assert np.array_equal(block @ inverse, np.eye(n))
-        got_rows, projection = _level_expansion(d, k)
-        assert got_rows.tolist() == rows
+        solve = _level_expansion(d, k)
         if (d, k) != (2, 10):  # its gain passes _SOLVE_GAIN
-            assert np.array_equal(projection, inverse.T)
+            src, dst, coef, size = solve
+            assert size == n and np.all(coef != 0)
+            at = np.searchsorted(rows, src)  # the solve reads the Lyndon words only
+            assert np.array_equal(np.asarray(rows)[at], src)
+            dense = np.zeros((n, n))
+            dense[at, dst] = coef
+            assert np.array_equal(dense, inverse.T)
         _, element, word, coef = _level_terms(d, k)
         on_rows = np.isin(word, rows)
         from_terms = np.zeros((n, n))
@@ -421,6 +445,52 @@ class TestExactOracle:
         stream = Stream(np.arange(float(len(vertices))), np.array(vertices, dtype=float))
         got = log_signature(stream, depth).values
         assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+def sampled_streams(rng, d, lengths):
+    """Random streams of ``d`` coordinates, one per entry of ``lengths`` (sample counts)."""
+    return [
+        Stream(np.cumsum(rng.uniform(0.1, 1.0, m)), rng.standard_normal((m, d)).cumsum(axis=0))
+        for m in lengths
+    ]
+
+
+class TestBatchInvariance:
+    """A stream's log-signature depends on that stream alone: a row computed in a batch
+    equals, bit for bit, the row of its stream signed on its own."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 4), st.integers(1, 6), st.lists(st.integers(1, 70), min_size=1, max_size=40),
+        st.integers(2, 9), st.integers(0, 2**32 - 1),
+    )
+    def test_feature_and_step_rows_equal_lone_log_signatures(self, d, depth, lengths, cuts, seed):
+        rng = np.random.default_rng(seed)
+        streams = sampled_streams(rng, d, lengths)
+        for transform, apply in TRANSFORMS.items():
+            dim = {"none": d, "time": d + 1, "leadlag": 2 * d}[transform]
+            if dim**depth > 5**6:  # keep each example cheap
+                continue
+            rows = featurize_logsig(streams, depth, transform).X[:, 1:]
+            for row, s in zip(rows, streams):
+                assert np.array_equal(row, log_signature(apply(s), depth).values)
+            # the log-ODE steps of the longest stream, cut as logode.solve cuts them
+            s = apply(max(streams, key=lambda s: s.n_samples))
+            if s.n_samples < 2:
+                continue
+            picks = np.concatenate([rng.uniform(*s.interval, cuts), rng.choice(s.times, cuts)])
+            bounds = np.unique(np.concatenate([s.interval, picks]))
+            _, points, index = _cut(s, bounds)
+            steps = _log_signature_rows(points, index[:-1], index[1:], depth)
+            for row, lo, hi in zip(steps, bounds[:-1], bounds[1:]):
+                assert np.array_equal(row, log_signature(restrict(s, lo, hi), depth).values)
+
+    def test_least_squares_rows_equal_lone_log_signatures(self):
+        # (2, 10) is solved by least squares (see TestLeastSquaresLevels)
+        streams = sampled_streams(np.random.default_rng(15), 2, range(2, 62, 2))
+        rows = featurize_logsig(streams, 10).X[:, 1:]
+        for row, s in zip(rows, streams):
+            assert np.array_equal(row, log_signature(s, 10).values)
 
 
 class TestColdSetUp:
@@ -474,10 +544,10 @@ class TestLeastSquaresLevels:
     squares."""
 
     def test_ill_conditioned_levels_switch(self):
-        assert _level_expansion(2, 9)[1] is not None
-        assert _level_expansion(2, 10)[1] is None
-        assert _level_expansion(3, 8)[1] is not None
-        assert _level_expansion(3, 9)[1] is None  # ||U^{-1}|| = 1.55e4
+        assert _level_expansion(2, 9) is not None
+        assert _level_expansion(2, 10) is None
+        assert _level_expansion(3, 8) is not None
+        assert _level_expansion(3, 9) is None  # ||U^{-1}|| = 1.55e4
 
     def test_lie_elements_match_least_squares(self):
         rng = np.random.default_rng(13)
@@ -500,9 +570,8 @@ class TestLeastSquaresLevels:
         rng = np.random.default_rng(11)
         s = Stream(np.arange(5.0), np.cumsum(rng.normal(size=(5, 2)), axis=0))
         t = tensor_log(signature(s, 9))
-        rows, projection = _level_expansion(2, 9)
         tolerance = _LIE_RTOL * np.sqrt(sum(float(lvl @ lvl) for lvl in t.levels)) + _LIE_ATOL
-        solved = t.levels[9][rows] @ projection
+        solved = _scatter(t.levels[9][None], *_level_expansion(2, 9))[0]
         assert np.linalg.norm(least_squares(2, 9)[0] @ solved - t.levels[9]) > tolerance
         # level 9 is redone; the levels below keep the solve's rounding, up to 2e-11 here
         top = -witt_dimension(2, 9)
