@@ -5,6 +5,14 @@ problems on a finite-difference grid (each tensor component of level n+2 is
 sourced by levels n and n+1), and a direct Monte Carlo average of stopped-path
 signatures.  A radius diagnostic reports the per-level norm profile used to
 reason about convergence of sum_n z^n |E S^n|; it makes no determinacy claim.
+
+A domain is any object with four members; GridDomain and mc_expected_sig use
+no others, so it needs no base class.  ``bbox`` is (x0, x1, y0, y1), ``anchor``
+an interior point, ``contains(points)`` tests for strictly inside (domains are
+open), and ``ray_hits(origins, directions)`` gives per ray the least t > 0 with
+origin + t * direction on the boundary (non-finite where the ray misses it).
+A segment p0 -> p1 leaves at fraction clip(ray_hits(p0, p1 - p0), 0, 1), and
+the distance to the boundary along a unit direction u is ray_hits(p, u).
 """
 
 from __future__ import annotations
@@ -38,27 +46,7 @@ _THETA_FLOOR = 1e-8
 _BLOCK_STEPS = 8  # Monte Carlo steps drawn and folded per block
 
 
-class _RayDomain:
-    """Segment crossings and boundary distances from one ray-hit primitive.
-
-    Subclasses provide ``_ray_hits(origins, directions)``: for each ray from
-    an interior origin, the smallest positive t with origin + t * direction
-    on the boundary (non-finite where the ray does not hit it).
-    """
-
-    def crossing_fraction(self, p0, p1) -> np.ndarray:
-        """Fraction a in (0, 1] where the segment p0 -> p1 first hits the boundary."""
-        p0 = np.atleast_2d(p0)
-        t = self._ray_hits(p0, np.atleast_2d(p1) - p0)
-        return np.clip(np.where(np.isfinite(t), t, 1.0), 0.0, 1.0)
-
-    def boundary_distance(self, point, direction) -> float:
-        """Distance from an interior point to the boundary along a unit direction."""
-        t = self._ray_hits(np.asarray(point)[None, :], np.asarray(direction)[None, :])
-        return float(t[0])
-
-
-class DiskDomain(_RayDomain):
+class DiskDomain:
     """Open disk of radius r; the default centre is the origin."""
 
     def __init__(self, radius: float, center=(0.0, 0.0)):
@@ -82,7 +70,7 @@ class DiskDomain(_RayDomain):
         dy = pts[..., 1] - self.center[1]
         return dx * dx + dy * dy < self.radius**2
 
-    def _ray_hits(self, origins, directions):
+    def ray_hits(self, origins, directions):
         """Larger root t of |origin + t * direction - center| = radius, per ray."""
         p = np.atleast_2d(origins) - self.center
         d = np.atleast_2d(directions)
@@ -97,7 +85,7 @@ class DiskDomain(_RayDomain):
         return f"disk:{self.radius:g}"
 
 
-class PolygonDomain(_RayDomain):
+class PolygonDomain:
     """Open simple polygon given by its vertex loop (closing edge implied)."""
 
     def __init__(self, vertices):
@@ -140,7 +128,7 @@ class PolygonDomain(_RayDomain):
             )
         return inside & ~on_edge
 
-    def _ray_hits(self, origins, directions):
+    def ray_hits(self, origins, directions):
         """Smallest positive fraction along each ray to any polygon edge."""
         origins = np.atleast_2d(origins)
         directions = np.atleast_2d(directions)
@@ -237,7 +225,7 @@ class GridDomain:
         self.theta = np.ones((self.n_interior, 4))
         if self.boundary == "exact":
             cut, k = np.nonzero(self.neighbour < 0)
-            dist = self.descriptor._ray_hits(self.points[cut], _DIRECTIONS[k])
+            dist = self.descriptor.ray_hits(self.points[cut], _DIRECTIONS[k])
             self.theta[cut, k] = np.clip(dist / self.h, _THETA_FLOOR, 1.0)
 
     @property
@@ -318,9 +306,7 @@ class ExpectedSigField:
 
     def at_point(self, xy) -> TruncatedTensor:
         idx = self.grid.index_of_point(xy)
-        return TruncatedTensor(
-            2, self.depth, [lvl[:, idx] for lvl in self.levels]
-        )
+        return TruncatedTensor(2, self.depth, [lvl[:, idx] for lvl in self.levels])
 
     def center_values(self) -> TruncatedTensor:
         return self.at_point(self.grid.descriptor.anchor)
@@ -374,23 +360,19 @@ def _chen_fold_columns(levels, increments):
 
 
 def mc_expected_sig(
-    domain,
-    start,
-    depth: int,
-    paths: int,
-    dt: float,
-    seed: int,
+    domain, start, depth: int, paths: int, dt: float, seed: int
 ) -> McExpectedSignature:
     """Monte Carlo expected signature of Brownian motion stopped at the boundary.
 
-    Paths advance by Gaussian increments of variance dt until the first
-    sampled position leaves the domain; the exit point interpolates the
-    crossing segment onto the analytic boundary (no exponential-exit
-    correction, so the discretisation bias is O(sqrt(dt))).  Increments are
-    drawn in blocks of ``_BLOCK_STEPS`` steps (a module constant) for all
-    live paths; a path that exits in the block has its exit step cut at the
-    boundary and its later steps zeroed.  Each live path carries only the
-    signature coordinates on the prefixes of the Lyndon words, which one
+    ``domain`` is a domain as in the module docstring (of a grid: its
+    ``descriptor``).  Paths advance by Gaussian increments of variance dt
+    until the first sampled position leaves the domain; ``ray_hits`` cuts the
+    crossing segment at the boundary (no exponential-exit correction, so the
+    discretisation bias is O(sqrt(dt))).  Increments are drawn in blocks of
+    ``_BLOCK_STEPS`` steps (a module constant) for all live paths; a path
+    that exits in the block has its exit step cut at the boundary and its
+    later steps zeroed.  Each live path carries only the signature
+    coordinates on the prefixes of the Lyndon words, which one
     ``_prefix_fold`` per block updates; stopped paths are stored in exit order,
     and after the loop ``_expand_lyndon`` expands them to whole signatures.
     (Where the expansion tables would exceed _CHUNK_ELEMENTS floats, beyond
@@ -398,11 +380,10 @@ def mc_expected_sig(
     Stopped signatures are averaged with elementwise standard errors.  Fixed
     seed implies byte-identical output.
     """
-    descriptor = domain.descriptor if isinstance(domain, GridDomain) else domain
     start = np.asarray(start, dtype=float)
     if start.shape != (2,):
         raise DomainError(f"start must be one 2-D point, got shape {start.shape}")
-    if not bool(descriptor.contains(start[None, :])[0]):
+    if not bool(domain.contains(start[None, :])[0]):
         raise DomainError(f"start point {start} is not strictly interior")
     if depth < 1 or paths < 1 or seed < 0 or not 0 < dt < math.inf:
         raise DomainError("need depth >= 1, paths >= 1, seed >= 0 and a finite dt > 0")
@@ -441,7 +422,7 @@ def mc_expected_sig(
         for i in range(1, _BLOCK_STEPS):  # np.cumsum along axis 0 is ~8x slower
             positions[i] += positions[i - 1]
         positions += pos
-        inside = descriptor.contains(positions.transpose(0, 2, 1))
+        inside = domain.contains(positions.transpose(0, 2, 1))
         # a path stops at its first sampled position outside the domain: that
         # step is cut at the boundary and later steps become exp(0), the unit
         exit_step = np.where(inside.all(axis=0), _BLOCK_STEPS, inside.argmin(axis=0))
@@ -449,7 +430,8 @@ def mc_expected_sig(
         if exits.size:
             t = exit_step[exits]
             before = np.where((t > 0)[:, None], positions[t - 1, :, exits], pos[:, exits].T)
-            frac = descriptor.crossing_fraction(before, positions[t, :, exits])
+            hit = domain.ray_hits(before, positions[t, :, exits] - before)
+            frac = np.clip(np.where(np.isfinite(hit), hit, 1.0), 0.0, 1.0)
             x[t, :, exits] *= frac[:, None]
             later = (steps[:, None] > t)[:, None, :]
             x[:, :, exits] = np.where(later, 0.0, x[:, :, exits])
@@ -506,9 +488,7 @@ class RadiusDiagnostic:
 def radius_diagnostic(source, point=None) -> RadiusDiagnostic:
     """Norm profile of a tensor or of an expected-signature field at a point."""
     if isinstance(source, ExpectedSigField):
-        tensor = source.at_point(
-            source.grid.descriptor.anchor if point is None else point
-        )
+        tensor = source.at_point(source.grid.descriptor.anchor if point is None else point)
     elif isinstance(source, TruncatedTensor):
         tensor = source
     else:

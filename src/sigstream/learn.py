@@ -173,21 +173,23 @@ def fit_ridge(X, y, lam: float = 0.0) -> LinearModel:
     return LinearModel(coef, "ridge", lam, words=_words_of(X))
 
 
-def _standardize(A):
+def _standardize(X, y):
+    """The LASSO prologue: (z, mu, sigma, usable, y, yc), where z holds the feature
+    columns standardized by their means mu and deviations sigma (zero where a column
+    is constant, i.e. not ``usable``), y is the checked response and yc = y - mean."""
+    A, y = _design(X, y)
     body = A[:, 1:]
     mu = body.mean(axis=0)
     sigma = body.std(axis=0)
     usable = sigma > 0
     z = np.zeros_like(body)
     z[:, usable] = (body[:, usable] - mu[usable]) / sigma[usable]
-    return z, mu, sigma, usable
+    return z, mu, sigma, usable, y, y - y.mean()
 
 
 def lasso_max_penalty(X, y) -> float:
     """Smallest lam that zeroes every penalized coefficient (standardized columns)."""
-    A, y = _design(X, y)
-    z, _, _, _ = _standardize(A)
-    yc = y - y.mean()
+    z, _, _, _, y, yc = _standardize(X, y)
     return float(np.abs(z.T @ yc).max() / y.size)
 
 
@@ -205,11 +207,9 @@ def fit_lasso(
     converges; ``n_iter`` counts passes, and ``max_iter`` of them without
     converging return the model with ``converged=False``.
     """
-    A, y = _design(X, y)
+    z, mu, sigma, usable, y, yc = _standardize(X, y)
     _check_lam(lam)
     n = y.size
-    z, mu, sigma, usable = _standardize(A)
-    yc = y - y.mean()
     p = z.shape[1]
     beta = np.zeros(p)
     residual = yc.copy()
@@ -257,9 +257,7 @@ def lasso_kkt_residual(model: LinearModel, X, y) -> tuple[float, float]:
     """
     if model.method != "lasso":
         raise DomainError("KKT residuals are defined for LASSO models")
-    A, y = _design(X, y)
-    z, mu, sigma, usable = _standardize(A)
-    yc = y - y.mean()
+    z, _, sigma, usable, y, yc = _standardize(X, y)
     beta_std = model.coefficients[1:] * sigma
     grad = z.T @ (yc - z @ beta_std) / y.size
     zero = (beta_std == 0) & usable

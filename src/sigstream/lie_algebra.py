@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,9 +74,16 @@ class LyndonBasisElement:
         return render_bracketing(self.bracketing)
 
 
+def _is_letter(tree) -> bool:
+    """Whether a bracketing tree is a letter: any integer but a bool, which raises."""
+    if isinstance(tree, bool):
+        raise DomainError(f"a letter must be an integer, not {tree!r}")
+    return isinstance(tree, numbers.Integral)
+
+
 def render_bracketing(tree) -> str:
     """Nested-bracket text form, e.g. ``[1,[1,2]]``; single letters render bare."""
-    if isinstance(tree, int):
+    if _is_letter(tree):
         return str(tree)
     left, right = tree
     return f"[{render_bracketing(left)},{render_bracketing(right)}]"
@@ -247,10 +255,11 @@ def lyndon_basis(dim: int, depth: int) -> tuple[LyndonBasisElement, ...]:
 def bracket_expand(element, dim: int, depth: int | None = None) -> TruncatedTensor:
     """Expand a basis element (or raw bracketing tree) into the tensor algebra.
 
-    Letters outside 1..dim raise DomainError; a depth below the tree's degree raises
+    A letter is any integer but a bool.  Bool letters and letters outside 1..dim
+    raise DomainError; a depth below the tree's degree raises
     OutOfDepthError."""
     tree = element.bracketing if isinstance(element, LyndonBasisElement) else element
-    if isinstance(tree, int):
+    if _is_letter(tree):
         if not 1 <= tree <= dim:
             raise DomainError(f"letter {tree} out of range for dimension {dim}")
         degree, level = 1, np.eye(dim)[tree - 1]

@@ -2,9 +2,9 @@
 
 A stream is a timestamped sequence of points in R^d, read as the piecewise
 linear path through them.  Signatures are computed exactly (up to rounding)
-as the ordered product of per-segment exponentials, via Chen's identity, in
-one call to ``tensor_algebra.chen_fold`` per group of equal-length streams,
-whatever the streams' length.
+as the ordered product of per-segment exponentials, via Chen's identity, by
+``tensor_algebra.chen_fold`` on groups of equal-length streams, each group
+folded in slices of rows that stay in cache.
 Also provides CSV ingestion, the canonical time-augmentation and lead-lag
 transforms, and a computable lower-bound profile for the p-variation
 signature metric.

@@ -330,7 +330,7 @@ def grid_neighbours_per_offset(grid):
         if grid.boundary == "exact":
             cut = np.nonzero(idx < 0)[0]
             direction = np.array(offsets[k], dtype=float)
-            dist = grid.descriptor._ray_hits(
+            dist = grid.descriptor.ray_hits(
                 grid.points[cut], np.broadcast_to(direction, (cut.size, 2))
             )
             theta[cut, k] = np.clip(dist / grid.h, 1e-8, 1.0)  # the theta floor

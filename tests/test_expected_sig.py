@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigstream import streams as streams_module
 from sigstream import tensor_algebra
@@ -20,6 +22,51 @@ from sigstream.streams import Stream, signature
 from oracles import grid_neighbours_per_offset, laplacian_per_direction, poisson_sources_per_word
 
 DISK = DiskDomain(1.0)
+
+
+@st.composite
+def rays_in_domains(draw):
+    """A disk of random centre and radius, or a polygon star-shaped about a random
+    centre (vertex angles a gap below pi apart); one to five interior origins, each
+    on a segment from the centre to the boundary, and directions of any scale."""
+    coordinate = st.floats(-5.0, 5.0)
+    centre = np.array([draw(coordinate), draw(coordinate)])
+    size = draw(st.floats(0.01, 10.0))
+    rays = draw(st.integers(1, 5))
+
+    def column(elements, n=rays):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    def unit(angle):
+        return np.column_stack([np.cos(angle), np.sin(angle)])
+
+    if draw(st.booleans()):
+        domain = DiskDomain(size, centre)
+        edge = centre + size * unit(column(st.floats(0.0, 2 * np.pi)))
+    else:
+        n = draw(st.integers(3, 8))
+        gaps = column(st.floats(1.0, 1.9), n)
+        radius = size * column(st.floats(0.2, 1.0), n)
+        vertices = centre + radius[:, None] * unit(2 * np.pi * np.cumsum(gaps) / gaps.sum())
+        domain = PolygonDomain(vertices)
+        k = column(st.integers(0, n - 1))
+        u = column(st.floats(0.0, 1.0))
+        edge = vertices[k] + u[:, None] * (vertices[(k + 1) % n] - vertices[k])
+    origins = centre + column(st.floats(0.0, 0.9))[:, None] * (edge - centre)
+    length = 10.0 ** column(st.floats(-6.0, 6.0))
+    directions = length[:, None] * unit(column(st.floats(0.0, 2 * np.pi)))
+    return domain, origins, directions
+
+
+def boundary_gap(domain, points):
+    """Distance from each point to the domain's boundary."""
+    if isinstance(domain, DiskDomain):
+        return np.abs(np.hypot(*(points - domain.center).T) - domain.radius)
+    a = domain.vertices
+    edge = np.roll(a, -1, axis=0) - a
+    rel = points[:, None, :] - a
+    u = np.clip((rel * edge).sum(axis=2) / (edge**2).sum(axis=1), 0.0, 1.0)
+    return np.hypot(*(rel - u[..., None] * edge).transpose(2, 0, 1)).min(axis=1)
 
 # mc_expected_sig(DISK, (0, 0), 4, paths=300, dt=5e-3, seed=7) as the whole-tensor
 # Chen fold computed it, before the Lyndon prefix fold
@@ -60,27 +107,32 @@ class TestDomains:
         got = DISK.contains(pts)
         assert list(got) == [True, True, False, False]
 
-    def test_disk_crossing_fraction(self):
-        frac = DISK.crossing_fraction(np.array([[0.0, 0.0]]), np.array([[2.0, 0.0]]))
-        assert frac[0] == pytest.approx(0.5)
+    def test_disk_rays(self):
+        origins = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.0]])
+        directions = np.array([[2.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+        assert DISK.ray_hits(origins, directions) == pytest.approx([0.5, 0.5, 1.5])
 
-    def test_disk_boundary_distance(self):
-        d = DISK.boundary_distance(np.array([0.5, 0.0]), np.array([1.0, 0.0]))
-        assert d == pytest.approx(0.5)
-        d2 = DISK.boundary_distance(np.array([0.5, 0.0]), np.array([-1.0, 0.0]))
-        assert d2 == pytest.approx(1.5)
-
-    def test_polygon_contains_and_crossing(self):
+    def test_polygon_contains_and_rays(self):
         square = PolygonDomain([(-1, -1), (1, -1), (1, 1), (-1, 1)])
         assert bool(square.contains(np.array([[0.0, 0.0]]))[0])
         assert not bool(square.contains(np.array([[1.5, 0.0]]))[0])
-        frac = square.crossing_fraction(
-            np.array([[0.0, 0.0]]), np.array([[2.0, 0.0]])
-        )
-        assert frac[0] == pytest.approx(0.5)
-        assert square.boundary_distance(
-            np.array([0.0, 0.0]), np.array([0.0, 1.0])
-        ) == pytest.approx(1.0)
+        hits = square.ray_hits(np.zeros((2, 2)), np.array([[2.0, 0.0], [0.0, 1.0]]))
+        assert hits == pytest.approx([0.5, 1.0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(rays_in_domains())
+    def test_rays_meet_the_boundary_first(self, case):
+        domain, origins, directions = case
+        scale = np.abs(domain.bbox).max()
+        assert domain.contains(origins).all()
+        t = domain.ray_hits(origins, directions)
+        assert np.isfinite(t).all() and (t > 0).all()
+        hits = origins + t[:, None] * directions
+        assert boundary_gap(domain, hits).max() <= 1e-12 * scale
+        for s in (0.5, 0.999):
+            assert domain.contains(origins + s * t[:, None] * directions).all()
+        if isinstance(domain, DiskDomain):
+            assert not domain.contains(origins + 1.001 * t[:, None] * directions).any()
 
     def test_parse_domain(self):
         d = parse_domain("disk:2.5")

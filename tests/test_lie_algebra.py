@@ -143,12 +143,25 @@ class TestBracketExpand:
     @pytest.mark.parametrize(
         "tree, depth, error",
         [(0, None, DomainError), ((1, 0), None, DomainError), (3, None, DomainError),
-         ((1, 2), 1, OutOfDepthError)],
-        ids=["letter-zero", "nested-letter-zero", "letter-above-dim", "depth-below-degree"],
+         ((1, 2), 1, OutOfDepthError), (True, None, DomainError), ((1, True), None, DomainError)],
+        ids=["letter-zero", "nested-letter-zero", "letter-above-dim", "depth-below-degree",
+             "bool-letter", "nested-bool-letter"],
     )
     def test_bad_input(self, tree, depth, error):
         with pytest.raises(error):
             bracket_expand(tree, 2, depth)
+
+    def test_bool_letters_do_not_render(self):
+        for tree in (True, (1, False)):
+            with pytest.raises(DomainError):
+                render_bracketing(tree)
+
+    def test_numpy_letters_match_int_letters(self):
+        for tree, as_int in ((np.int64(1), 1), ((1, np.int64(2)), (1, 2)),
+                             ((np.int32(1), (1, np.uint8(2))), (1, (1, 2)))):
+            got, want = bracket_expand(tree, 2, 4), bracket_expand(as_int, 2, 4)
+            assert all(np.array_equal(a, b) for a, b in zip(got.levels, want.levels))
+            assert render_bracketing(tree) == render_bracketing(as_int)
 
 
 class TestCoordinates:
