@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that raise them."""
+
+import numbers
 
 
 class DimensionMismatchError(ValueError):
@@ -48,3 +50,10 @@ class DegenerateReportError(ValueError):
 
 class TimeCapError(RuntimeError):
     """Monte Carlo paths were still running when the simulated time cap ran out."""
+
+
+def _count(name, value, lo):
+    """value as an int, when it is an integer (a bool is not) of at least lo."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+        raise DomainError(f"{name} must be an integer >= {lo}, got {value!r}")
+    return int(value)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, TimeCapError
+from .errors import DimensionMismatchError, DomainError, TimeCapError, _count
 from . import tensor_algebra
 from .lie_algebra import _expand_lyndon, _prefix_plan
 from .streams import _COEFF_BUDGET, _check_budget
@@ -54,6 +54,8 @@ class DiskDomain:
             raise DomainError(f"radius must be positive and finite, got {radius}")
         self.radius = float(radius)
         self.center = np.asarray(center, dtype=float)
+        if self.center.shape != (2,) or not np.isfinite(self.center).all():
+            raise DomainError(f"center must be one finite 2-D point, got {center!r}")
 
     @property
     def bbox(self):
@@ -170,6 +172,14 @@ def parse_domain(text: str):
     raise DomainError(f"unknown domain descriptor {text!r}")
 
 
+def _distinct_rows(rows):
+    """Where each distinct row of a 2-D array (by its bytes) first appears, and
+    per row its position among those: rows[first][inverse] equals rows."""
+    positions = {}
+    inverse = [positions.setdefault(row.tobytes(), len(positions)) for row in rows]
+    return np.unique(inverse, return_index=True)[1], np.array(inverse)
+
+
 _DIRECTIONS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
@@ -248,21 +258,36 @@ class GridDomain:
         return self._matrix
 
     def solve_poisson(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (discrete Laplacian) u = rhs with zero Dirichlet data.
+        """Solve (discrete Laplacian) u = rhs with zero Dirichlet data; rhs is
+        (n_interior,) or (n_interior, columns).
 
-        The sparse factorization is built once per grid and reused for every
-        component and level.
+        The sparse LU factorization is built once per grid and reused for
+        every component and level.  It takes its pivots from the diagonal,
+        with no row interchanges, in a minimum-degree ordering of A + A^T:
+        the pattern is symmetric (every neighbour link runs both ways), and
+        the matrix is an irreducibly diagonally dominant M-matrix (positive
+        neighbour weights, a centre equal to minus their sum, strictly more
+        where a direction meets the boundary), so that LU exists without
+        pivot growth.  Each distinct column (by its bytes) is solved once and
+        its solution copied to the duplicates.
         """
         if self._lu is None:
             import scipy.sparse.linalg
 
             try:
-                self._lu = scipy.sparse.linalg.splu(self.laplacian.tocsc())
+                self._lu = scipy.sparse.linalg.splu(
+                    self.laplacian.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    panel_size=4, options={"SymmetricMode": True},
+                )
             except RuntimeError as exc:  # "SUPERLU_MALLOC fails for ..."
                 if "SUPERLU_MALLOC" not in str(exc):
                     raise
                 raise MemoryError(str(exc)) from None
-        return self._lu.solve(np.asarray(rhs, dtype=float))
+        rhs = np.asarray(rhs, dtype=float)
+        rows = rhs.reshape(rhs.shape[0], -1).T  # one row per right-hand side
+        first, inverse = _distinct_rows(rows)
+        solved = self._lu.solve(rows[first].T).T  # one row per distinct right-hand side
+        return solved[inverse].T.reshape(rhs.shape)
 
     def derivative(self, u: np.ndarray, axis: int) -> np.ndarray:
         """First derivative of interior grid functions u (..., n_interior), zero
@@ -320,8 +345,7 @@ def solve_recurrence(grid: GridDomain, depth: int) -> ExpectedSigField:
     from the two levels below (self-pairing of the leading letters and first
     derivatives), and zero boundary data.
     """
-    if depth < 2:
-        raise DomainError("depth must be >= 2")
+    depth = _count("depth", depth, 2)
     d = 2
     n = grid.n_interior
     _check_budget(n, d, depth, f"expected signatures at {n} grid points")
@@ -330,8 +354,9 @@ def solve_recurrence(grid: GridDomain, depth: int) -> ExpectedSigField:
     for level in range(2, depth + 1):
         # source of word i j w: -2 d_i f(j w), less f(w) where i == j; written
         # 0.0 - x so that zero sources keep the sign +0.0
+        first, inverse = _distinct_rows(levels[-1])
         rhs = 0.0 - 2.0 * np.concatenate(
-            [grid.derivative(levels[-1], axis=i) for i in letters]
+            [grid.derivative(levels[-1][first], axis=i)[inverse] for i in letters]
         )
         rhs.reshape(d, d, -1, n)[letters, letters] -= levels[-2]
         levels.append(grid.solve_poisson(rhs.T).T)
@@ -385,8 +410,11 @@ def mc_expected_sig(
         raise DomainError(f"start must be one 2-D point, got shape {start.shape}")
     if not bool(domain.contains(start[None, :])[0]):
         raise DomainError(f"start point {start} is not strictly interior")
-    if depth < 1 or paths < 1 or seed < 0 or not 0 < dt < math.inf:
-        raise DomainError("need depth >= 1, paths >= 1, seed >= 0 and a finite dt > 0")
+    depth = _count("depth", depth, 1)
+    paths = _count("paths", paths, 1)
+    seed = _count("seed", seed, 0)
+    if not 0 < dt < math.inf:
+        raise DomainError(f"dt must be positive and finite, got {dt}")
     d = 2
     _check_budget(paths, d, depth, f"{paths} Monte Carlo path signature(s)")
     rng = np.random.default_rng(seed)

@@ -114,10 +114,10 @@ class TestOversizedArguments:
             ["expsig", "--domain", "disk:1", "--h", "1e-6", "--depth", "2"],  # a 29 TiB grid
             ["expsig", "--domain", "polygon:0,0;1e9,0;0,1", "--h", "1", "--depth", "2"],
             ["expsig", "--domain", "disk:1", "--h", "1e-320", "--depth", "2"],  # 1 / h overflows
-            # under the node budget, but the grid's arrays (2e-4) or its LU factors (2e-3) do
+            # under the node budget, but the grid's arrays (2e-4) or its LU factors (1e-3) do
             # not fit: memory errors, where SuperLU also prints a line of its own
             ["expsig", "--domain", "disk:1", "--h", "2e-4", "--depth", "2"],
-            ["expsig", "--domain", "disk:1", "--h", "2e-3", "--depth", "2"],
+            ["expsig", "--domain", "disk:1", "--h", "1e-3", "--depth", "2"],
             ["logode", "--depth", "2", "--steps", "1000000000", "--system", "{system}",
              "{driver}"],
             ["gen-synth", "--out", "{out}", "--n-per-class", "1", "--steps", "1000000000",

@@ -159,6 +159,12 @@ class TestDomains:
         assert not triangle.contains(np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])).any()
         assert triangle.contains(np.array([[0.5, 0.5]])).all()
 
+    def test_disk_center_must_be_one_finite_point(self):
+        for center in ((math.nan, 0.0), (math.inf, 0.0), (1.0,), (0.0, 0.0, 0.0), [[0.0, 0.0]]):
+            with pytest.raises(DomainError):
+                DiskDomain(1.0, center)
+        assert DiskDomain(1.0, (0.5, -0.25)).contains(np.array([[0.5, 0.5]]))[0]
+
     def test_non_finite_sizes_rejected(self):
         for radius in (math.inf, math.nan, 0.0):
             with pytest.raises(DomainError):
@@ -166,6 +172,15 @@ class TestDomains:
         for h in (math.inf, math.nan, -0.1):
             with pytest.raises(DomainError):
                 GridDomain(DISK, h)
+
+
+# the disk, and a square whose left and lower edges lie 1e-12 beyond grid lines: its
+# nodes there have theta at the floor, 1e-8, and neighbour weights near 2e8 / h^2
+POISSON_GRIDS = [
+    pytest.param(DISK, 0.05, id="disk"),
+    pytest.param(PolygonDomain([(-1 - 1e-12, -1 - 1e-12), (1, -1 - 1e-12), (1, 1),
+                                (-1 - 1e-12, 1)]), 0.1, id="theta-floor"),
+]
 
 
 class TestGrid:
@@ -179,12 +194,22 @@ class TestGrid:
         expected = math.pi / 0.05**2
         assert abs(grid.n_interior - expected) / expected < 0.05
 
-    def test_poisson_residual_small(self):
-        grid = GridDomain(DISK, 0.05)
-        rhs = np.ones(grid.n_interior)
-        u = grid.solve_poisson(rhs)
-        residual = np.linalg.norm(grid.laplacian @ u - rhs) / np.linalg.norm(rhs)
-        assert residual < 1e-10
+    @pytest.mark.parametrize("domain, h", POISSON_GRIDS)
+    def test_poisson_residual_small(self, domain, h):
+        grid = GridDomain(domain, h)
+        n = grid.n_interior
+        ones, noise = np.ones(n), np.random.default_rng(8).standard_normal(n)
+        # repeated and all-zero columns, each solved once and copied
+        rhs = np.column_stack([ones, np.zeros(n), noise, ones, np.zeros(n), noise])
+        for b in (ones, rhs):
+            u = grid.solve_poisson(b)
+            assert u.shape == b.shape
+            residual = np.linalg.norm(grid.laplacian @ u - b) / np.linalg.norm(b)
+            assert residual <= 1e-12
+        # u now solves the six columns
+        for i, j in ((0, 3), (1, 4), (2, 5)):
+            assert u[:, i].tobytes() == u[:, j].tobytes()
+        assert not u[:, 1].any()
 
     @pytest.mark.parametrize(
         "message, error",
@@ -194,16 +219,17 @@ class TestGrid:
     def test_superlu_allocation_failure_is_a_memory_error(self, monkeypatch, message, error):
         import scipy.sparse.linalg
 
-        def failing_splu(matrix):
+        def failing_splu(matrix, **options):
             raise RuntimeError(message)
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", failing_splu)
         with pytest.raises(error, match=message[:20]):
             GridDomain(DISK, 0.2).solve_poisson(np.zeros(1))
 
-    def test_maximum_principle(self):
+    @pytest.mark.parametrize("domain, h", POISSON_GRIDS)
+    def test_maximum_principle(self, domain, h):
         # negative source, zero boundary: solution strictly positive inside
-        grid = GridDomain(DISK, 0.05)
+        grid = GridDomain(domain, h)
         u = grid.solve_poisson(-np.ones(grid.n_interior))
         assert u.min() > 0.0
 
@@ -265,8 +291,9 @@ class TestRecurrence:
 
     def test_depth_validation(self):
         grid = GridDomain(DISK, 0.1)
-        with pytest.raises(DomainError):
-            solve_recurrence(grid, 1)
+        for depth in (1, 2.5, True, "3"):
+            with pytest.raises(DomainError):
+                solve_recurrence(grid, depth)
 
 
 QUAD = PolygonDomain([(-0.9, -0.7), (1.1, -0.4), (0.6, 0.9), (-0.8, 0.5)])
@@ -368,15 +395,22 @@ class TestMonteCarlo:
             mc_expected_sig(DISK, (2.0, 0.0), 2, paths=10, dt=1e-2, seed=1)
 
     def test_malformed_arguments_rejected(self):
-        for start, depth, seed in (
-            ((0.0,), 2, 1),
-            ((0.0, 0.0, 0.0), 2, 1),
-            ((np.nan, 0.0), 2, 1),
-            ((0.0, 0.0), 0, 1),
-            ((0.0, 0.0), 2, -1),
+        for start, depth, paths, seed in (
+            ((0.0,), 2, 10, 1),
+            ((0.0, 0.0, 0.0), 2, 10, 1),
+            ((np.nan, 0.0), 2, 10, 1),
+            ((0.0, 0.0), 0, 10, 1),
+            ((0.0, 0.0), 2, 10, -1),
+            ((0.0, 0.0), 2.5, 10, 1),
+            ((0.0, 0.0), True, 10, 1),
+            ((0.0, 0.0), 2, 2.5, 1),
+            ((0.0, 0.0), 2, 10, 1.5),
         ):
             with pytest.raises(DomainError):
-                mc_expected_sig(DISK, start, depth, paths=10, dt=1e-2, seed=seed)
+                mc_expected_sig(DISK, start, depth, paths=paths, dt=1e-2, seed=seed)
+        # numpy integers are integers
+        out = mc_expected_sig(DISK, (0.0, 0.0), np.int64(2), np.int32(10), 1e-2, np.uint8(1))
+        assert (out.mean.depth, out.paths, out.seed) == (2, 10, 1)
 
     def test_coefficient_budget(self, monkeypatch):
         monkeypatch.setattr(streams_module, "_COEFF_BUDGET", 10 * 15)  # 10 paths at depth 3
