@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotALieElementError, OutOfDepthError
+from .errors import DomainError, NotALieElementError, OutOfDepthError, _count
 from . import tensor_algebra
 from .tensor_algebra import TruncatedTensor, Word, _batch_of_one, _frozen, _shuffle_letters
 
@@ -237,15 +237,14 @@ def _standard_bracketing(letters: tuple):
     return (_standard_bracketing(u), _standard_bracketing(v))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: True and 1 are different calls
 def lyndon_basis(dim: int, depth: int) -> tuple[LyndonBasisElement, ...]:
     """Ordered Lyndon basis of the free Lie algebra on ``dim`` letters, degree <= depth.
 
     Elements are sorted by (degree, lexicographic word); the degree-k count
     equals the Witt number.
     """
-    if dim < 1 or depth < 1:
-        raise DomainError("dim and depth must be positive")
+    dim, depth = _count("dim", dim, 1), _count("depth", depth, 1)
     words = sorted(_lyndon_words(dim, depth), key=lambda w: (len(w), w))
     return tuple(
         LyndonBasisElement(Word(w), _standard_bracketing(w)) for w in words

@@ -4,7 +4,8 @@ Per step: take the truncated log-signature of the driving stream over the
 step (all steps are signed in one batch), extend the linear map (driver
 coordinate -> vector field) through the bracket structure of the free Lie
 algebra, freeze the resulting field, and integrate it for unit time with RK4
-(on linear systems, by powers of RK4's one-step matrix).
+(on linear systems, by powers of RK4's one-step matrix, built for all steps at
+once in stacks of at most _CACHE_ELEMENTS floats, with one finiteness check per step).
 
 Brackets follow [V, W](y) = DW(y) V(y) - DV(y) W(y); on linear fields
 V_i(y) = A_i y this gives [V_i, V_j] -> (A_j A_i - A_i A_j) y, the
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, DivergenceError, DomainError
-from .lie_algebra import LieCoordinates
+from .errors import CapabilityError, DivergenceError, DomainError, _count
+from .lie_algebra import LieCoordinates, lyndon_basis
 from .streams import _COEFF_BUDGET, Stream, _cut, _log_signature_rows
-from .tensor_algebra import TruncatedTensor, _exp_tail, _frozen, _represent
+from .tensor_algebra import _CACHE_ELEMENTS, TruncatedTensor, _exp_tail, _frozen, _represent
 
 __all__ = [
     "VectorFieldSystem",
@@ -191,24 +192,66 @@ def _central_difference(point: _Point, tree, w: np.ndarray) -> np.ndarray:
     return (plus - minus) * (norm_w / (2.0 * h))
 
 
+def _check_driver(vfs: VectorFieldSystem, dim: int) -> None:
+    if dim != vfs.driver_dim:
+        raise DomainError(f"coordinates are {dim}-dimensional, fields expect {vfs.driver_dim}")
+
+
 def _frozen_field(vfs: VectorFieldSystem, coords: LieCoordinates):
-    """(field y -> sum_b lambda_b B_b(y), its matrix sum_b lambda_b M_b if linear else None)."""
-    if coords.dim != vfs.driver_dim:
-        raise DomainError(
-            f"coordinates are {coords.dim}-dimensional, fields expect {vfs.driver_dim}"
-        )
+    """The frozen field y -> sum_b lambda_b B_b(y) of a general system."""
+    _check_driver(vfs, coords.dim)
     top = coords.max_degree()
     if top > vfs.smoothness + 1:
-        raise CapabilityError(
-            f"degree-{top} brackets need {top - 1} derivatives; "
-            f"system declares {vfs.smoothness}"
-        )
+        raise CapabilityError(f"degree-{top} brackets need {top - 1} derivatives; "
+                              f"system declares {vfs.smoothness}")
     terms = {b.bracketing: lam for lam, b in zip(coords.values, coords.basis) if lam != 0.0}
-    if vfs._identity is not None:
-        mats = (lam * vfs._identity.value(tree) for tree, lam in terms.items())
-        K = sum(mats, np.zeros((vfs.state_dim,) * 2))
-        return (lambda y: K @ y), K
-    return (lambda y: _Point(vfs, y, {}).combination(terms)), None
+    return lambda y: _Point(vfs, y, {}).combination(terms)
+
+
+def _frozen_matrices(vfs: VectorFieldSystem, dim: int, depth: int, rows) -> np.ndarray:
+    """K = sum_b lambda_b M_b of a ``from_linear`` system for each row of Lyndon
+    coordinates, stacked (rows, m, m): summed from +0.0 in basis order, where a
+    lambda_b equal to 0 adds nothing."""
+    _check_driver(vfs, dim)
+    K = np.zeros((len(rows), vfs.state_dim, vfs.state_dim))
+    for lam, b in zip(rows.T, lyndon_basis(dim, depth)):
+        live = lam != 0.0
+        if live.any():  # M_b itself may overflow, so it is formed only when it is used
+            K[live] += lam[live, None, None] * vfs._identity.value(b.bracketing)
+    return K
+
+
+def _march(substep, y: np.ndarray, substeps: int) -> np.ndarray:
+    """``substeps`` applications of ``substep`` to y, raising DivergenceError at the
+    first substep whose state is not finite."""
+    for step in range(substeps):
+        y = substep(y)
+        if not np.isfinite(y).all():
+            raise DivergenceError(f"state became non-finite at substep {step + 1}",
+                                  substep=step + 1)
+    return y
+
+
+def _linear_steps(vfs: VectorFieldSystem, dim: int, depth: int, rows, y, substeps: int, out):
+    """Write to out[i] the state after step i of a ``from_linear`` system, one step per row
+    of Lyndon coordinates.  K and R - I = hK(I + hK/2(I + hK/3(I + hK/4))), h = 1 / substeps,
+    are stacked for a slice of steps of at most _CACHE_ELEMENTS floats; each step runs
+    y <- y + (R - I) y under np.errstate(all="ignore") and is checked once, and a step
+    that ends non-finite is replayed by ``_march`` under the caller's errstate."""
+    eye, per_slice = np.eye(vfs.state_dim), max(_CACHE_ELEMENTS // vfs.state_dim**2, 1)
+    for lo in range(0, len(rows), per_slice):
+        hk = (1.0 / substeps) * _frozen_matrices(vfs, dim, depth, rows[lo : lo + per_slice])
+        deltas = hk @ (eye + hk / 2 @ (eye + hk / 3 @ (eye + hk / 4)))
+        with np.errstate(all="ignore"):
+            for i, delta in enumerate(deltas, start=lo):
+                step = y
+                for _ in range(substeps):
+                    step = step + delta @ step
+                if not np.isfinite(step).all():
+                    break
+                y = out[i] = step
+        if not np.isfinite(step).all():
+            _march(lambda y: y + delta @ y, y, substeps)  # raises DivergenceError
 
 
 def lie_extend_evaluate(vfs: VectorFieldSystem, coords: LieCoordinates, y) -> np.ndarray:
@@ -217,7 +260,10 @@ def lie_extend_evaluate(vfs: VectorFieldSystem, coords: LieCoordinates, y) -> np
     Returns sum_b lambda_b B_b(y) where B_b is the iterated vector-field
     bracket following each basis element's bracketing.
     """
-    return _frozen_field(vfs, coords)[0](np.asarray(y, dtype=float))
+    y = np.asarray(y, dtype=float)
+    if vfs._identity is not None:
+        return _frozen_matrices(vfs, coords.dim, coords.depth, coords.values[None])[0] @ y
+    return _frozen_field(vfs, coords)(y)
 
 
 def logode_step(
@@ -227,31 +273,26 @@ def logode_step(
 
     On ``from_linear`` systems the frozen field is y -> K y, and each RK4 substep
     of length h is y <- R y with R = I + hK(I + hK/2(I + hK/3(I + hK/4))),
-    RK4's one-step matrix, formed once per call.
+    RK4's one-step matrix, formed once per call as ``solve`` forms it for all steps.
+    Its state is checked once, after the last substep, and replayed substep by substep
+    if it is not finite; a general field's state, after every substep.
     """
-    if substeps < 1:
-        raise DomainError("substeps must be >= 1")
-    field, K = _frozen_field(vfs, coords)
-    y = np.asarray(y0, dtype=float).copy()
-    dt = 1.0 / substeps
-    if K is not None:
-        eye, hk = np.eye(K.shape[0]), dt * K
-        # R - I, so that y + (R - I) y rounds the substep's change on its own scale
-        delta = hk @ (eye + hk / 2 @ (eye + hk / 3 @ (eye + hk / 4)))
-    for step in range(substeps):
-        if K is not None:
-            y = y + delta @ y
-        else:
-            k1 = field(y)
-            k2 = field(y + 0.5 * dt * k1)
-            k3 = field(y + 0.5 * dt * k2)
-            k4 = field(y + dt * k3)
-            y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(y).all():
-            raise DivergenceError(
-                f"state became non-finite at substep {step + 1}", substep=step + 1
-            )
-    return y
+    substeps = _count("substeps", substeps, 1)
+    y = np.asarray(y0, dtype=float)
+    if vfs._identity is not None:
+        out = np.empty((1,) + y.shape)
+        _linear_steps(vfs, coords.dim, coords.depth, coords.values[None], y, substeps, out)
+        return out[0]
+    field, dt = _frozen_field(vfs, coords), 1.0 / substeps
+
+    def substep(y):
+        k1 = field(y)
+        k2 = field(y + 0.5 * dt * k1)
+        k3 = field(y + 0.5 * dt * k2)
+        k4 = field(y + dt * k3)
+        return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    return _march(substep, y, substeps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,13 +307,13 @@ class LogOdeSchedule:
         arr = _frozen(self.boundaries).reshape(-1)
         if arr.size < 2 or not np.all(np.diff(arr) > 0):
             raise DomainError("boundaries must be increasing with at least two entries")
-        if self.depth < 1:
-            raise DomainError("truncation degree must be >= 1")
         object.__setattr__(self, "boundaries", arr)
+        object.__setattr__(self, "depth", _count("truncation degree", self.depth, 1))
+        object.__setattr__(self, "substeps", _count("substeps", self.substeps, 1))
 
     @classmethod
     def uniform(cls, stream: Stream, steps: int, depth: int, substeps: int = 16):
-        if not 1 <= steps <= _COEFF_BUDGET:  # linspace below allocates steps + 1 floats
+        if _count("steps", steps, 1) > _COEFF_BUDGET:  # linspace allocates steps + 1 floats
             raise DomainError(f"steps must lie in [1, {_COEFF_BUDGET}]")
         t0, t1 = stream.interval
         return cls(np.linspace(t0, t1, steps + 1), depth, substeps)
@@ -281,7 +322,12 @@ class LogOdeSchedule:
 def solve(
     vfs: VectorFieldSystem, stream: Stream, y0, schedule: LogOdeSchedule
 ) -> np.ndarray:
-    """Log-ODE trajectory: the state at every schedule boundary, row 0 = y0."""
+    """Log-ODE trajectory: the state at every schedule boundary, row 0 = y0.
+
+    A ``from_linear`` system's K and R - I (see ``logode_step``) are stacked for a slice
+    of steps at a time; each step then runs only its substeps, checked for finiteness
+    once and replayed to name the substep of a divergence.
+    """
     t0, t1 = stream.interval
     bounds = schedule.boundaries
     if bounds[0] < t0 - 1e-9 or bounds[-1] > t1 + 1e-9:
@@ -289,13 +335,16 @@ def solve(
     y = np.asarray(y0, dtype=float)
     if y.shape != (vfs.state_dim,) or not np.all(np.isfinite(y)):
         raise DomainError(f"y0 must hold {vfs.state_dim} finite numbers")
-    d, depth = stream.dimension, schedule.depth
+    d, depth, substeps = stream.dimension, schedule.depth, schedule.substeps
     _, points, index = _cut(stream, bounds)
+    rows = _log_signature_rows(points, index[:-1], index[1:], depth)
     states = np.empty((bounds.size, vfs.state_dim))
     states[0] = y
-    for i, row in enumerate(_log_signature_rows(points, index[:-1], index[1:], depth), start=1):
-        y = logode_step(vfs, y, LieCoordinates(d, depth, row), schedule.substeps)
-        states[i] = y
+    if vfs._identity is not None:
+        _linear_steps(vfs, d, depth, rows, y, substeps, states[1:])
+        return states
+    for i, row in enumerate(rows, start=1):
+        y = states[i] = logode_step(vfs, y, LieCoordinates(d, depth, row), substeps)
     return states
 
 

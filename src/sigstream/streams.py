@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lie_algebra, tensor_algebra
-from .errors import DimensionMismatchError, DomainError, StreamParseError
+from .errors import DimensionMismatchError, DomainError, StreamParseError, _count
 from .tensor_algebra import (
     TruncatedTensor, _frozen, _log_levels, _mul_levels, _vector_norms, chen_fold
 )
@@ -284,8 +284,7 @@ def _signature_levels(points, starts, ends, depth: int) -> list[np.ndarray]:
     together by ``chen_fold``; a group is folded in slices of rows so that each
     slice holds about _CACHE_ELEMENTS floats per level, and these stay in cache.
     """
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
+    depth = _count("depth", depth, 1)
     starts, ends = np.asarray(starts), np.asarray(ends)
     rows, d = starts.size, points.shape[1]
     _check_budget(rows, d, depth, f"{rows} signature(s)")

@@ -514,11 +514,16 @@ PAIR = random_streams(np.random.default_rng(0), 2, 2, 5)
         (lambda: classification_report([0.1, 0.9], [0, 2]), DomainError, "0/1"),
         (lambda: two_class_streams(1, 8, 1.5), DomainError, "strength"),
         (lambda: two_class_streams(1, 8, -0.1), DomainError, "strength"),
+        (lambda: featurize(PAIR, 2.5), DomainError, "depth must be an integer >= 1"),
+        (lambda: featurize(PAIR, True), DomainError, "depth must be an integer >= 1"),
+        (lambda: featurize_logsig(PAIR, 2.5), DomainError, "depth must be an integer >= 1"),
+        (lambda: featurize_logsig(PAIR, True), DomainError, "depth must be an integer >= 1"),
     ],
     ids=["transform", "no-streams", "ridge-rows", "lasso-rows", "max-penalty-rows", "kkt-rows",
          "stability-rows", "stability-rounds", "stability-fraction-high", "stability-fraction-nan",
          "stability-fraction-zero", "stability-one-row", "kkt-of-ridge", "labels",
-         "strength-high", "strength-low"],
+         "strength-high", "strength-low", "featurize-fractional-depth", "featurize-bool-depth",
+         "logsig-fractional-depth", "logsig-bool-depth"],
 )
 def test_input_checks(call, error, match):
     with pytest.raises(error, match=match):

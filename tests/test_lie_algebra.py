@@ -604,13 +604,18 @@ class TestLeastSquaresLevels:
 @pytest.mark.parametrize(
     "call, error, match",
     [
-        (lambda: lyndon_basis(2, 0), DomainError, "positive"),
+        (lambda: lyndon_basis(2, 0), DomainError, "depth must be an integer >= 1"),
+        (lambda: lyndon_basis(2, 2.5), DomainError, "depth must be an integer >= 1"),
+        (lambda: lyndon_basis(2, True), DomainError, "depth must be an integer >= 1"),
+        (lambda: lyndon_basis(0, 2), DomainError, "dim must be an integer >= 1"),
+        (lambda: lyndon_basis(True, 2), DomainError, "dim must be an integer >= 1"),
         (lambda: LieCoordinates(2, 2, np.zeros(3)).coeff((2, 1)), KeyError, "not a Lyndon"),
         (lambda: LieCoordinates(2, 2, np.zeros(3)).coeff(1.5), TypeError, "float"),
         (lambda: dynkin_check(TruncatedTensor(2, 2, [[1.0], np.zeros(2), np.zeros(4)])),
          DomainError, "zero level-0"),
     ],
-    ids=["basis-depth", "coeff-key", "coeff-key-type", "dynkin-level-0"],
+    ids=["basis-depth", "basis-fractional-depth", "basis-bool-depth", "basis-dim",
+         "basis-bool-dim", "coeff-key", "coeff-key-type", "dynkin-level-0"],
 )
 def test_input_checks(call, error, match):
     with pytest.raises(error, match=match):

@@ -1,3 +1,6 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,17 +323,62 @@ class TestLinearStep:
         # four ulps of the scale where it is subnormal, below 1e-13 * scale's reach
         assert np.abs(got - want).max() <= max(1e-13 * scale, 4 * np.spacing(scale))
 
+    def test_zero_coordinate_adds_nothing(self):
+        # M_[1,2] = A_2 A_1 - A_1 A_2 overflows for these matrices; a zero coordinate on
+        # [1,2] leaves it unformed, in a step, in lie_extend_evaluate and in a solve
+        # along a straight driver, whose area coordinate is exactly 0
+        A = np.zeros((2, 2, 2))
+        A[0, 0, 0] = A[1, 0, 1] = 1e200
+        vfs = VectorFieldSystem.from_linear(LinearSystem(A))
+        line = Stream([0.0, 1.0], [[0.0, 0.0], [1e-200, 2e-200]])
+        coords = log_signature(line, 2)
+        assert coords.coeff("[1,2]") == 0.0
+        y0 = np.array([1.0, -1.0])
+        trees = [b.bracketing for b in coords.basis]
+        want = linear_logode_step(A, trees, coords.values, y0, 3)
+        assert np.isfinite(want).all()
+        assert logode_step(vfs, y0, coords, 3).tobytes() == want.tobytes()
+        assert np.isfinite(lie_extend_evaluate(vfs, coords, y0)).all()
+        states = solve(vfs, line, y0, LogOdeSchedule([0.0, 1.0], 2, 3))
+        assert states[-1].tobytes() == want.tobytes()
+
     def test_overflow_substep_matches_four_stage_rk4(self):
         # growth 1.0253 per substep from just under the float limit: the state
-        # overflows at substep 3, while every RK4 stage stays finite before it
+        # overflows at substep 3, while every RK4 stage stays finite before it; a
+        # one-step solve replays its step to report the same substep and warnings
         vfs = VectorFieldSystem.from_linear(LinearSystem(np.ones((1, 1, 1))))
         coords = coords_on(1, 1, "1", 0.1)
         y0 = np.array([1.68e308])
         with np.errstate(over="ignore", invalid="ignore"):
             _, want = rk4_linear(frozen_matrix(vfs, coords), y0, 4)
-            with pytest.raises(DivergenceError) as err:
-                logode_step(vfs, y0, coords, 4)
-        assert want == err.value.substep == 3
+        driver = Stream([0.0, 1.0], [[0.0], [0.1]])
+        reports = []
+        for call in (lambda: logode_step(vfs, y0, coords, 4),
+                     lambda: solve(vfs, driver, y0, LogOdeSchedule([0.0, 1.0], 1, 4))):
+            with warnings.catch_warnings(record=True) as seen, np.errstate(over="warn"):
+                warnings.simplefilter("always")
+                with pytest.raises(DivergenceError) as err:
+                    call()
+            reports.append((err.value.substep, [(w.category, str(w.message)) for w in seen]))
+        assert want == reports[0][0] == 3
+        assert reports[0] == reports[1] and reports[0][1]
+
+
+@st.composite
+def linear_solves(draw):
+    """A linear system over d <= 3 letters on R^m, m <= 4, a driver of 2-8 samples, a
+    state, and a uniform schedule of 1-20 steps at depth 1-5 with 1-16 substeps;
+    matrices, driver points and state hold +0.0 and -0.0 among their values."""
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    values = st.floats(-1.0, 1.0, allow_nan=False) | st.sampled_from([0.0, -0.0])
+    A = draw(arrays(float, (d, m, m), elements=values))
+    n = draw(st.integers(2, 8))
+    times = np.cumsum(draw(arrays(float, n, elements=st.floats(0.1, 1.0))))
+    driver = Stream(times, draw(arrays(float, (n, d), elements=values)))
+    y0 = draw(arrays(float, m, elements=values))
+    schedule = LogOdeSchedule.uniform(driver, draw(st.integers(1, 20)), draw(st.integers(1, 5)),
+                                      draw(st.integers(1, 16)))
+    return VectorFieldSystem.from_linear(LinearSystem(A)), driver, y0, schedule
 
 
 class TestSolve:
@@ -418,7 +466,24 @@ class TestSolve:
                     y = logode_step(vfs, y, coords, schedule.substeps)
                     want.append(y)
                 got = solve(vfs, driver, y0, schedule)
-                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+                assert got.tobytes() == np.array(want).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(linear_solves(), st.integers(1, 5))
+    def test_stacked_steps_are_the_chain_of_single_steps(self, case, per_slice):
+        # K and R - I built for all steps at once equal, byte for byte and signed zeros
+        # included, logode_step on each step's own log-signature; also when the stacks
+        # hold only per_slice steps each
+        vfs, driver, y0, schedule = case
+        bounds, y, want = schedule.boundaries, y0, [y0]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            coords = log_signature(restrict(driver, lo, hi), schedule.depth)
+            y = logode_step(vfs, y, coords, schedule.substeps)
+            want.append(y)
+        want = np.array(want).tobytes()
+        assert solve(vfs, driver, y0, schedule).tobytes() == want
+        with mock.patch.object(logode, "_CACHE_ELEMENTS", per_slice * vfs.state_dim**2):
+            assert solve(vfs, driver, y0, schedule).tobytes() == want
 
     def test_initial_state_checked(self):
         vfs = VectorFieldSystem.from_linear(LinearSystem(np.ones((1, 2, 2))))
@@ -496,9 +561,25 @@ LINE = Stream([0.0, 1.0], [[0.0], [1.0]])
         (lambda: logode_step(VectorFieldSystem.from_linear(LinearSystem(np.eye(2)[None])),
                              [1.0, 0.0], LieCoordinates(2, 1, [0.5, 0.5]), 1), "2-dimensional"),
         (lambda: LogOdeSchedule([0.0, 1.0], 0), "truncation degree"),
+        (lambda: logode_step(VectorFieldSystem.from_linear(LinearSystem(np.eye(2)[None])),
+                             [1.0, 0.0], LieCoordinates(1, 1, [0.5]), 2.5), "substeps"),
+        (lambda: logode_step(VectorFieldSystem.from_linear(LinearSystem(np.eye(2)[None])),
+                             [1.0, 0.0], LieCoordinates(1, 1, [0.5]), True), "substeps"),
+        (lambda: LogOdeSchedule([0.0, 1.0], 2, substeps=0), "substeps"),
+        (lambda: LogOdeSchedule([0.0, 1.0], 2, substeps=2.5), "substeps"),
+        (lambda: LogOdeSchedule.uniform(LINE, 2.5, 2), "steps"),
+        (lambda: LogOdeSchedule.uniform(LINE, True, 2), "steps"),
+        (lambda: LogOdeSchedule([0.0, 1.0], 2.5), "truncation degree"),
+        (lambda: LogOdeSchedule([0.0, 1.0], True), "truncation degree"),
+        (lambda: solve(VectorFieldSystem.from_linear(LinearSystem(np.zeros((2, 2, 2)))),
+                       Stream([0.0, 1.0], np.zeros((2, 3))), [1.0, 0.0],
+                       LogOdeSchedule([0.0, 1.0], 2)), "3-dimensional"),
     ],
     ids=["system-shape", "system-nan", "field-count", "zero-substeps", "boundaries",
-         "solve-dimension", "series-dimension", "coords-dimension", "schedule-depth"],
+         "solve-dimension", "series-dimension", "coords-dimension", "schedule-depth",
+         "fractional-substeps", "bool-substeps", "schedule-zero-substeps",
+         "schedule-fractional-substeps", "fractional-steps", "bool-steps",
+         "fractional-depth", "bool-depth", "solve-driver-dimension"],
 )
 def test_input_checks(call, match):
     with pytest.raises(DomainError, match=match):

@@ -388,11 +388,17 @@ LINE = Stream([0.0, 1.0], [[0.0], [1.0]])
         (lambda: streams_module._check_budget(np.int64(2**32), np.int64(2**32 - 1), 1, "rows"),
          DomainError, "budget of"),
         (lambda: streams_module._check_budget(1, 1, 29, "rows"), DomainError, "depth limit"),
+        (lambda: signature(LINE, 0), DomainError, "depth must be an integer >= 1"),
+        (lambda: signature(LINE, 2.5), DomainError, "depth must be an integer >= 1"),
+        (lambda: signature(LINE, True), DomainError, "depth must be an integer >= 1"),
+        (lambda: log_signature(LINE, 2.5), DomainError, "depth must be an integer >= 1"),
+        (lambda: log_signature(LINE, True), DomainError, "depth must be an integer >= 1"),
     ],
     ids=["shape", "no-samples", "repeated-time", "decreasing-time", "flavor",
          "flavor-one-sample", "value-at",
          "concat", "restrict", "dp-levels", "empty-csv", "header-only-csv", "budget-int64",
-         "budget-depth"],
+         "budget-depth", "signature-zero-depth", "signature-fractional-depth",
+         "signature-bool-depth", "logsig-fractional-depth", "logsig-bool-depth"],
 )
 def test_input_checks(call, error, match):
     with pytest.raises(error, match=match):
