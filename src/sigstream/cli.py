@@ -19,15 +19,9 @@ import numpy as np
 from . import learn
 from .development import UnitaryPolicy, develop, unitarity_defect
 from .errors import (
-    DegenerateReportError,
-    DimensionMismatchError,
-    DivergenceError,
-    DomainError,
-    NonFiniteResultError,
-    NotALieElementError,
-    OutOfDepthError,
-    StreamParseError,
-    TimeCapError,
+    DegenerateReportError, DimensionMismatchError, DivergenceError, DomainError,
+    NonFiniteResultError, NotALieElementError, OutOfDepthError, StreamParseError, TimeCapError,
+    _count, _points,
 )
 from .expected_sig import GridDomain, mc_expected_sig, parse_domain, solve_recurrence
 from .logode import LinearSystem, LogOdeSchedule, VectorFieldSystem, solve
@@ -99,10 +93,10 @@ def _cmd_dpdist(args) -> dict:
 
 def _cmd_logode(args) -> dict:
     spec = _read_spec(args.system, "system", "{m, d, matrices, y0}")
-    lin = LinearSystem(_spec_array(spec, "matrices"))
+    lin = LinearSystem(_points("field 'matrices'", spec["matrices"], (None, None, None)))
     if lin.state_dim != _spec_int(spec, "m") or lin.driver_dim != _spec_int(spec, "d"):
         raise DimensionMismatchError("system spec m/d fields disagree with matrices")
-    y0 = _spec_array(spec, "y0")
+    y0 = _points("field 'y0'", spec["y0"], (None,))
     driver = ingest_csv(args.driver)
     schedule = LogOdeSchedule.uniform(driver, args.steps, args.depth, args.substeps)
     trajectory = solve(VectorFieldSystem.from_linear(lin), driver, y0, schedule)
@@ -114,9 +108,7 @@ def _cmd_logode(args) -> dict:
 
 def _cmd_develop(args) -> dict:
     spec = _read_spec(args.policy, "policy", "{u, generators}")
-    gens = _spec_array(spec, "generators")
-    if gens.ndim != 4 or gens.shape[-1] != 2:
-        raise DomainError("generators must be [[[re, im], ...], ...] matrices")
+    gens = _points("field 'generators'", spec["generators"], (None, None, None, 2))  # [re, im]
     policy = UnitaryPolicy(gens[..., 0] + 1j * gens[..., 1])
     if policy.size != _spec_int(spec, "u"):
         raise DimensionMismatchError("policy u field disagrees with generators")
@@ -170,23 +162,9 @@ def _read_spec(path, what, fields):
 
 def _spec_int(spec, key):
     value = spec[key]
-    if type(value) is float and value.is_integer():
+    if type(value) is float and value.is_integer():  # JSON may write 3 as 3.0
         value = int(value)
-    if type(value) is not int:  # bool, str and fractional floats
-        raise DomainError(f"field {key!r} must be an integer")
-    return value
-
-
-def _spec_array(spec, key):
-    raw = np.asarray(spec[key], dtype=object)
-    if all(type(v) in (int, float) for v in raw.flat):  # no bool, str, None or ragged rows
-        try:
-            values = raw.astype(float)
-            if np.isfinite(values).all():  # not NaN, Infinity, or 1e400 (read as inf)
-                return values
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise DomainError(f"field {key!r} must be a rectangular array of finite numbers")
+    return _count(f"field {key!r}", value, 1)
 
 
 def _parse_point(text):
@@ -214,11 +192,8 @@ def _read_labels(path, expected):
         values = np.array([float(line) for line in lines if line])
     except ValueError as exc:
         raise DomainError(f"{path}: {exc}") from None
-    if len(values) != expected:
-        raise DimensionMismatchError(
-            f"{path}: {len(values)} labels for {expected} streams"
-        )
-    if not np.all(np.isfinite(values) & (values == np.round(values))):
+    values = _points(f"{path}: labels", values, (expected,), DimensionMismatchError)
+    if not np.all(values == np.round(values)):
         raise DomainError(f"{path}: labels must be integers")
     return values
 
@@ -260,11 +235,8 @@ def _cmd_score(args) -> dict:
     streams = _read_manifest(args.test)
     y = _read_labels(args.labels, len(streams))
     X = learn.featurize(streams, _spec_int(model_spec, "depth"), transform)
-    coef = _spec_array(model_spec, "coefficients")
-    if coef.ndim != 1 or coef.size != X.X.shape[1]:
-        raise DimensionMismatchError(
-            "model was fit with a different feature count"
-        )
+    coef = _points("field 'coefficients'", model_spec["coefficients"], (X.X.shape[1],),
+                   DimensionMismatchError)  # as many as the model was fit with
     if not np.isfinite(scores := X.X @ coef).all():
         raise NonFiniteResultError("the scores are not finite")
     report = learn.classification_report(scores, y.astype(int))

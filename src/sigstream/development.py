@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, _count, _real
 from .streams import Stream
 from .tensor_algebra import TruncatedTensor, _exp_tail, _frozen, _mean_stderr, _represent
 
@@ -128,9 +128,8 @@ def expected_development(
     combines real and imaginary scatter.  Samples are drawn in batches of at
     most ``_SLICE`` and reduced in draw order, so results are reproducible.
     """
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    rng = np.random.default_rng(seed)
+    count = _count("count", count, 1)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     u = policy.size
     total = np.zeros((u, u), dtype=complex)
     total_sq = np.zeros((u, u))
@@ -160,12 +159,14 @@ def evaluate_signature(policy: UnitaryPolicy, sig: TruncatedTensor) -> np.ndarra
 
 def development_tail_bound(policy: UnitaryPolicy, l1_length: float, depth: int) -> float:
     """Operator-norm bound sum_{k > depth} (max_j |H_j| L)^k / k! on the truncation."""
-    return _exp_tail(policy.max_generator_norm() * l1_length, depth)
+    x = policy.max_generator_norm() * _real("l1_length", l1_length, 0)
+    return _exp_tail(x, _count("depth", depth, 0))
 
 
 def random_policy(size: int, driver_dim: int, seed=None) -> UnitaryPolicy:
     """Random traceless Hermitian generators, handy for tests and demos."""
-    rng = np.random.default_rng(seed)
+    size, driver_dim = _count("size", size, 2), _count("driver_dim", driver_dim, 1)
+    rng = np.random.default_rng(None if seed is None else _count("seed", seed, 0))
     gens = np.empty((driver_dim, size, size), dtype=complex)
     for j in range(driver_dim):
         g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))

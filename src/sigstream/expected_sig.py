@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, TimeCapError, _count
+from .errors import DimensionMismatchError, DomainError, TimeCapError, _count, _points, _real
 from . import tensor_algebra
 from .lie_algebra import _expand_lyndon, _prefix_plan
 from .streams import _COEFF_BUDGET, _check_budget
@@ -50,12 +50,8 @@ class DiskDomain:
     """Open disk of radius r; the default centre is the origin."""
 
     def __init__(self, radius: float, center=(0.0, 0.0)):
-        if not 0 < radius < math.inf:
-            raise DomainError(f"radius must be positive and finite, got {radius}")
-        self.radius = float(radius)
-        self.center = np.asarray(center, dtype=float)
-        if self.center.shape != (2,) or not np.isfinite(self.center).all():
-            raise DomainError(f"center must be one finite 2-D point, got {center!r}")
+        self.radius = _real("radius", radius, 0, lo_open=True)
+        self.center = _points("center", center, (2,))
 
     @property
     def bbox(self):
@@ -91,13 +87,11 @@ class PolygonDomain:
     """Open simple polygon given by its vertex loop (closing edge implied)."""
 
     def __init__(self, vertices):
-        pts = np.asarray(vertices, dtype=float)
-        if pts.ndim == 2 and np.array_equal(pts[:1], pts[-1:]):
+        pts = _points("vertices", vertices, (None, 2))
+        if np.array_equal(pts[:1], pts[-1:]):
             pts = pts[:-1]  # an explicit closing vertex
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
+        if len(pts) < 3:
             raise DomainError("polygon needs at least three 2-D vertices")
-        if not np.all(np.isfinite(pts)):
-            raise DomainError("polygon vertices must be finite")
         self.vertices = pts
         self._edges = (pts, np.roll(pts, -1, axis=0))
 
@@ -194,13 +188,10 @@ class GridDomain:
     """
 
     def __init__(self, descriptor, h: float, boundary: str = "exact"):
-        if not 0 < h < math.inf:
-            raise DomainError(f"grid spacing must be positive and finite, got {h}")
+        self.h = h = _real("h", h, 0, lo_open=True)
         if boundary not in ("exact", "snap"):
             raise DomainError("boundary must be 'exact' or 'snap'")
-        self.descriptor = descriptor
-        self.h = float(h)
-        self.boundary = boundary
+        self.descriptor, self.boundary = descriptor, boundary
         x0, x1, y0, y1 = descriptor.bbox
         ax, ay = descriptor.anchor
         # nodes per side of the anchor, each capped at the budget, which it then exceeds
@@ -310,11 +301,9 @@ class GridDomain:
 
     def index_of_point(self, xy) -> int:
         """Interior index of the grid node nearest to xy."""
-        xy = np.asarray(xy, dtype=float)
-        i = int(round((xy[0] - self.xs[0]) / self.h))
-        j = int(round((xy[1] - self.ys[0]) / self.h))
-        i = min(max(i, 0), self.xs.size - 1)
-        j = min(max(j, 0), self.ys.size - 1)
+        xy = _points("point", xy, (2,))
+        top = (self.xs.size - 1, self.ys.size - 1)  # the nearest node, clamped to the grid
+        i, j = np.clip(np.rint((xy - (self.xs[0], self.ys[0])) / self.h), 0, top).astype(int)
         idx = self.index_grid[i, j]
         if idx < 0:
             raise DomainError(f"nearest grid node to {xy} is not interior")
@@ -405,16 +394,11 @@ def mc_expected_sig(
     Stopped signatures are averaged with elementwise standard errors.  Fixed
     seed implies byte-identical output.
     """
-    start = np.asarray(start, dtype=float)
-    if start.shape != (2,):
-        raise DomainError(f"start must be one 2-D point, got shape {start.shape}")
+    start = _points("start", start, (2,))
     if not bool(domain.contains(start[None, :])[0]):
         raise DomainError(f"start point {start} is not strictly interior")
-    depth = _count("depth", depth, 1)
-    paths = _count("paths", paths, 1)
-    seed = _count("seed", seed, 0)
-    if not 0 < dt < math.inf:
-        raise DomainError(f"dt must be positive and finite, got {dt}")
+    depth, paths = _count("depth", depth, 1), _count("paths", paths, 1)
+    seed, dt = _count("seed", seed, 0), _real("dt", dt, 0, lo_open=True)
     d = 2
     _check_budget(paths, d, depth, f"{paths} Monte Carlo path signature(s)")
     rng = np.random.default_rng(seed)
@@ -520,9 +504,8 @@ def radius_diagnostic(source, point=None) -> RadiusDiagnostic:
     elif isinstance(source, TruncatedTensor):
         tensor = source
     else:
-        raise DimensionMismatchError(
-            "radius_diagnostic expects an ExpectedSigField or TruncatedTensor"
-        )
+        raise DimensionMismatchError("radius_diagnostic expects an ExpectedSigField or "
+                                     "TruncatedTensor")
     if tensor.depth < 3:
         raise DomainError("radius diagnostic needs depth >= 3")
     l1 = grade_norms(tensor, "l1").values

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateReportError, DimensionMismatchError, DomainError, NonFiniteResultError
+from .errors import _count, _points, _real
 from .lie_algebra import lyndon_basis
 from .streams import _COEFF_BUDGET, TRANSFORMS, Stream, _log_signature_rows, _signature_levels
 from .streams import _transformed
@@ -111,21 +112,22 @@ class LinearModel:
     n_iter: int = 0
 
     def predict(self, X) -> np.ndarray:
-        return _as_array(X) @ self.coefficients
+        return _as_array(X, self.coefficients.size) @ self.coefficients
 
     @property
     def active_set(self) -> np.ndarray:
         return np.nonzero(self.coefficients[1:])[0] + 1
 
 
-def _as_array(X):
-    return X.X if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=float)
+def _as_array(X, columns=None):
+    """X (or a FeatureMatrix's X) as a finite 2-D array, with ``columns`` columns if set."""
+    X = X.X if isinstance(X, FeatureMatrix) else X
+    return _points("X", X, (None, columns), DimensionMismatchError)
 
 
 def _design(X, y):
     """X as an array and y as a vector, with one label per row of X."""
-    A = _as_array(X)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    A, y = _as_array(X), _points("y", np.reshape(y, -1), (None,))
     if A.shape[0] != y.size:
         raise DimensionMismatchError("row count of X must match len(y)")
     return A, y
@@ -133,11 +135,6 @@ def _design(X, y):
 
 def _words_of(X):
     return X.words if isinstance(X, FeatureMatrix) else None
-
-
-def _check_lam(lam):
-    if not 0.0 <= lam < math.inf:
-        raise DomainError(f"lam must be finite and >= 0, got {lam}")
 
 
 def _ridge(body, Y, lam):
@@ -148,7 +145,6 @@ def _ridge(body, Y, lam):
     rank-deficient inputs.  Coefficients that overflow (1 / s of subnormal
     singular values at lam = 0) raise NonFiniteResultError.
     """
-    _check_lam(lam)
     mu = body.mean(axis=0)
     y_mean = Y.mean(axis=0)
     u, s, vt = np.linalg.svd(body - mu, full_matrices=False)
@@ -167,7 +163,7 @@ def _ridge(body, Y, lam):
 
 def fit_ridge(X, y, lam: float = 0.0) -> LinearModel:
     """Ridge regression, intercept (empty-word column) unpenalized; lam = 0 is min-norm OLS."""
-    A, y = _design(X, y)
+    A, y, lam = *_design(X, y), _real("lam", lam, 0)
     intercept, beta = _ridge(A[:, 1:], y, lam)
     coef = np.concatenate([[intercept], beta])
     return LinearModel(coef, "ridge", lam, words=_words_of(X))
@@ -208,7 +204,8 @@ def fit_lasso(
     converging return the model with ``converged=False``.
     """
     z, mu, sigma, usable, y, yc = _standardize(X, y)
-    _check_lam(lam)
+    lam, max_iter = _real("lam", lam, 0), _count("max_iter", max_iter, 1)
+    tol = _real("tol", tol, 0, lo_open=True)
     n = y.size
     p = z.shape[1]
     beta = np.zeros(p)
@@ -307,10 +304,11 @@ def trapezoid_auc(roc: np.ndarray) -> float:
 
 def classification_report(scores, labels, threshold: float = 0.5) -> ClassificationReport:
     """KS, AUC, accuracy-at-threshold and the ROC curve for binary labels."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels).astype(int)
+    scores, threshold = _points("scores", scores, (None,)), _real("threshold", threshold)
+    labels = _points("labels", labels, scores.shape, DimensionMismatchError)
     if not set(np.unique(labels)) <= {0, 1}:
         raise DomainError("labels must be 0/1")
+    labels = labels.astype(int)
     if len(np.unique(labels)) < 2:
         raise DegenerateReportError("need both classes to build a report")
     # two-sample KS statistic, the largest gap between the classes' ECDFs at any
@@ -354,7 +352,7 @@ class ConditionalLawModel:
 
     def predict(self, inputs) -> np.ndarray:
         if isinstance(inputs, (FeatureMatrix, np.ndarray)):
-            X = _as_array(inputs)
+            X = _as_array(inputs, self.coefficients.shape[0])
         else:
             X = featurize(inputs, self.depth_in, self.transform).X
         return X @ self.coefficients
@@ -371,6 +369,8 @@ def fit_conditional_law(
     pairs = list(pairs)
     if len(pairs) < 2:
         raise DomainError("need at least two stream pairs")
+    depth_in, depth_out = _count("depth_in", depth_in, 1), _count("depth_out", depth_out, 1)
+    lam = _real("lam", lam, 0)
     inputs = featurize([a for a, _ in pairs], depth_in, transform)
     outputs = featurize([b for _, b in pairs], depth_out, transform)
     intercept, beta = _ridge(inputs.X[:, 1:], outputs.X, lam)
@@ -387,8 +387,8 @@ def fit_conditional_law(
 
 def coordinate_r2(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
     """Per-coordinate R^2; coordinates with (near) zero variance report NaN."""
-    y_true = np.asarray(y_true, dtype=float)
-    y_pred = np.asarray(y_pred, dtype=float)
+    y_true = _points("y_true", y_true, (None, None))
+    y_pred = _points("y_pred", y_pred, y_true.shape, DimensionMismatchError)
     ss_res = ((y_true - y_pred) ** 2).sum(axis=0)
     centred = y_true - y_true.mean(axis=0)
     ss_tot = (centred**2).sum(axis=0)
@@ -417,17 +417,12 @@ def two_class_streams(
     signal; the classes separate through the planted Levy-area drift.
     Returns (streams, labels) interleaved deterministically for the seed.
     """
-    if not 0.0 <= strength <= 1.0:
-        raise DomainError("strength must lie in [0, 1]")
-    if n_per_class < 1:
-        raise DomainError("n_per_class must be >= 1")
-    if n_steps < 2:
-        raise DomainError("n_steps must be >= 2 to standardize the increments")
+    strength = _real("strength", strength, 0, 1)
+    # at least two steps, to standardize the increments
+    n_per_class, n_steps = _count("n_per_class", n_per_class, 1), _count("n_steps", n_steps, 2)
     if 4 * n_per_class * (n_steps + 1) > _COEFF_BUDGET:  # 2 n_per_class streams in R^2
         raise DomainError(f"the streams need more than {_COEFF_BUDGET} coordinates")
-    if seed < 0:
-        raise DomainError("seed must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     times = np.linspace(0.0, 1.0, n_steps + 1)
     streams, labels = [], []
     for label in (0, 1):
@@ -455,9 +450,8 @@ def stability_selection(
     near 1 indicate features selected robustly at this penalty.
     """
     A, y = _design(X, y)
-    if n_rounds < 1 or not 0.0 < fraction <= 1.0:
-        raise DomainError(f"need n_rounds >= 1 and fraction in (0, 1], got {n_rounds}, {fraction}")
-    rng = np.random.default_rng(seed)
+    n_rounds, fraction = _count("n_rounds", n_rounds, 1), _real("fraction", fraction, 0, 1, True)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     n = y.size
     take = max(2, int(round(fraction * n)))
     if take > n:

@@ -21,12 +21,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotALieElementError, OutOfDepthError, _count
+from .errors import DomainError, NotALieElementError, OutOfDepthError, _count, _is_integer, _real
 from . import tensor_algebra
 from .tensor_algebra import TruncatedTensor, Word, _batch_of_one, _frozen, _shuffle_letters
 
@@ -75,18 +74,18 @@ class LyndonBasisElement:
 
 
 def _is_letter(tree) -> bool:
-    """Whether a bracketing tree is a letter: any integer but a bool, which raises."""
-    if isinstance(tree, bool):
-        raise DomainError(f"a letter must be an integer, not {tree!r}")
-    return isinstance(tree, numbers.Integral)
+    """Whether a bracketing tree is a letter (an integer, as ``_count`` takes it) rather
+    than a pair (tuple or list) of trees; any other tree raises DomainError."""
+    if not (_is_integer(tree) or isinstance(tree, (tuple, list)) and len(tree) == 2):
+        raise DomainError(f"a bracketing tree must be a letter or a pair of trees, got {tree!r}")
+    return _is_integer(tree)
 
 
 def render_bracketing(tree) -> str:
     """Nested-bracket text form, e.g. ``[1,[1,2]]``; single letters render bare."""
     if _is_letter(tree):
         return str(tree)
-    left, right = tree
-    return f"[{render_bracketing(left)},{render_bracketing(right)}]"
+    return f"[{render_bracketing(tree[0])},{render_bracketing(tree[1])}]"
 
 
 def _lyndon_words(dim: int, max_len: int):
@@ -237,14 +236,17 @@ def _standard_bracketing(letters: tuple):
     return (_standard_bracketing(u), _standard_bracketing(v))
 
 
-@functools.lru_cache(maxsize=None, typed=True)  # typed: True and 1 are different calls
 def lyndon_basis(dim: int, depth: int) -> tuple[LyndonBasisElement, ...]:
     """Ordered Lyndon basis of the free Lie algebra on ``dim`` letters, degree <= depth.
 
     Elements are sorted by (degree, lexicographic word); the degree-k count
     equals the Witt number.
     """
-    dim, depth = _count("dim", dim, 1), _count("depth", depth, 1)
+    return _lyndon_basis(_count("dim", dim, 1), _count("depth", depth, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _lyndon_basis(dim: int, depth: int) -> tuple[LyndonBasisElement, ...]:
     words = sorted(_lyndon_words(dim, depth), key=lambda w: (len(w), w))
     return tuple(
         LyndonBasisElement(Word(w), _standard_bracketing(w)) for w in words
@@ -254,24 +256,28 @@ def lyndon_basis(dim: int, depth: int) -> tuple[LyndonBasisElement, ...]:
 def bracket_expand(element, dim: int, depth: int | None = None) -> TruncatedTensor:
     """Expand a basis element (or raw bracketing tree) into the tensor algebra.
 
-    A letter is any integer but a bool.  Bool letters and letters outside 1..dim
-    raise DomainError; a depth below the tree's degree raises
+    A tree is a letter, any integer but a bool, or a pair of trees.  Other trees and
+    letters outside 1..dim raise DomainError; a depth below the tree's degree raises
     OutOfDepthError."""
     tree = element.bracketing if isinstance(element, LyndonBasisElement) else element
-    if _is_letter(tree):
-        if not 1 <= tree <= dim:
-            raise DomainError(f"letter {tree} out of range for dimension {dim}")
-        degree, level = 1, np.eye(dim)[tree - 1]
-    else:  # [a, b] = ab - ba
-        left, right = (bracket_expand(t, dim) for t in tree)
-        a, b = left.levels[-1], right.levels[-1]
-        degree, level = left.depth + right.depth, np.outer(a, b).ravel() - np.outer(b, a).ravel()
-    depth = degree if depth is None else depth
+    dim = _count("dim", dim, 1)
+    degree, level = _bracket_level(tree, dim)
+    depth = degree if depth is None else _count("depth", depth, 1)
     if depth < degree:
         raise OutOfDepthError(f"a bracketing of degree {degree} exceeds depth {depth}")
     levels = [np.zeros(dim**k) for k in range(depth + 1)]
     levels[degree][:] = level
     return TruncatedTensor(dim, depth, levels)
+
+
+def _bracket_level(tree, dim: int) -> tuple:
+    """(degree, flat level) of a bracketing tree's element, [a, b] = ab - ba."""
+    if _is_letter(tree):
+        if not 1 <= tree <= dim:
+            raise DomainError(f"letter {tree} out of range for dimension {dim}")
+        return 1, np.eye(dim)[tree - 1]
+    (p, a), (q, b) = (_bracket_level(t, dim) for t in tree)
+    return p + q, np.outer(a, b).ravel() - np.outer(b, a).ravel()
 
 
 @functools.lru_cache(maxsize=None)
@@ -285,7 +291,7 @@ def _level_terms(dim: int, degree: int) -> tuple:
     Algebras, Thm 5.1), so each level follows from the terms of two lower ones;
     the word xy has flat index index(x)·d^|y| + index(y).
     """
-    basis = lyndon_basis(dim, degree)
+    basis = _lyndon_basis(dim, degree)
     top = [b for b in basis if b.degree == degree]
     rows = np.array([b.word.index(dim) for b in top], dtype=np.intp)
     if degree == 1:
@@ -349,7 +355,7 @@ def _gram_inverse(dim: int, degree: int) -> np.ndarray:
     its entries are integers, so it comes out exact.
     """
     _, element, word, coef = _level_terms(dim, degree)
-    n = witt_dimension(dim, degree)
+    n = _witt(dim, degree)
     width = max(_TRIANGLE_BUDGET // max(n, 1), 1)
     gram = np.zeros((n, n))
     for lo in range(0, dim**degree, width):
@@ -397,7 +403,7 @@ def _level_expansion(dim: int, degree: int):
     1.8e3 at k = 8, 1.55e4 at k = 9).  Past ``_SOLVE_GAIN`` it is None: such levels
     take least squares.
     """
-    n = witt_dimension(dim, degree)
+    n = _witt(dim, degree)
     if n * n > _TRIANGLE_BUDGET:
         raise DomainError(
             f"Lyndon coordinates of degree {degree} in {dim} letters need a {n} x {n} "
@@ -426,19 +432,17 @@ class LieCoordinates:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1 or self.depth < 1:
-            raise DomainError("dim and depth must be positive")
+        object.__setattr__(self, "dim", _count("dim", self.dim, 1))
+        object.__setattr__(self, "depth", _count("depth", self.depth, 1))
         arr = _frozen(self.values).reshape(-1)
-        expected = sum(witt_dimension(self.dim, k) for k in range(1, self.depth + 1))
+        expected = sum(_witt(self.dim, k) for k in range(1, self.depth + 1))
         if arr.size != expected:
-            raise DomainError(
-                f"expected {expected} coordinates for dim={self.dim}, depth={self.depth}"
-            )
+            raise DomainError(f"need {expected} coordinates at dim {self.dim}, depth {self.depth}")
         object.__setattr__(self, "values", arr)
 
     @property
     def basis(self) -> tuple[LyndonBasisElement, ...]:
-        return lyndon_basis(self.dim, self.depth)
+        return _lyndon_basis(self.dim, self.depth)
 
     def coeff(self, key) -> float:
         """Coordinate on a basis element, addressed by element, Word or rendering."""
@@ -449,15 +453,12 @@ class LieCoordinates:
 
     def max_degree(self, tol: float = 0.0) -> int:
         """Highest degree carrying a coordinate with |value| > tol (0 if none)."""
-        out = 0
-        for b, v in zip(self.basis, self.values):
-            if abs(v) > tol:
-                out = max(out, b.degree)
-        return out
+        tol = _real("tol", tol, 0)
+        return max((b.degree for b, v in zip(self.basis, self.values) if abs(v) > tol), default=0)
 
     def to_tensor(self, depth: int | None = None) -> TruncatedTensor:
-        depth = self.depth if depth is None else depth
-        ends = np.cumsum([witt_dimension(self.dim, k) for k in range(1, self.depth)])
+        depth = self.depth if depth is None else _count("depth", depth, 1)
+        ends = np.cumsum([_witt(self.dim, k) for k in range(1, self.depth)])
         parts = np.split(self.values[None], ends, axis=1)[:depth]
         levels = [np.zeros(1)]
         for k, v in enumerate(parts, 1):
@@ -474,7 +475,7 @@ class LieCoordinates:
 def _coord_lookup(dim: int, depth: int) -> dict:
     """Basis index of each Lyndon word and of each rendering, per (dim, depth)."""
     table = {}
-    for i, b in enumerate(lyndon_basis(dim, depth)):
+    for i, b in enumerate(_lyndon_basis(dim, depth)):
         table[b.word.letters] = i
         table[str(b)] = i
     return table
@@ -486,7 +487,7 @@ def _coord_key(key):
     if isinstance(key, Word):
         return key.letters
     if isinstance(key, tuple):
-        return tuple(int(c) for c in key)
+        return Word(key).letters
     if isinstance(key, str):
         return key
     raise TypeError(f"cannot address a coordinate with {type(key).__name__}")
@@ -594,10 +595,10 @@ def _mobius(n: int) -> int:
 
 def witt_dimension(dim: int, degree: int) -> int:
     """Dimension of the degree-k graded piece of the free Lie algebra on d letters."""
-    if dim < 1 or degree < 1:
-        raise DomainError("dim and degree must be positive")
-    total = 0
-    for m in range(1, degree + 1):
-        if degree % m == 0:
-            total += _mobius(m) * dim ** (degree // m)
-    return total // degree
+    return _witt(_count("dim", dim, 1), _count("degree", degree, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _witt(dim: int, degree: int) -> int:
+    divisors = (m for m in range(1, degree + 1) if degree % m == 0)
+    return sum(_mobius(m) * dim ** (degree // m) for m in divisors) // degree

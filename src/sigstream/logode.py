@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, DivergenceError, DomainError, _count
+from .errors import CapabilityError, DimensionMismatchError, DivergenceError, DomainError
+from .errors import _count, _points, _real
 from .lie_algebra import LieCoordinates, lyndon_basis
 from .streams import _COEFF_BUDGET, Stream, _cut, _log_signature_rows
 from .tensor_algebra import _CACHE_ELEMENTS, TruncatedTensor, _exp_tail, _frozen, _represent
@@ -50,11 +51,9 @@ class LinearSystem:
     matrices: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen(self.matrices)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        arr = _frozen(_points("matrices", self.matrices, (None, None, None)))
+        if arr.shape[1] != arr.shape[2]:
             raise DomainError("matrices must have shape (d, m, m)")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("matrices must be finite")
         object.__setattr__(self, "matrices", arr)
 
     @property
@@ -94,13 +93,13 @@ class VectorFieldSystem:
         smoothness: int = 1,
         validate_at=None,
     ):
+        self.state_dim = _count("state_dim", state_dim, 1)
+        self.driver_dim = _count("driver_dim", driver_dim, 1)
         if len(fields) != driver_dim or len(jacobians) != driver_dim:
             raise DomainError("need one field and one Jacobian per driver coordinate")
-        self.state_dim = int(state_dim)
-        self.driver_dim = int(driver_dim)
         self.fields = tuple(fields)
         self.jacobians = tuple(jacobians)
-        self.smoothness = smoothness
+        self.smoothness = _count("smoothness", smoothness, 0)
         self._identity = None  # from_linear: the _Point at Y = I_m, letters valued A_i
         if validate_at is not None:
             self._validate_jacobians(validate_at)
@@ -117,7 +116,7 @@ class VectorFieldSystem:
 
     def _validate_jacobians(self, points):
         units = np.eye(self.state_dim)
-        for y in np.atleast_2d(np.asarray(points, dtype=float)):
+        for y in _points("validate_at", np.atleast_2d(points), (None, self.state_dim)):
             point = _Point(self, y, {})
             for i, jac in enumerate(self.jacobians):
                 J = np.asarray(jac(y), dtype=float)
@@ -260,7 +259,7 @@ def lie_extend_evaluate(vfs: VectorFieldSystem, coords: LieCoordinates, y) -> np
     Returns sum_b lambda_b B_b(y) where B_b is the iterated vector-field
     bracket following each basis element's bracketing.
     """
-    y = np.asarray(y, dtype=float)
+    y = _points("y", y, (vfs.state_dim,), DimensionMismatchError)
     if vfs._identity is not None:
         return _frozen_matrices(vfs, coords.dim, coords.depth, coords.values[None])[0] @ y
     return _frozen_field(vfs, coords)(y)
@@ -277,8 +276,12 @@ def logode_step(
     Its state is checked once, after the last substep, and replayed substep by substep
     if it is not finite; a general field's state, after every substep.
     """
-    substeps = _count("substeps", substeps, 1)
-    y = np.asarray(y0, dtype=float)
+    y = _points("y0", y0, (vfs.state_dim,), DimensionMismatchError)
+    return _logode_step(vfs, y, coords, _count("substeps", substeps, 1))
+
+
+def _logode_step(vfs: VectorFieldSystem, y, coords: LieCoordinates, substeps: int):
+    """logode_step for checked arguments: ``solve``'s per-step call."""
     if vfs._identity is not None:
         out = np.empty((1,) + y.shape)
         _linear_steps(vfs, coords.dim, coords.depth, coords.values[None], y, substeps, out)
@@ -308,15 +311,13 @@ class LogOdeSchedule:
         if arr.size < 2 or not np.all(np.diff(arr) > 0):
             raise DomainError("boundaries must be increasing with at least two entries")
         object.__setattr__(self, "boundaries", arr)
-        object.__setattr__(self, "depth", _count("truncation degree", self.depth, 1))
+        object.__setattr__(self, "depth", _count("depth (truncation degree)", self.depth, 1))
         object.__setattr__(self, "substeps", _count("substeps", self.substeps, 1))
 
     @classmethod
     def uniform(cls, stream: Stream, steps: int, depth: int, substeps: int = 16):
-        if _count("steps", steps, 1) > _COEFF_BUDGET:  # linspace allocates steps + 1 floats
-            raise DomainError(f"steps must lie in [1, {_COEFF_BUDGET}]")
-        t0, t1 = stream.interval
-        return cls(np.linspace(t0, t1, steps + 1), depth, substeps)
+        steps = _count("steps", steps, 1, _COEFF_BUDGET)  # linspace allocates steps + 1 floats
+        return cls(np.linspace(*stream.interval, steps + 1), depth, substeps)
 
 
 def solve(
@@ -332,9 +333,7 @@ def solve(
     bounds = schedule.boundaries
     if bounds[0] < t0 - 1e-9 or bounds[-1] > t1 + 1e-9:
         raise DomainError("schedule boundaries leave the stream's interval")
-    y = np.asarray(y0, dtype=float)
-    if y.shape != (vfs.state_dim,) or not np.all(np.isfinite(y)):
-        raise DomainError(f"y0 must hold {vfs.state_dim} finite numbers")
+    y = _points("y0", y0, (vfs.state_dim,))
     d, depth, substeps = stream.dimension, schedule.depth, schedule.substeps
     _, points, index = _cut(stream, bounds)
     rows = _log_signature_rows(points, index[:-1], index[1:], depth)
@@ -344,7 +343,7 @@ def solve(
         _linear_steps(vfs, d, depth, rows, y, substeps, states[1:])
         return states
     for i, row in enumerate(rows, start=1):
-        y = states[i] = logode_step(vfs, y, LieCoordinates(d, depth, row), substeps)
+        y = states[i] = _logode_step(vfs, y, LieCoordinates(d, depth, row), substeps)
     return states
 
 
@@ -358,7 +357,7 @@ def linear_solve(lin: LinearSystem, s: Stream, y0) -> np.ndarray:
     """
     import scipy.linalg  # here, so importing the package leaves scipy.linalg out
 
-    y = np.asarray(y0, dtype=float).copy()
+    y = _points("y0", y0, (lin.state_dim,), DimensionMismatchError)
     if s.dimension != lin.driver_dim:
         raise DomainError(
             f"stream dimension {s.dimension} != system driver dimension {lin.driver_dim}"
@@ -373,10 +372,12 @@ def linear_series_apply(lin: LinearSystem, sig: TruncatedTensor, y0) -> np.ndarr
     """Truncated signature series sum_k sum_w S_w A_{w_k} ... A_{w_1} y0."""
     if sig.dim != lin.driver_dim:
         raise DomainError("signature and system driver dimensions differ")
+    y = _points("y0", y0, (lin.state_dim,), DimensionMismatchError)
     # (A_{w_1}^T ... A_{w_k}^T)^T = A_{w_k} ... A_{w_1}
-    return _represent(sig, lin.matrices.transpose(0, 2, 1)).T @ np.asarray(y0, dtype=float)
+    return _represent(sig, lin.matrices.transpose(0, 2, 1)).T @ y
 
 
 def series_tail_bound(op_norm: float, length: float, depth: int, y0_norm: float) -> float:
     """Tail sum_{k > depth} (|A| L)^k / k! * |y0| bounding the series remainder."""
-    return _exp_tail(op_norm * length, depth) * y0_norm
+    x = _real("op_norm", op_norm, 0) * _real("length", length, 0)
+    return _exp_tail(x, _count("depth", depth, 0)) * _real("y0_norm", y0_norm, 0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lie_algebra, tensor_algebra
-from .errors import DimensionMismatchError, DomainError, StreamParseError, _count
+from .errors import DimensionMismatchError, DomainError, StreamParseError, _count, _points, _real
 from .tensor_algebra import (
     TruncatedTensor, _frozen, _log_levels, _mul_levels, _vector_norms, chen_fold
 )
@@ -44,20 +44,18 @@ class Stream:
     __slots__ = ("times", "points")
 
     def __init__(self, times, points):
-        times = _frozen(times).reshape(-1)
-        points = _frozen(points)
-        if points.ndim == 1:
-            points = points[:, None]
-        if points.ndim != 2 or points.shape[0] != times.size:
+        times, points = _points("times", np.ravel(times), (None,)), np.asarray(points)
+        points = points[:, None] if points.ndim == 1 else points  # 1-D points: a 1-D stream
+        points = _points("points", points, (None, None), DimensionMismatchError)
+        if points.shape[0] != times.size:
             raise DimensionMismatchError(
                 f"need one point per timestamp, got {points.shape} for {times.size} times"
             )
         if times.size < 1:
             raise DomainError("a stream needs at least one sample")
-        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(points)):
-            raise DomainError("stream samples must be finite")
         if not np.all(np.diff(times) > 0):
             raise DomainError("timestamps must be strictly increasing")
+        times.flags.writeable = points.flags.writeable = False
         self.times = times
         self.points = points
 
@@ -82,7 +80,7 @@ class Stream:
 
     def value_at(self, t: float) -> np.ndarray:
         """Piecewise-linear interpolation at time t (inside the interval)."""
-        t0, t1 = self.interval
+        t, (t0, t1) = _real("t", t), self.interval
         if t < t0 - 1e-12 or t > t1 + 1e-12:
             raise DomainError(f"time {t} outside stream interval [{t0}, {t1}]")
         return _cut(self, [t])[1][0]
@@ -224,7 +222,7 @@ def reverse(s: Stream) -> Stream:
 
 def restrict(s: Stream, t0: float, t1: float) -> Stream:
     """Sub-stream on [t0, t1], interpolating the endpoints."""
-    lo, hi = s.interval
+    (lo, hi), t0, t1 = s.interval, _real("t0", t0), _real("t1", t1)
     if t0 < lo - 1e-9 or t1 > hi + 1e-9 or t0 > t1:
         raise DomainError(f"[{t0}, {t1}] is not inside [{lo}, {hi}]")
     times, points, _ = _cut(s, [t0, t1])
@@ -352,13 +350,8 @@ def dp_distance_estimate(
     pieces are signed; each coarser piece is the Chen product of its halves.
     """
     if a.dimension != b.dimension:
-        raise DimensionMismatchError(
-            f"streams have dimensions {a.dimension} and {b.dimension}"
-        )
-    if not 1 <= p < np.inf:
-        raise DomainError(f"p must be finite and >= 1, got {p}")
-    if max_level < 1:
-        raise DomainError("max_level must be >= 1")
+        raise DimensionMismatchError(f"streams have dimensions {a.dimension} and {b.dimension}")
+    p, max_level = _real("p", p, 1), _count("max_level", max_level, 1)
     m_top = int(np.floor(p))
     # 2 x 2^max_level rows; past the budget's bit length any exponent is over it, so
     # capping it keeps a huge max_level cheap without passing the check

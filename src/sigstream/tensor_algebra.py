@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, OutOfDepthError
+from .errors import DimensionMismatchError, DomainError, OutOfDepthError, _count
 
 __all__ = [
     "Word",
@@ -53,10 +53,7 @@ class Word:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        letters = tuple(int(c) for c in self.letters)
-        if any(c < 1 for c in letters):
-            raise DomainError(f"word letters must be >= 1, got {letters}")
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "letters", tuple(_count("letter", c, 1) for c in self.letters))
 
     @property
     def degree(self) -> int:
@@ -64,7 +61,7 @@ class Word:
 
     def index(self, dim: int) -> int:
         """Flat lexicographic index of this word among words of its degree."""
-        if any(c > dim for c in self.letters):
+        if max(self.letters, default=0) > _count("dim", dim, 1):
             raise DomainError(f"letter out of range for dimension {dim}: {self}")
         idx = 0
         for c in self.letters:
@@ -93,9 +90,9 @@ def _frozen(values, dtype=float) -> np.ndarray:
 
 
 def words_of_degree(dim: int, degree: int):
-    """All words of the given degree in lexicographic order."""
-    for letters in itertools.product(range(1, dim + 1), repeat=degree):
-        yield Word(letters)
+    """All words of the given degree in lexicographic order, as an iterator."""
+    letters = range(1, _count("dim", dim, 1) + 1)
+    return map(Word, itertools.product(letters, repeat=_count("degree", degree, 0)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -117,23 +114,17 @@ class TruncatedTensor:
     __slots__ = ("dim", "depth", "levels", "grouplike")
 
     def __init__(self, dim, depth, levels=None, grouplike=False):
-        if dim < 1 or depth < 1:
-            raise DomainError("dimension and depth must be positive")
-        self.dim = int(dim)
-        self.depth = int(depth)
+        self.dim, self.depth = _count("dim", dim, 1), _count("depth", depth, 1)
         if levels is None:
             levels = [np.zeros(self.dim**k) for k in range(self.depth + 1)]
         if len(levels) != self.depth + 1:
-            raise DimensionMismatchError(
-                f"expected {self.depth + 1} levels, got {len(levels)}"
-            )
+            raise DimensionMismatchError(f"expected {self.depth + 1} levels, got {len(levels)}")
         stored = []
         for k, lvl in enumerate(levels):
             arr = _frozen(lvl).reshape(-1)
             if arr.size != self.dim**k:
-                raise DimensionMismatchError(
-                    f"level {k} must hold {self.dim**k} coefficients, got {arr.size}"
-                )
+                raise DimensionMismatchError(f"level {k} must hold {self.dim**k} coefficients, "
+                                             f"got {arr.size}")
             stored.append(arr)
         self.levels = tuple(stored)
         self.grouplike = bool(grouplike)
@@ -144,21 +135,24 @@ class TruncatedTensor:
 
     @classmethod
     def unit(cls, dim, depth):
-        return cls(dim, depth, [np.ones(1)] + [np.zeros(dim**k) for k in range(1, depth + 1)])
+        out = cls(dim, depth)
+        out.levels = (_frozen([1.0]), *out.levels[1:])
+        return out
 
     @classmethod
     def from_level1(cls, vec, depth, grouplike=False):
-        vec = np.asarray(vec, dtype=float).reshape(-1)
-        zeros = [np.zeros(vec.size**k) for k in range(2, depth + 1)]
-        return cls(vec.size, depth, [np.zeros(1), vec] + zeros, grouplike=grouplike)
+        vec = _frozen(vec).reshape(-1)
+        out = cls(vec.size, depth, grouplike=grouplike)
+        out.levels = (out.levels[0], vec, *out.levels[2:])
+        return out
 
     def level(self, k) -> np.ndarray:
-        if not 0 <= k <= self.depth:
+        if _count("level", k, 0) > self.depth:
             raise OutOfDepthError(f"level {k} outside 0..{self.depth}")
         return self.levels[k]
 
     def truncated(self, depth) -> "TruncatedTensor":
-        if depth > self.depth:
+        if _count("depth", depth, 1) > self.depth:
             raise OutOfDepthError("cannot extend a truncated tensor")
         return TruncatedTensor(
             self.dim, depth, self.levels[: depth + 1], grouplike=self.grouplike
@@ -507,7 +501,7 @@ def to_json_dict(a: TruncatedTensor) -> dict:
 
 
 def from_json_dict(obj: dict) -> TruncatedTensor:
-    return TruncatedTensor(int(obj["d"]), int(obj["depth"]), obj["levels"])
+    return TruncatedTensor(obj["d"], obj["depth"], obj["levels"])
 
 
 def coeff_map(a: TruncatedTensor) -> dict[str, float]:

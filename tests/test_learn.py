@@ -518,12 +518,24 @@ PAIR = random_streams(np.random.default_rng(0), 2, 2, 5)
         (lambda: featurize(PAIR, True), DomainError, "depth must be an integer >= 1"),
         (lambda: featurize_logsig(PAIR, 2.5), DomainError, "depth must be an integer >= 1"),
         (lambda: featurize_logsig(PAIR, True), DomainError, "depth must be an integer >= 1"),
+        (lambda: fit_ridge([[1.0, np.nan], [1.0, 2.0]], [0.0, 1.0]), DomainError,
+         "X must be finite"),
+        (lambda: fit_conditional_law([(p, p) for p in PAIR], 2, 2).predict(np.ones((2, 3))),
+         DimensionMismatchError, r"X must have shape \(\*, 7\)"),
+        (lambda: classification_report([0.1, 0.9], [0.5, 1]), DomainError, "0/1"),
+        (lambda: classification_report([np.nan, 0.9], [0, 1]), DomainError,
+         "scores must be finite"),
+        (lambda: classification_report([0.1, 0.9], [0, 1, 1]), DimensionMismatchError, "labels"),
+        (lambda: coordinate_r2(np.ones((3, 2)), np.ones((2, 2))), DimensionMismatchError,
+         "y_pred must have shape"),
     ],
     ids=["transform", "no-streams", "ridge-rows", "lasso-rows", "max-penalty-rows", "kkt-rows",
          "stability-rows", "stability-rounds", "stability-fraction-high", "stability-fraction-nan",
          "stability-fraction-zero", "stability-one-row", "kkt-of-ridge", "labels",
          "strength-high", "strength-low", "featurize-fractional-depth", "featurize-bool-depth",
-         "logsig-fractional-depth", "logsig-bool-depth"],
+         "logsig-fractional-depth", "logsig-bool-depth", "ridge-non-finite-design",
+         "conditional-law-columns", "fractional-labels", "nan-scores", "label-count",
+         "r2-shapes"],
 )
 def test_input_checks(call, error, match):
     with pytest.raises(error, match=match):

@@ -393,12 +393,18 @@ LINE = Stream([0.0, 1.0], [[0.0], [1.0]])
         (lambda: signature(LINE, True), DomainError, "depth must be an integer >= 1"),
         (lambda: log_signature(LINE, 2.5), DomainError, "depth must be an integer >= 1"),
         (lambda: log_signature(LINE, True), DomainError, "depth must be an integer >= 1"),
+        (lambda: Stream(["0", "1"], [[0.0], [1.0]]), DomainError, "times must be an array"),
+        (lambda: Stream([0.0, 1.0], [True, False]), DomainError, "points must be an array"),
+        (lambda: Stream([0.0, np.nan], [0.0, 1.0]), DomainError, "times must be finite"),
+        (lambda: Stream([0.0, 1.0], np.zeros((2, 1, 1))), DimensionMismatchError,
+         r"points must have shape \(\*, \*\)"),
     ],
     ids=["shape", "no-samples", "repeated-time", "decreasing-time", "flavor",
          "flavor-one-sample", "value-at",
          "concat", "restrict", "dp-levels", "empty-csv", "header-only-csv", "budget-int64",
          "budget-depth", "signature-zero-depth", "signature-fractional-depth",
-         "signature-bool-depth", "logsig-fractional-depth", "logsig-bool-depth"],
+         "signature-bool-depth", "logsig-fractional-depth", "logsig-bool-depth",
+         "string-times", "bool-points", "nan-time", "3d-points"],
 )
 def test_input_checks(call, error, match):
     with pytest.raises(error, match=match):

@@ -493,12 +493,12 @@ def test_array_holders_keep_read_only_copies(values, build, held):
 @pytest.mark.parametrize(
     "call, error, match",
     [
-        (lambda: Word((1, 0)), DomainError, "letters must be >= 1"),
+        (lambda: Word((1, 0)), DomainError, "letter must be an integer >= 1"),
         (lambda: Word((1, 3)).index(2), DomainError, "out of range"),
         (lambda: TruncatedTensor(2, 2, [[1.0], [0.0, 0.0]]), DimensionMismatchError, "3 levels"),
         (lambda: TruncatedTensor(2, 1, [[1.0], [0.0, 0.0, 0.0]]), DimensionMismatchError,
          "level 1 must hold 2"),
-        (lambda: TruncatedTensor(0, 1), DomainError, "positive"),
+        (lambda: TruncatedTensor(0, 1), DomainError, "dim must be an integer >= 1"),
         (lambda: TruncatedTensor(2, 1).level(2), OutOfDepthError, "outside"),
         (lambda: TruncatedTensor(2, 1).truncated(2), OutOfDepthError, "cannot extend"),
         (lambda: TruncatedTensor(2, 1) + 1.0, TypeError, "expected TruncatedTensor"),
