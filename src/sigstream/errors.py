@@ -3,7 +3,8 @@
 Public entry points take their counts, reals and points through ``_count``, ``_real``
 and ``_points`` (the README's "Argument contract"): each returns a plain int, a plain
 float or a new float64 array, or raises DomainError naming the argument, or
-DimensionMismatchError for a point whose size another argument sets.
+DimensionMismatchError for a point whose size another argument sets.  ``_instance``
+checks a type; ``_check_budget`` sizes each request against the one ``_COEFF_BUDGET``.
 """
 
 import math
@@ -101,8 +102,9 @@ def _real(name, value, lo=-math.inf, hi=math.inf, lo_open=False):
 
 def _points(name, value, shape, mismatch=DomainError):
     """value as a new float64 array of finite reals (not bools) in ``shape``, None matching
-    any length; a wrong shape raises ``mismatch`` (where another argument sets the size)."""
-    spec = str(tuple("*" if n is None else n for n in shape)).replace("'", "")
+    any length (a shape of None, any shape); a wrong shape raises ``mismatch`` (where
+    another argument sets the size)."""
+    spec = str(tuple("*" if n is None else n for n in shape or ())).replace("'", "")
     try:  # an array as it is; in sequences, every entry must be a real number and no bool
         arr = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
         if arr.dtype == object and all(_real_number(v) for v in arr.flat):
@@ -110,10 +112,41 @@ def _points(name, value, shape, mismatch=DomainError):
     except (ValueError, OverflowError):  # ragged sequences, integers past the float range
         arr = np.asarray(None)
     if arr.dtype.kind not in "iuf":  # bool, complex, str, object
-        raise DomainError(f"{name} must be an array of finite reals of shape {spec}")
-    if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        raise DomainError(f"{name} must be an array of finite reals"
+                          + ("" if shape is None else f" of shape {spec}"))
+    if shape is not None and (arr.ndim != len(shape)
+                              or any(n not in (None, m) for n, m in zip(shape, arr.shape))):
         raise mismatch(f"{name} must have shape {spec}, got shape {arr.shape}")
     arr = arr.astype(float, order="C")
     if not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite")
     return arr
+
+
+def _instance(name, value, cls):
+    """value, when it is a ``cls``."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
+# most floats (1 GiB) that one request may hold: a larger request fails before it
+# allocates instead of raising numpy's memory error
+_COEFF_BUDGET = 2**27
+
+
+def _check_budget(what: str, rows, dim=1, depth: int = 0) -> None:
+    """Raise DomainError when the request ``what`` of rows x sum_{k <= depth} dim^k floats
+    exceeds _COEFF_BUDGET (read at each call), or when depth exceeds its bit length.
+
+    The depth bound comes first, so the sum has at most 29 terms, taken in Python
+    integers, where numpy integers could wrap; for dim = 1 it also caps the O(depth^2)
+    work of folding signature levels and of naming their words.
+    """
+    budget = _COEFF_BUDGET
+    what = f"{what} of dimension {dim} at depth {depth}" if depth else what
+    if depth > budget.bit_length():
+        raise DomainError(f"{what} exceed the depth limit of {budget.bit_length()}, the bit "
+                          "length of the budget")
+    if int(rows) * sum(int(dim) ** k for k in range(depth + 1)) > budget:
+        raise DomainError(f"{what} need more than the budget of {budget} floats")

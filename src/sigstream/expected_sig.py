@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, TimeCapError, _count, _points, _real
-from . import tensor_algebra
+from . import errors, tensor_algebra
 from .lie_algebra import _expand_lyndon, _prefix_plan
-from .streams import _COEFF_BUDGET, _check_budget
 from .tensor_algebra import TruncatedTensor, _mean_stderr, _prefix_fold, chen_fold, grade_norms
 
 __all__ = [
@@ -195,10 +194,10 @@ class GridDomain:
         x0, x1, y0, y1 = descriptor.bbox
         ax, ay = descriptor.anchor
         # nodes per side of the anchor, each capped at the budget, which it then exceeds
-        spans = (ax - x0, x1 - ax, ay - y0, y1 - ay)
-        nx_lo, nx_hi, ny_lo, ny_hi = (math.ceil(min(s / h + 1e-12, _COEFF_BUDGET)) for s in spans)
-        if (nx_lo + nx_hi + 1) * (ny_lo + ny_hi + 1) > _COEFF_BUDGET:
-            raise DomainError(f"a grid of spacing {h} needs more than {_COEFF_BUDGET} nodes")
+        spans, cap = (ax - x0, x1 - ax, ay - y0, y1 - ay), errors._COEFF_BUDGET
+        nx_lo, nx_hi, ny_lo, ny_hi = (math.ceil(min(s / h + 1e-12, cap)) for s in spans)
+        errors._check_budget(f"the nodes of a grid of spacing {h}",
+                             (nx_lo + nx_hi + 1) * (ny_lo + ny_hi + 1))
         self.xs = ax + h * np.arange(-nx_lo, nx_hi + 1)
         self.ys = ay + h * np.arange(-ny_lo, ny_hi + 1)
         gx, gy = np.meshgrid(self.xs, self.ys, indexing="ij")
@@ -337,7 +336,7 @@ def solve_recurrence(grid: GridDomain, depth: int) -> ExpectedSigField:
     depth = _count("depth", depth, 2)
     d = 2
     n = grid.n_interior
-    _check_budget(n, d, depth, f"expected signatures at {n} grid points")
+    errors._check_budget(f"expected signatures at {n} grid points", n, d, depth)
     levels = [np.ones((1, n)), np.zeros((d, n))]
     letters = np.arange(d)
     for level in range(2, depth + 1):
@@ -400,7 +399,7 @@ def mc_expected_sig(
     depth, paths = _count("depth", depth, 1), _count("paths", paths, 1)
     seed, dt = _count("seed", seed, 0), _real("dt", dt, 0, lo_open=True)
     d = 2
-    _check_budget(paths, d, depth, f"{paths} Monte Carlo path signature(s)")
+    errors._check_budget(f"{paths} Monte Carlo path signature(s)", paths, d, depth)
     rng = np.random.default_rng(seed)
     sizes = [d**k for k in range(depth + 1)]
     chunk = tensor_algebra._CHUNK_ELEMENTS

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateReportError, DimensionMismatchError, DomainError, NonFiniteResultError
-from .errors import _count, _points, _real
+from .errors import _check_budget, _count, _instance, _points, _real
 from .lie_algebra import lyndon_basis
-from .streams import _COEFF_BUDGET, TRANSFORMS, Stream, _log_signature_rows, _signature_levels
+from .streams import TRANSFORMS, Stream, _log_signature_rows, _signature_levels
 from .streams import _transformed
 from .tensor_algebra import Word, _frozen, _words_up_to
 
@@ -86,7 +86,7 @@ def _stacked(streams, transform):
     """The transformed streams' points stacked, each one's first and last row, and dimension."""
     if transform not in TRANSFORMS:
         raise DomainError(f"unknown transform {transform!r}")
-    streams = list(streams)
+    streams = [_instance("each of streams", s, Stream) for s in streams]
     if not streams:
         raise DomainError("no streams to featurize")
     dims = {s.dimension for s in streams}
@@ -127,7 +127,7 @@ def _as_array(X, columns=None):
 
 def _design(X, y):
     """X as an array and y as a vector, with one label per row of X."""
-    A, y = _as_array(X), _points("y", np.reshape(y, -1), (None,))
+    A, y = _as_array(X), _points("y", y, None).ravel()
     if A.shape[0] != y.size:
         raise DimensionMismatchError("row count of X must match len(y)")
     return A, y
@@ -420,8 +420,7 @@ def two_class_streams(
     strength = _real("strength", strength, 0, 1)
     # at least two steps, to standardize the increments
     n_per_class, n_steps = _count("n_per_class", n_per_class, 1), _count("n_steps", n_steps, 2)
-    if 4 * n_per_class * (n_steps + 1) > _COEFF_BUDGET:  # 2 n_per_class streams in R^2
-        raise DomainError(f"the streams need more than {_COEFF_BUDGET} coordinates")
+    _check_budget(f"{2 * n_per_class} streams in R^2", 4 * n_per_class * (n_steps + 1))
     rng = np.random.default_rng(_count("seed", seed, 0))
     times = np.linspace(0.0, 1.0, n_steps + 1)
     streams, labels = [], []

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotALieElementError, OutOfDepthError, _count, _is_integer, _real
-from . import tensor_algebra
+from . import errors, tensor_algebra
 from .tensor_algebra import TruncatedTensor, Word, _batch_of_one, _frozen, _shuffle_letters
 
 __all__ = [
@@ -43,10 +43,6 @@ __all__ = [
 # Lie-membership tolerance of tensor_to_lie_coords: relative to |a|, plus a floor
 _LIE_RTOL = 1e-9
 _LIE_ATOL = 1e-12
-# largest Lyndon-row block (n_k x n_k floats, 128 MiB) that one degree may build and
-# invert densely before keeping the inverse's terms (larger degrees raise DomainError),
-# and the widest column block of a Gram matrix sum
-_TRIANGLE_BUDGET = 2**24
 # largest error gain ||U^{-1}|| of a level's triangular solve; past it, least squares
 _SOLVE_GAIN = 2**12
 # refinement steps of the least-squares solve (d = 2, N = 15 needs two for 1e-12)
@@ -121,8 +117,8 @@ def _unit_triangular_inverse(triangle: np.ndarray) -> np.ndarray:
     The inverse is integral as well, and forward substitution forms it exactly while
     its entries stay below 2^53.  A matrix that is not integral and unit lower
     triangular is a bug (AssertionError); an inverse past that bound is a request
-    too large to answer exactly (DomainError; for Lyndon coordinates, d = 2 from
-    degree 16).
+    too large to answer exactly (DomainError), the guard of exactness behind the
+    budget of ``_lie_coords``.
     """
     if not np.array_equal(triangle, np.rint(triangle)):
         raise AssertionError("expected an integral matrix")
@@ -351,12 +347,12 @@ def _scatter(values: np.ndarray, src, dst, coef, size: int) -> np.ndarray:
 def _gram_inverse(dim: int, degree: int) -> np.ndarray:
     """(E E^T)^{-1} for the degree-k Lyndon elements E (n_k × d^k) in words.
 
-    E E^T is summed over column blocks of at most ``_TRIANGLE_BUDGET`` entries;
+    E E^T is summed over column blocks of at most an eighth of the budget, in floats;
     its entries are integers, so it comes out exact.
     """
     _, element, word, coef = _level_terms(dim, degree)
     n = _witt(dim, degree)
-    width = max(_TRIANGLE_BUDGET // max(n, 1), 1)
+    width = max(errors._COEFF_BUDGET // 8 // max(n, 1), 1)
     gram = np.zeros((n, n))
     for lo in range(0, dim**degree, width):
         on = (word >= lo) & (word < lo + width)
@@ -404,11 +400,6 @@ def _level_expansion(dim: int, degree: int):
     take least squares.
     """
     n = _witt(dim, degree)
-    if n * n > _TRIANGLE_BUDGET:
-        raise DomainError(
-            f"Lyndon coordinates of degree {degree} in {dim} letters need a {n} x {n} "
-            f"triangular inverse, over the budget of {_TRIANGLE_BUDGET} entries"
-        )
     rows, element, word, coef = _level_terms(dim, degree)
     on = np.isin(word, rows)
     lower = np.zeros((n, n))  # U^T; the Lyndon rows are in increasing order
@@ -514,8 +505,13 @@ def _lie_coords(levels, dim: int, depth: int) -> np.ndarray:
 
     A row's coordinates do not depend on the other rows, and it is checked as one tensor
     is (``tensor_to_lie_coords``); the error names the first failing row's lowest failing
-    level.
+    level.  The request is sized first, by its top degree N: 8 n_N^2 floats for the
+    triangle, its inverse and the Gram matrix, and n_N d^N for the element table that
+    ``_gram_inverse`` writes densely, a column block at a time.
     """
+    n = _witt(dim, depth) if depth > 1 else 0  # degree 1 needs no table
+    errors._check_budget(f"Lyndon coordinates of degree {depth} in {dim} letters",
+                         max(8 * n, dim**depth) * n)
     if levels[0].any():
         raise DomainError("a Lie element has zero level-0 coefficient")
     flat = np.concatenate(levels, axis=1)

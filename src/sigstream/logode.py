@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DimensionMismatchError, DivergenceError, DomainError
-from .errors import _count, _points, _real
+from .errors import _check_budget, _count, _points, _real
 from .lie_algebra import LieCoordinates, lyndon_basis
-from .streams import _COEFF_BUDGET, Stream, _cut, _log_signature_rows
+from .streams import Stream, _cut, _log_signature_rows
 from .tensor_algebra import _CACHE_ELEMENTS, TruncatedTensor, _exp_tail, _frozen, _represent
 
 __all__ = [
@@ -316,7 +316,8 @@ class LogOdeSchedule:
 
     @classmethod
     def uniform(cls, stream: Stream, steps: int, depth: int, substeps: int = 16):
-        steps = _count("steps", steps, 1, _COEFF_BUDGET)  # linspace allocates steps + 1 floats
+        steps = _count("steps", steps, 1)
+        _check_budget(f"{steps} steps", steps)  # linspace allocates one float more
         return cls(np.linspace(*stream.interval, steps + 1), depth, substeps)
 
 

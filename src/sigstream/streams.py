@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lie_algebra, tensor_algebra
+from . import errors, lie_algebra, tensor_algebra
 from .errors import DimensionMismatchError, DomainError, StreamParseError, _count, _points, _real
 from .tensor_algebra import (
     TruncatedTensor, _frozen, _log_levels, _mul_levels, _vector_norms, chen_fold
@@ -44,9 +44,10 @@ class Stream:
     __slots__ = ("times", "points")
 
     def __init__(self, times, points):
-        times, points = _points("times", np.ravel(times), (None,)), np.asarray(points)
+        times, points = _points("times", times, None).ravel(), _points("points", points, None)
         points = points[:, None] if points.ndim == 1 else points  # 1-D points: a 1-D stream
-        points = _points("points", points, (None, None), DimensionMismatchError)
+        if points.ndim != 2:
+            raise DimensionMismatchError(f"points must have shape (*, *), got shape {points.shape}")
         if points.shape[0] != times.size:
             raise DimensionMismatchError(
                 f"need one point per timestamp, got {points.shape} for {times.size} times"
@@ -242,37 +243,10 @@ def _cut(s: Stream, cuts):
 
 # -- signatures ---------------------------------------------------------------
 
-# most coefficients (floats, 1 GiB) that one signature request may hold: a deeper or
-# wider request fails before allocating instead of raising numpy's memory error
-_COEFF_BUDGET = 2**27
-
-
 def signature(s: Stream, depth: int) -> TruncatedTensor:
     """Truncated signature of the stream: the ordered product of segment exponentials."""
     levels = _signature_levels(s.points, [0], [s.n_samples - 1], depth)
     return TruncatedTensor(s.dimension, depth, [lvl[0] for lvl in levels], grouplike=True)
-
-
-def _check_budget(rows: int, dim: int, depth: int, what: str) -> None:
-    """Raise DomainError when rows x sum_{k <= depth} dim^k exceeds _COEFF_BUDGET,
-    or when depth exceeds the budget's bit length.
-
-    The depth bound comes first, so the sum has at most 29 terms; it is taken in Python
-    integers, where numpy integers could wrap.  For dim = 1 the depth bound also caps the
-    O(depth^2) work of folding the levels and of naming their words.  The message names
-    the request, not the total.
-    """
-    limit = _COEFF_BUDGET.bit_length()
-    if depth > limit:
-        raise DomainError(
-            f"{what} at depth {depth} exceed the depth limit of {limit}, the bit "
-            "length of the coefficient budget"
-        )
-    if int(rows) * sum(int(dim) ** k for k in range(depth + 1)) > _COEFF_BUDGET:
-        raise DomainError(
-            f"{what} of dimension {dim} at depth {depth} need more coefficients than "
-            f"the budget of {_COEFF_BUDGET}"
-        )
 
 
 def _signature_levels(points, starts, ends, depth: int) -> list[np.ndarray]:
@@ -285,7 +259,7 @@ def _signature_levels(points, starts, ends, depth: int) -> list[np.ndarray]:
     depth = _count("depth", depth, 1)
     starts, ends = np.asarray(starts), np.asarray(ends)
     rows, d = starts.size, points.shape[1]
-    _check_budget(rows, d, depth, f"{rows} signature(s)")
+    errors._check_budget(f"{rows} signature(s)", rows, d, depth)
     out = [np.ones((rows, 1))] + [np.empty((rows, d**k)) for k in range(1, depth + 1)]
     counts = ends - starts
     values, first = np.unique(counts, return_index=True)
@@ -355,8 +329,8 @@ def dp_distance_estimate(
     m_top = int(np.floor(p))
     # 2 x 2^max_level rows; past the budget's bit length any exponent is over it, so
     # capping it keeps a huge max_level cheap without passing the check
-    rows = 2 << min(max_level, _COEFF_BUDGET.bit_length())
-    _check_budget(rows, a.dimension, m_top, f"2 x 2^{max_level} dyadic pieces")
+    rows = 2 << min(max_level, errors._COEFF_BUDGET.bit_length())
+    errors._check_budget(f"2 x 2^{max_level} dyadic pieces", rows, a.dimension, m_top)
     pieces = 2**max_level
     (_, pa, ia), (_, pb, ib) = (_cut(s, np.linspace(*s.interval, pieces + 1)) for s in (a, b))
     starts = np.concatenate([ia[:-1], ib[:-1] + len(pa)])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, OutOfDepthError, _count
+from .errors import DimensionMismatchError, DomainError, OutOfDepthError, _count, _instance
 
 __all__ = [
     "Word",
@@ -410,7 +410,7 @@ def _power_series(levels, coefficient):
 
 def inner(word: Word, a: TruncatedTensor) -> float:
     """Coefficient of ``word`` in ``a`` (the coordinate iterated integral pairing)."""
-    if word.degree > a.depth:
+    if _instance("word", word, Word).degree > a.depth:
         raise OutOfDepthError(
             f"word degree {word.degree} exceeds truncation depth {a.depth}"
         )
@@ -438,11 +438,13 @@ def shuffle(u: Word, v: Word) -> dict[Word, int]:
 
     The result has C(deg u + deg v, deg u) terms counted with multiplicity.
     """
+    u, v = _instance("u", u, Word), _instance("v", v, Word)
     return {Word(w): m for w, m in _shuffle_letters(u.letters, v.letters)}
 
 
 def shuffle_inner(u: Word, v: Word, a: TruncatedTensor) -> float:
     """<u shuffle v, a> -- equals <u,a><v,a> on grouplike tensors."""
+    u, v = _instance("u", u, Word), _instance("v", v, Word)
     if u.degree + v.degree > a.depth:
         raise OutOfDepthError(
             f"shuffle degree {u.degree + v.degree} exceeds depth {a.depth}"

@@ -122,16 +122,23 @@ class TestOversizedArguments:
              "{driver}"],
             ["gen-synth", "--out", "{out}", "--n-per-class", "1", "--steps", "1000000000",
              "--seed", "0"],
+            # Lyndon tables past the budget, refused before any level is built
+            ["logsig", "--depth", "16", "{plane}"],
+            ["logsig", "--depth", "10", "{space}"],
         ],
         ids=["expsig-disk", "expsig-polygon", "expsig-subnormal-h", "expsig-grid-memory",
-             "expsig-lu-memory", "logode", "gen-synth"],
+             "expsig-lu-memory", "logode", "gen-synth", "logsig-2d-depth-16",
+             "logsig-3d-depth-10"],
     )
     def test_refused_before_allocating(self, tmp_path, monkeypatch, argv):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # per-thread buffers count in the cap
         system = tmp_path / "system.json"
         system.write_text(json.dumps({"m": 1, "d": 1, "matrices": [[[1.0]]], "y0": [1.0]}))
         (tmp_path / "driver.csv").write_text("t,x1\n0,0\n1,1\n")
-        paths = {"system": system, "driver": tmp_path / "driver.csv", "out": tmp_path / "out"}
+        (tmp_path / "plane.csv").write_text("t,x1,x2\n0,0,0\n1,1,0\n2,1,1\n")
+        (tmp_path / "space.csv").write_text("t,x1,x2,x3\n0,0,0,0\n1,1,0,2\n2,1,1,0\n")
+        paths = {"system": system, "driver": tmp_path / "driver.csv", "out": tmp_path / "out",
+                 "plane": tmp_path / "plane.csv", "space": tmp_path / "space.csv"}
         argv = [a.format(**paths) for a in argv]
         result = run_python("-m", "sigstream.cli", *argv, preexec_fn=cap_address_space,
                             timeout=20)

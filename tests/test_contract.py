@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sigstream import development, expected_sig, learn, lie_algebra, logode, streams
+from sigstream import development, errors, expected_sig, learn, lie_algebra, logode, streams
 from sigstream import tensor_algebra
 from sigstream.development import (
     develop, development_tail_bound, evaluate_signature, expected_development, random_policy,
@@ -203,7 +203,7 @@ ROWS = {
     "LogOdeSchedule": (lambda depth, substeps: LogOdeSchedule([0.0, 0.5, 1.0], depth, substeps),
                        {"depth": (2, Count(1)), "substeps": (4, Count(1))}),
     "LogOdeSchedule.uniform": (lambda steps: LogOdeSchedule.uniform(S, steps, 2),
-                               {"steps": (4, Count(1, streams._COEFF_BUDGET))}),
+                               {"steps": (4, Count(1, errors._COEFF_BUDGET))}),
     "lie_extend_evaluate": (lambda y: lie_extend_evaluate(VFS, COORDS, y),
                             {"y": ([1.0, 0.5], Point((2,)))}),
     "logode_step": (lambda y0, substeps: logode_step(VFS, y0, COORDS, substeps),
@@ -410,3 +410,31 @@ def test_points_takes_finite_arrays_and_returns_new_float_arrays(values, box):
 def test_points_refuse_bools_strings_and_non_finite_entries(value):
     with pytest.raises(DomainError, match="p must"):
         _points("p", value, (2,))
+
+
+# -- the one size budget ----------------------------------------------------------
+
+# entry point -> (call, floats it asks of ``errors._COEFF_BUDGET``)
+SIZED = {
+    "signature": (lambda: signature(S, 3), 1 * (1 + 2 + 4 + 8)),
+    "featurize": (lambda: featurize([S, S], 2), 2 * (1 + 2 + 4)),
+    "dp_distance_estimate": (lambda: dp_distance_estimate(S, S, 2.0, 2), 2 * 2**2 * (1 + 2 + 4)),
+    "GridDomain": (lambda: GridDomain(DISK, 0.25), GRID.xs.size * GRID.ys.size),
+    "solve_recurrence": (lambda: solve_recurrence(GRID, 3), GRID.n_interior * (1 + 2 + 4 + 8)),
+    "mc_expected_sig": (lambda: mc_expected_sig(DISK, (0.0, 0.0), 2, 10, 0.05, 1),
+                        10 * (1 + 2 + 4)),
+    "two_class_streams": (lambda: two_class_streams(3, 8), 2 * 3 * 9 * 2),
+    "tensor_to_lie_coords": (lambda: tensor_to_lie_coords(LOG),  # degree 3: n_3 = 2
+                             max(8 * 2, 2**3) * 2),
+    "LogOdeSchedule.uniform": (lambda: LogOdeSchedule.uniform(S, 4, 2), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED))
+def test_one_budget_sizes_every_request(monkeypatch, name):
+    call, floats = SIZED[name]
+    monkeypatch.setattr(errors, "_COEFF_BUDGET", floats - 1)
+    with pytest.raises(DomainError, match="budget"):
+        call()
+    monkeypatch.setattr(errors, "_COEFF_BUDGET", floats)
+    call()

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigstream import streams as streams_module
-from sigstream import tensor_algebra
+from sigstream import errors, tensor_algebra
 from sigstream.errors import DimensionMismatchError, DomainError
 from sigstream.expected_sig import (
     DiskDomain,
@@ -284,7 +283,7 @@ class TestRecurrence:
 
     def test_coefficient_budget(self, monkeypatch):
         grid = GridDomain(DISK, 0.25)
-        monkeypatch.setattr(streams_module, "_COEFF_BUDGET", grid.n_interior * 15)  # depth 3
+        monkeypatch.setattr(errors, "_COEFF_BUDGET", grid.n_interior * 15)  # depth 3
         solve_recurrence(grid, 3)
         with pytest.raises(DomainError, match="budget"):
             solve_recurrence(grid, 4)
@@ -413,7 +412,7 @@ class TestMonteCarlo:
         assert (out.mean.depth, out.paths, out.seed) == (2, 10, 1)
 
     def test_coefficient_budget(self, monkeypatch):
-        monkeypatch.setattr(streams_module, "_COEFF_BUDGET", 10 * 15)  # 10 paths at depth 3
+        monkeypatch.setattr(errors, "_COEFF_BUDGET", 10 * 15)  # 10 paths at depth 3
         mc_expected_sig(DISK, (0.0, 0.0), 3, 10, 0.05, 1)
         with pytest.raises(DomainError, match="budget"):
             mc_expected_sig(DISK, (0.0, 0.0), 3, 11, 0.05, 1)

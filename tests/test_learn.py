@@ -7,8 +7,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigstream import errors, tensor_algebra
 from sigstream import streams as streams_module
-from sigstream import tensor_algebra
 from sigstream.errors import (
     DegenerateReportError,
     DimensionMismatchError,
@@ -112,7 +112,7 @@ class TestFeaturize:
 
     def test_coefficient_budget(self, monkeypatch):
         batch = random_streams(np.random.default_rng(9), 3, 2, 5)
-        monkeypatch.setattr(streams_module, "_COEFF_BUDGET", 3 * 31 - 1)  # depth 4: 31 each
+        monkeypatch.setattr(errors, "_COEFF_BUDGET", 3 * 31 - 1)  # depth 4: 31 each
         featurize(batch, 3)
         for fn in (featurize, featurize_logsig):
             with pytest.raises(DomainError, match="budget"):
@@ -528,6 +528,13 @@ PAIR = random_streams(np.random.default_rng(0), 2, 2, 5)
         (lambda: classification_report([0.1, 0.9], [0, 1, 1]), DimensionMismatchError, "labels"),
         (lambda: coordinate_r2(np.ones((3, 2)), np.ones((2, 2))), DimensionMismatchError,
          "y_pred must have shape"),
+        (lambda: featurize("ab", 2), DomainError, "each of streams must be a Stream"),
+        (lambda: featurize_logsig([PAIR[0], (0.0, 1.0)], 2), DomainError,
+         "each of streams must be a Stream"),
+        (lambda: fit_conditional_law([(p, p) for p in PAIR], 2, 2).predict("abc"), DomainError,
+         "each of streams must be a Stream"),
+        (lambda: fit_ridge(np.ones((2, 2)), [[0.0], [1.0, 2.0]]), DomainError,
+         "y must be an array of finite reals"),
     ],
     ids=["transform", "no-streams", "ridge-rows", "lasso-rows", "max-penalty-rows", "kkt-rows",
          "stability-rows", "stability-rounds", "stability-fraction-high", "stability-fraction-nan",
@@ -535,7 +542,8 @@ PAIR = random_streams(np.random.default_rng(0), 2, 2, 5)
          "strength-high", "strength-low", "featurize-fractional-depth", "featurize-bool-depth",
          "logsig-fractional-depth", "logsig-bool-depth", "ridge-non-finite-design",
          "conditional-law-columns", "fractional-labels", "nan-scores", "label-count",
-         "r2-shapes"],
+         "r2-shapes", "featurize-string", "logsig-tuple-stream", "predict-string",
+         "ridge-ragged-y"],
 )
 def test_input_checks(call, error, match):
     with pytest.raises(error, match=match):

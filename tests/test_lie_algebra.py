@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sigstream import tensor_algebra
+from sigstream import lie_algebra, tensor_algebra
 from sigstream.errors import DomainError, NotALieElementError, OutOfDepthError
 from sigstream.learn import featurize_logsig
 from sigstream.lie_algebra import (
@@ -431,8 +431,22 @@ class TestTriangularBlock:
         assert np.array_equal(from_terms, block.T)
 
     def test_too_large_triangle_fails_fast(self):
-        with pytest.raises(DomainError, match="triangular inverse"):
-            _level_expansion(8, 6)
+        with pytest.raises(DomainError, match="Lyndon coordinates of degree 6 in 8 letters need "
+                                              "more than the budget"):
+            tensor_to_lie_coords(TruncatedTensor(8, 6))
+
+    @pytest.mark.parametrize("dim, depth", [(2, 16), (2, 17), (3, 10), (8, 6)])
+    def test_oversized_request_refused_before_any_table(self, monkeypatch, dim, depth):
+        def no_table(*args):
+            raise AssertionError("a Lyndon table was built before the budget check")
+
+        monkeypatch.setattr(lie_algebra, "_level_terms", no_table)
+        with pytest.raises(DomainError, match="budget"):
+            if dim == 8:
+                tensor_to_lie_coords(TruncatedTensor(dim, depth))
+            else:
+                s = Stream([0.0, 1.0, 2.0], np.arange(3.0 * dim).reshape(3, dim) ** 2)
+                log_signature(s, depth)
 
     def test_inverse_checks_its_input(self):
         assert np.array_equal(_unit_triangular_inverse(np.array([[1.0, 0.0], [3.0, 1.0]])), [[1, 0], [-3, 1]])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigstream import errors
 from sigstream import streams as streams_module
 from sigstream.errors import DimensionMismatchError, DomainError, StreamParseError
 from sigstream.streams import (
@@ -281,7 +282,7 @@ class TestDpDistance:
         def no_cut(*args):
             raise AssertionError("cut before the budget check")
 
-        monkeypatch.setattr(streams_module, "_COEFF_BUDGET", 2 * 2**3 * 7 - 1)  # d = 2, p = 2
+        monkeypatch.setattr(errors, "_COEFF_BUDGET", 2 * 2**3 * 7 - 1)  # d = 2, p = 2
         monkeypatch.setattr(streams_module, "_cut", no_cut)
         with pytest.raises(DomainError, match="budget"):
             dp_distance_estimate(a, a, p=2.0, max_level=3)
@@ -385,9 +386,9 @@ LINE = Stream([0.0, 1.0], [[0.0], [1.0]])
         (lambda: ingest_csv(io.StringIO("")), StreamParseError, "empty file"),
         (lambda: ingest_csv(io.StringIO("t,x1\n")), StreamParseError, "no data rows"),
         # 2^32 x (1 + (2^32 - 1)) wraps around to 0 in int64
-        (lambda: streams_module._check_budget(np.int64(2**32), np.int64(2**32 - 1), 1, "rows"),
+        (lambda: errors._check_budget("rows", np.int64(2**32), np.int64(2**32 - 1), 1),
          DomainError, "budget of"),
-        (lambda: streams_module._check_budget(1, 1, 29, "rows"), DomainError, "depth limit"),
+        (lambda: errors._check_budget("rows", 1, 1, 29), DomainError, "depth limit"),
         (lambda: signature(LINE, 0), DomainError, "depth must be an integer >= 1"),
         (lambda: signature(LINE, 2.5), DomainError, "depth must be an integer >= 1"),
         (lambda: signature(LINE, True), DomainError, "depth must be an integer >= 1"),
@@ -398,14 +399,25 @@ LINE = Stream([0.0, 1.0], [[0.0], [1.0]])
         (lambda: Stream([0.0, np.nan], [0.0, 1.0]), DomainError, "times must be finite"),
         (lambda: Stream([0.0, 1.0], np.zeros((2, 1, 1))), DimensionMismatchError,
          r"points must have shape \(\*, \*\)"),
+        (lambda: Stream([0.0, 1.0], [[0.0, 1.0], [1.0]]), DomainError,
+         "points must be an array of finite reals"),
+        (lambda: Stream([[0.0], [1.0, 2.0]], [0.0, 1.0, 2.0]), DomainError,
+         "times must be an array of finite reals"),
     ],
     ids=["shape", "no-samples", "repeated-time", "decreasing-time", "flavor",
          "flavor-one-sample", "value-at",
          "concat", "restrict", "dp-levels", "empty-csv", "header-only-csv", "budget-int64",
          "budget-depth", "signature-zero-depth", "signature-fractional-depth",
          "signature-bool-depth", "logsig-fractional-depth", "logsig-bool-depth",
-         "string-times", "bool-points", "nan-time", "3d-points"],
+         "string-times", "bool-points", "nan-time", "3d-points", "ragged-points",
+         "ragged-times"],
 )
 def test_input_checks(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_times_of_any_rectangular_shape_and_1d_points_are_accepted():
+    s = Stream([[0.0, 1.0], [2.0, 3.0]], np.array([0.0, 1.0, 4.0, 9.0]))
+    assert s.times.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert s.points.tolist() == [[0.0], [1.0], [4.0], [9.0]]

@@ -504,9 +504,15 @@ def test_array_holders_keep_read_only_copies(values, build, held):
         (lambda: TruncatedTensor(2, 1) + 1.0, TypeError, "expected TruncatedTensor"),
         (lambda: shuffle_inner(Word((1,)), Word((2,)), TruncatedTensor(2, 1)), OutOfDepthError,
          "exceeds depth"),
+        (lambda: inner((1,), TruncatedTensor(2, 2)), DomainError, "word must be a Word"),
+        (lambda: shuffle((1,), Word((2,))), DomainError, "u must be a Word"),
+        (lambda: shuffle(Word((1,)), "2"), DomainError, "v must be a Word"),
+        (lambda: shuffle_inner(Word((1,)), (2,), TruncatedTensor(2, 2)), DomainError,
+         "v must be a Word"),
     ],
     ids=["letter-zero", "letter-over-dim", "level-count", "level-size", "dim-zero",
-         "level-index", "extend", "add-non-tensor", "shuffle-depth"],
+         "level-index", "extend", "add-non-tensor", "shuffle-depth", "inner-tuple-word",
+         "shuffle-tuple-word", "shuffle-string-word", "shuffle-inner-tuple-word"],
 )
 def test_input_checks(call, error, match):
     with pytest.raises(error, match=match):
