@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, _count, _real
+from .errors import DimensionMismatchError, DomainError, _count, _instance, _real
 from .streams import Stream
 from .tensor_algebra import TruncatedTensor, _exp_tail, _frozen, _mean_stderr, _represent
 
@@ -152,7 +152,7 @@ def evaluate_signature(policy: UnitaryPolicy, sig: TruncatedTensor) -> np.ndarra
     sum_k i^k sum_w S_w H_{w_1} ... H_{w_k}: the linear functional of the
     signature that ``develop`` computes, truncated at the signature's depth.
     """
-    if sig.dim != policy.driver_dim:
+    if _instance("sig", sig, TruncatedTensor).dim != policy.driver_dim:
         raise DimensionMismatchError("signature and policy driver dimensions differ")
     return _represent(sig, 1j * policy.generators)
 

@@ -126,7 +126,8 @@ def _points(name, value, shape, mismatch=DomainError):
 def _instance(name, value, cls):
     """value, when it is a ``cls``."""
     if not isinstance(value, cls):
-        raise DomainError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
     return value
 
 

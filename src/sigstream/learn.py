@@ -11,6 +11,7 @@ synthetic two-class stream task used to exercise the pipeline end to end.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,8 @@ def _stacked(streams, transform):
     """The transformed streams' points stacked, each one's first and last row, and dimension."""
     if transform not in TRANSFORMS:
         raise DomainError(f"unknown transform {transform!r}")
-    streams = [_instance("each of streams", s, Stream) for s in streams]
+    streams = [_instance("each of streams", s, Stream)
+               for s in _instance("streams", streams, Iterable)]
     if not streams:
         raise DomainError("no streams to featurize")
     dims = {s.dimension for s in streams}
@@ -366,7 +368,7 @@ def fit_conditional_law(
     One ridge fit per output coordinate (all solved in a single SVD pass);
     the predicted vector estimates E[S(output) | S(input)].
     """
-    pairs = list(pairs)
+    pairs = list(_instance("pairs", pairs, Iterable))
     if len(pairs) < 2:
         raise DomainError("need at least two stream pairs")
     depth_in, depth_out = _count("depth_in", depth_in, 1), _count("depth_out", depth_out, 1)

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotALieElementError, OutOfDepthError, _count, _is_integer, _real
+from .errors import DomainError, NotALieElementError, OutOfDepthError, _count, _instance
+from .errors import _is_integer, _real
 from . import errors, tensor_algebra
 from .tensor_algebra import TruncatedTensor, Word, _batch_of_one, _frozen, _shuffle_letters
 
@@ -496,6 +497,7 @@ def tensor_to_lie_coords(a: TruncatedTensor) -> LieCoordinates:
     from rejecting elements that are themselves at rounding scale (e.g. the
     log-signature of a path concatenated with its own reversal).
     """
+    a = _instance("a", a, TruncatedTensor)
     values = _lie_coords(_batch_of_one(a), a.dim, a.depth)
     return LieCoordinates(a.dim, a.depth, values[0])
 
@@ -564,7 +566,7 @@ def dynkin_check(a: TruncatedTensor) -> np.ndarray:
     Vanishing residuals certify that each graded piece is a Lie element;
     this is independent of the Lyndon projection route.
     """
-    if float(a.levels[0][0]) != 0.0:
+    if float(_instance("a", a, TruncatedTensor).levels[0][0]) != 0.0:
         raise DomainError("Dynkin check requires a zero level-0 coefficient")
     residuals = np.zeros(a.depth)
     for k in range(1, a.depth + 1):

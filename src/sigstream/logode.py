@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DimensionMismatchError, DivergenceError, DomainError
-from .errors import _check_budget, _count, _points, _real
+from .errors import _check_budget, _count, _instance, _points, _real
 from .lie_algebra import LieCoordinates, lyndon_basis
 from .streams import Stream, _cut, _log_signature_rows
 from .tensor_algebra import _CACHE_ELEMENTS, TruncatedTensor, _exp_tail, _frozen, _represent
@@ -116,7 +116,8 @@ class VectorFieldSystem:
 
     def _validate_jacobians(self, points):
         units = np.eye(self.state_dim)
-        for y in _points("validate_at", np.atleast_2d(points), (None, self.state_dim)):
+        points = np.atleast_2d(_points("validate_at", points, None))  # one point: one row
+        for y in _points("validate_at", points, (None, self.state_dim)):
             point = _Point(self, y, {})
             for i, jac in enumerate(self.jacobians):
                 J = np.asarray(jac(y), dtype=float)
@@ -371,7 +372,7 @@ def linear_solve(lin: LinearSystem, s: Stream, y0) -> np.ndarray:
 
 def linear_series_apply(lin: LinearSystem, sig: TruncatedTensor, y0) -> np.ndarray:
     """Truncated signature series sum_k sum_w S_w A_{w_k} ... A_{w_1} y0."""
-    if sig.dim != lin.driver_dim:
+    if _instance("sig", sig, TruncatedTensor).dim != lin.driver_dim:
         raise DomainError("signature and system driver dimensions differ")
     y = _points("y0", y0, (lin.state_dim,), DimensionMismatchError)
     # (A_{w_1}^T ... A_{w_k}^T)^T = A_{w_k} ... A_{w_1}

@@ -8,6 +8,8 @@ folded in slices of rows that stay in cache.
 Also provides CSV ingestion, the canonical time-augmentation and lead-lag
 transforms, and a computable lower-bound profile for the p-variation
 signature metric.
+A CSV body is parsed by one ``np.loadtxt`` call; a body that it or ``Stream``
+refuses is read again by the row-by-row reader, which names the bad row.
 """
 
 from __future__ import annotations
@@ -110,7 +112,10 @@ def ingest_csv(source) -> Stream:
 
 
 def _parse_csv(handle, name) -> Stream:
-    reader = csv.reader(handle)
+    # the lines that csv.reader(handle) would read (a path is opened with newline="", so
+    # they end at \n, \r\n and \r); the reader names rows from this same list
+    lines = list(handle)
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -121,6 +126,25 @@ def _parse_csv(handle, name) -> Stream:
             f"{name}: row 1: expected header 't,x1,...,xd', got {','.join(header)!r}"
         )
     width = len(header)
+    body = lines[reader.line_num:]
+    text = "".join(body)
+    # loadtxt warns on a body without data; it strips \x1c-\x1f from a cell as white
+    # space, where float() refuses the cell; and it has no limit where csv refuses a cell
+    # longer than csv.field_size_limit() (a line's length bounds its cells')
+    if (text.strip() and not any(c in text for c in "\x1c\x1d\x1e\x1f")
+            and max(map(len, body)) <= csv.field_size_limit()):
+        try:  # one C call; anything it refuses is read again, row by row, below
+            table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+            if table.shape[1] == width:
+                return Stream(table[:, 0], table[:, 1:])
+        except ValueError:  # a cell, a row width, or Stream's DomainError
+            pass
+    return _parse_rows(reader, name, width)
+
+
+def _parse_rows(reader, name, width) -> Stream:
+    """The body's rows, one float() per cell: accepts what loadtxt refuses (quoted cells,
+    1_000, non-ASCII digits) and raises StreamParseError naming the first bad row."""
     times, rows = [], []
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):

@@ -238,7 +238,7 @@ def _batch_of_one(a: TruncatedTensor):
 
 def tensor_mul(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
     """Truncated tensor-algebra product of ``a`` and ``b``."""
-    a, b = _promote(a, b)
+    a, b = _promote(_instance("a", a, TruncatedTensor), _instance("b", b, TruncatedTensor))
     levels = _mul_levels(_batch_of_one(a), _batch_of_one(b), a.depth)
     return TruncatedTensor(
         a.dim, a.depth, [lvl[0] for lvl in levels], grouplike=a.grouplike and b.grouplike
@@ -370,7 +370,7 @@ def tensor_exp(a: TruncatedTensor, assume_lie: bool | None = None) -> TruncatedT
     The result is flagged grouplike when ``a`` is known to be a Lie element
     (pass ``assume_lie=True``); pure level-1 input is detected automatically.
     """
-    if abs(float(a.levels[0][0])) != 0.0:
+    if abs(float(_instance("a", a, TruncatedTensor).levels[0][0])) != 0.0:
         raise DomainError("tensor_exp requires a zero level-0 coefficient")
     total = _power_series(_batch_of_one(a), lambda j: 1.0 / math.factorial(j))
     total[0] += 1.0
@@ -381,7 +381,7 @@ def tensor_exp(a: TruncatedTensor, assume_lie: bool | None = None) -> TruncatedT
 
 def tensor_log(a: TruncatedTensor) -> TruncatedTensor:
     """log(a) = sum_k (-1)^(k+1) (a - 1)^k / k, truncated; requires unit scalar term."""
-    if float(a.levels[0][0]) != 1.0:
+    if float(_instance("a", a, TruncatedTensor).levels[0][0]) != 1.0:
         raise DomainError("tensor_log requires a unit level-0 coefficient")
     return TruncatedTensor(a.dim, a.depth, [lvl[0] for lvl in _log_levels(_batch_of_one(a))])
 
@@ -410,7 +410,8 @@ def _power_series(levels, coefficient):
 
 def inner(word: Word, a: TruncatedTensor) -> float:
     """Coefficient of ``word`` in ``a`` (the coordinate iterated integral pairing)."""
-    if _instance("word", word, Word).degree > a.depth:
+    word, a = _instance("word", word, Word), _instance("a", a, TruncatedTensor)
+    if word.degree > a.depth:
         raise OutOfDepthError(
             f"word degree {word.degree} exceeds truncation depth {a.depth}"
         )
@@ -444,7 +445,7 @@ def shuffle(u: Word, v: Word) -> dict[Word, int]:
 
 def shuffle_inner(u: Word, v: Word, a: TruncatedTensor) -> float:
     """<u shuffle v, a> -- equals <u,a><v,a> on grouplike tensors."""
-    u, v = _instance("u", u, Word), _instance("v", v, Word)
+    u, v, a = _instance("u", u, Word), _instance("v", v, Word), _instance("a", a, TruncatedTensor)
     if u.degree + v.degree > a.depth:
         raise OutOfDepthError(
             f"shuffle degree {u.degree + v.degree} exceeds depth {a.depth}"
@@ -479,7 +480,8 @@ def _vector_norms(x: np.ndarray, flavor: str) -> np.ndarray:
 
 def grade_norms(a: TruncatedTensor, flavor: str = "l1") -> GradeNorms:
     """Per-level norms of ``a`` under the selected flavor (l1, l2 or linf)."""
-    return GradeNorms(flavor, np.array([_vector_norms(lvl, flavor) for lvl in a.levels]))
+    levels = _instance("a", a, TruncatedTensor).levels
+    return GradeNorms(flavor, np.array([_vector_norms(lvl, flavor) for lvl in levels]))
 
 
 def _mean_stderr(total, total_sq, count: int) -> tuple:
@@ -495,6 +497,7 @@ def _mean_stderr(total, total_sq, count: int) -> tuple:
 
 def to_json_dict(a: TruncatedTensor) -> dict:
     """{"d": int, "depth": int, "levels": [[...], ...]} with lexicographic levels."""
+    a = _instance("a", a, TruncatedTensor)
     return {
         "d": a.dim,
         "depth": a.depth,
@@ -508,5 +511,5 @@ def from_json_dict(obj: dict) -> TruncatedTensor:
 
 def coeff_map(a: TruncatedTensor) -> dict[str, float]:
     """Word-keyed coefficient map, words rendered as comma-joined letters."""
-    values = np.concatenate(a.levels).tolist()
+    values = np.concatenate(_instance("a", a, TruncatedTensor).levels).tolist()
     return {str(w): v for w, v in zip(_words_up_to(a.dim, a.depth), values)}

@@ -2,9 +2,12 @@
 
 Everything here is deliberately written against first definitions (dense
 trapezoid iterated integrals, interleaving enumeration, rotation-minimality,
-exhaustive partition search) and shares no code path with the package.
+exhaustive partition search) and shares no code path with the package.  The one
+exception is the row-by-row CSV reader, which builds the package's ``Stream`` and
+raises its ``StreamParseError``, so that its results compare with ``ingest_csv``'s.
 """
 
+import csv
 import itertools
 from fractions import Fraction
 from math import comb, factorial
@@ -492,3 +495,53 @@ def linear_logode_step(mats, trees, lams, y0, substeps):
     for _ in range(substeps):
         y = y + delta @ y
     return y
+
+
+def ingest_csv_rows(source):
+    """A stream CSV read row by row, one float() per cell: the package's reader before
+    its body went through np.loadtxt, kept verbatim as the reference that the one-call
+    reader must equal."""
+    if hasattr(source, "read"):
+        return _parse_csv_rows(source, getattr(source, "name", "<stream>"))
+    with open(source, newline="") as handle:
+        return _parse_csv_rows(handle, str(source))
+
+
+def _parse_csv_rows(handle, name):
+    from sigstream.errors import StreamParseError
+    from sigstream.streams import Stream
+
+    reader = csv.reader(handle)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise StreamParseError(f"{name}: empty file") from None
+    header = [h.strip() for h in header]
+    if len(header) < 2 or header[0] != "t":
+        raise StreamParseError(
+            f"{name}: row 1: expected header 't,x1,...,xd', got {','.join(header)!r}"
+        )
+    width = len(header)
+    times, rows = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != width:
+            raise StreamParseError(
+                f"{name}: row {lineno}: expected {width} fields, got {len(row)}"
+            )
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError:
+            raise StreamParseError(
+                f"{name}: row {lineno}: non-numeric cell in {row!r}"
+            ) from None
+        if times and values[0] <= times[-1]:
+            raise StreamParseError(
+                f"{name}: row {lineno}: time {values[0]!r} does not increase"
+            )
+        times.append(values[0])
+        rows.append(values[1:])
+    if not rows:
+        raise StreamParseError(f"{name}: no data rows")
+    return Stream(np.array(times), np.array(rows))

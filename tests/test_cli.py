@@ -17,6 +17,8 @@ from sigstream.cli import main
 from sigstream.streams import TRANSFORMS, Stream, signature, write_csv
 from sigstream.tensor_algebra import from_json_dict
 
+from oracles import ingest_csv_rows
+
 TWO_SEGMENT = "t,x1,x2\n0,0,0\n1,1,0\n2,1,1\n"
 UNIT_SQUARE = "t,x1,x2\n0,0,0\n1,1,0\n2,1,1\n3,0,1\n4,0,0\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -105,6 +107,53 @@ class TestBasics:
         bad.write_text("t,x1\n0,0\n0,1\n")
         code, _, err = run(capsys, "sig", "--depth", 2, bad)
         assert code == 3
+
+
+# stream files that the reader refuses, each made at a given path
+EDGE_FILES = {
+    "header_only": lambda path: path.write_bytes(b"t,x1,x2\n"),
+    "blank_body": lambda path: path.write_bytes(b"t,x1,x2\n\n  \r\n\r\n"),
+    "non_utf8": lambda path: path.write_bytes(b"t,x1,x2\n0,0,0\n1,\xff,1\n"),
+    "missing": lambda path: None,
+    "directory": lambda path: path.mkdir(),
+}
+
+
+class TestEdgeFiles:
+    """Each edge file exits 3 with the row-by-row reader's message as its last stderr line,
+    whether ``sig`` reads it or a manifest names it to ``fit`` or ``score``; the suite's
+    warnings-as-errors catches any warning."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("corpus")
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["gen-synth", "--out", str(data), "--n-per-class", "2", "--steps", "8",
+                  "--seed", "1"])
+            main(["fit", "--depth", "2", "--method", "ridge", "--lambda", "0.1",
+                  str(data / "manifest.txt"), str(data / "labels.txt"), "-o",
+                  str(data / "model.json")])
+        return data
+
+    @pytest.mark.parametrize("command", ["sig", "fit", "score"])
+    @pytest.mark.parametrize("edge", sorted(EDGE_FILES))
+    def test_exit_code_and_last_stderr_line(self, capsys, corpus, tmp_path, command, edge):
+        path = tmp_path / f"{edge}.csv"
+        EDGE_FILES[edge](path)
+        with pytest.raises(Exception) as reference:
+            ingest_csv_rows(path)
+        manifest = tmp_path / "manifest.txt"
+        others = (corpus / "manifest.txt").read_text().split()[1:]
+        manifest.write_text("\n".join([path.name] + [str(corpus / f) for f in others]) + "\n")
+        argv = {
+            "sig": ["sig", "--depth", 2, path],
+            "fit": ["fit", "--depth", 2, "--method", "ridge", "--lambda", 0.1, manifest,
+                    corpus / "labels.txt", "-o", tmp_path / "model.json"],
+            "score": ["score", corpus / "model.json", manifest, corpus / "labels.txt"],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.splitlines()[-1] == f"data error in {command}: {reference.value}"
 
 
 class TestOversizedArguments:

@@ -2,7 +2,8 @@
 
 Each row gives a valid call and the kind of each argument that the shared checks in
 ``sigstream.errors`` take: a count (an integer in [lo, hi], not a bool), a real (finite,
-in an interval) or a point (a finite real array of a shape).  ``hypothesis`` puts
+in an interval), a point (a finite real array of a shape) or an instance (a tensor, or an
+iterable of streams or stream pairs).  ``hypothesis`` puts
 values outside each argument's valid set in its place, one argument at a time, and the
 call must raise DomainError or DimensionMismatchError with no warning.  Every name in
 a module's ``__all__`` needs a row, or an entry in ``RESULT_TYPES`` naming the row
@@ -12,6 +13,7 @@ whose call builds it.
 import io
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +113,20 @@ class Point:
         return st.one_of(st.sampled_from(wrong), entry.map(lambda e: _with_entry(valid, *e)))
 
 
+@dataclass(frozen=True)
+class Instance:
+    """A value of this type: a tensor, or an iterable of streams or stream pairs."""
+
+    cls: type
+
+    def bad(self, valid):
+        values = [None, True, 3, 1.5, "abc", [1.0], np.zeros(3), Word((1,)), S]
+        return st.sampled_from([v for v in values if not isinstance(v, self.cls)])
+
+
+TENSOR, ITERABLE = Instance(TruncatedTensor), Instance(Iterable)
+
+
 def _with_entry(valid, index, value):
     out = valid.copy()
     out.flat[index] = value
@@ -151,17 +167,17 @@ ROWS = {
                                     {"depth": (3, Count(1))}),
     "TruncatedTensor.level": (lambda k: SIG.level(k), {"k": (2, Count(0))}),
     "TruncatedTensor.truncated": (lambda depth: SIG.truncated(depth), {"depth": (2, Count(1))}),
-    "tensor_mul": (lambda: tensor_mul(SIG, SIG), {}),
-    "tensor_exp": (lambda: tensor_exp(LOG, assume_lie=True), {}),
-    "tensor_log": (lambda: tensor_log(SIG), {}),
-    "inner": (lambda: inner(Word((1, 2)), SIG), {}),
+    "tensor_mul": (lambda a, b: tensor_mul(a, b), {"a": (SIG, TENSOR), "b": (SIG, TENSOR)}),
+    "tensor_exp": (lambda a: tensor_exp(a, assume_lie=True), {"a": (LOG, TENSOR)}),
+    "tensor_log": (lambda a: tensor_log(a), {"a": (SIG, TENSOR)}),
+    "inner": (lambda a: inner(Word((1, 2)), a), {"a": (SIG, TENSOR)}),
     "shuffle": (lambda: shuffle(Word((1,)), Word((2, 1))), {}),
-    "shuffle_inner": (lambda: shuffle_inner(Word((1,)), Word((2,)), SIG), {}),
-    "grade_norms": (lambda: grade_norms(SIG, "l2"), {}),
+    "shuffle_inner": (lambda a: shuffle_inner(Word((1,)), Word((2,)), a), {"a": (SIG, TENSOR)}),
+    "grade_norms": (lambda a: grade_norms(a, "l2"), {"a": (SIG, TENSOR)}),
     "words_of_degree": (lambda dim, degree: list(words_of_degree(dim, degree)),
                         {"dim": (2, Count(1)), "degree": (2, Count(0))}),
-    "coeff_map": (lambda: coeff_map(SIG), {}),
-    "to_json_dict": (lambda: to_json_dict(SIG), {}),
+    "coeff_map": (lambda a: coeff_map(a), {"a": (SIG, TENSOR)}),
+    "to_json_dict": (lambda a: to_json_dict(a), {"a": (SIG, TENSOR)}),
     "from_json_dict": (lambda d, depth: from_json_dict({**to_json_dict(SIG), "d": d,
                                                         "depth": depth}),
                        {"d": (2, Count(1)), "depth": (3, Count(1))}),
@@ -188,8 +204,8 @@ ROWS = {
                      {"dim": (2, Count(1)), "depth": (3, Count(1))}),
     "bracket_expand": (lambda dim, depth: bracket_expand((1, (1, 2)), dim, depth),
                        {"dim": (2, Count(1)), "depth": (4, Count(1))}),
-    "tensor_to_lie_coords": (lambda: tensor_to_lie_coords(LOG), {}),
-    "dynkin_check": (lambda: dynkin_check(LOG), {}),
+    "tensor_to_lie_coords": (lambda a: tensor_to_lie_coords(a), {"a": (LOG, TENSOR)}),
+    "dynkin_check": (lambda a: dynkin_check(a), {"a": (LOG, TENSOR)}),
     "witt_dimension": (lambda dim, degree: witt_dimension(dim, degree),
                        {"dim": (2, Count(1)), "degree": (4, Count(1))}),
     "render_bracketing": (lambda: render_bracketing((1, (1, 2))), {}),
@@ -210,8 +226,8 @@ ROWS = {
                     {"y0": ([1.0, 0.5], Point((2,))), "substeps": (4, Count(1))}),
     "solve": (lambda y0: solve(VFS, S, y0, SCHEDULE), {"y0": ([1.0, 0.5], Point((2,)))}),
     "linear_solve": (lambda y0: linear_solve(LIN, S, y0), {"y0": ([1.0, 0.5], Point((2,)))}),
-    "linear_series_apply": (lambda y0: linear_series_apply(LIN, SIG, y0),
-                            {"y0": ([1.0, 0.5], Point((2,)))}),
+    "linear_series_apply": (lambda sig, y0: linear_series_apply(LIN, sig, y0),
+                            {"sig": (SIG, TENSOR), "y0": ([1.0, 0.5], Point((2,)))}),
     "series_tail_bound": (
         lambda op_norm, length, depth, y0_norm: series_tail_bound(op_norm, length, depth, y0_norm),
         {"op_norm": (1.5, Real(0.0)), "length": (2.0, Real(0.0)), "depth": (3, Count(0)),
@@ -222,7 +238,7 @@ ROWS = {
     "expected_development": (lambda count, seed: expected_development(POLICY, lambda rng: S,
                                                                       count, seed),
                              {"count": (3, Count(1)), "seed": (5, Count(0))}),
-    "evaluate_signature": (lambda: evaluate_signature(POLICY, SIG), {}),
+    "evaluate_signature": (lambda sig: evaluate_signature(POLICY, sig), {"sig": (SIG, TENSOR)}),
     "development_tail_bound": (lambda l1_length, depth: development_tail_bound(POLICY, l1_length,
                                                                                depth),
                                {"l1_length": (1.5, Real(0.0)), "depth": (3, Count(0))}),
@@ -247,9 +263,11 @@ ROWS = {
                           {"point": ((0.1, 0.0), Point((2,)))}),
     "parse_domain": (lambda: parse_domain("polygon:0,0;1,0;0,1"), {}),
     # learn
-    "featurize": (lambda depth: featurize([S, reverse(S)], depth), {"depth": (2, Count(1))}),
-    "featurize_logsig": (lambda depth: featurize_logsig([S, reverse(S)], depth),
-                         {"depth": (2, Count(1))}),
+    "featurize": (lambda streams, depth: featurize(streams, depth),
+                  {"streams": ([S, reverse(S)], ITERABLE), "depth": (2, Count(1))}),
+    "featurize_logsig": (lambda streams, depth: featurize_logsig(streams, depth),
+                         {"streams": ([S, reverse(S)], ITERABLE),
+                          "depth": (2, Count(1))}),
     "fit_ridge": (lambda lam: fit_ridge(X, Y, lam), {"lam": (0.1, Real(0.0))}),
     "fit_lasso": (lambda lam, max_iter, tol: fit_lasso(X, Y, lam, max_iter, tol),
                   {"lam": (0.01, Real(0.0)), "max_iter": (100, Count(1)),
@@ -261,8 +279,10 @@ ROWS = {
                               {"threshold": (0.5, Real())}),
     "score_and_report": (lambda: score_and_report(MODEL, X, Y, X, Y), {}),
     "fit_conditional_law": (
-        lambda depth_in, depth_out, lam: fit_conditional_law(PAIRS, depth_in, depth_out, lam),
-        {"depth_in": (2, Count(1)), "depth_out": (2, Count(1)), "lam": (0.1, Real(0.0))}),
+        lambda pairs, depth_in, depth_out, lam: fit_conditional_law(pairs, depth_in, depth_out,
+                                                                    lam),
+        {"pairs": (PAIRS, ITERABLE), "depth_in": (2, Count(1)),
+         "depth_out": (2, Count(1)), "lam": (0.1, Real(0.0))}),
     "coordinate_r2": (lambda: coordinate_r2(X, X), {}),
     "two_class_streams": (
         lambda n_per_class, n_steps, strength, seed: two_class_streams(n_per_class, n_steps,

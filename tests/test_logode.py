@@ -574,12 +574,14 @@ LINE = Stream([0.0, 1.0], [[0.0], [1.0]])
         (lambda: solve(VectorFieldSystem.from_linear(LinearSystem(np.zeros((2, 2, 2)))),
                        Stream([0.0, 1.0], np.zeros((2, 3))), [1.0, 0.0],
                        LogOdeSchedule([0.0, 1.0], 2)), "3-dimensional"),
+        (lambda: VectorFieldSystem(2, 2, [np.sin, np.cos], [np.diag, np.diag], 3,
+                                   [[0.1, 0.2], [0.3]]), "validate_at"),
     ],
     ids=["system-shape", "system-nan", "field-count", "zero-substeps", "boundaries",
          "solve-dimension", "series-dimension", "coords-dimension", "schedule-depth",
          "fractional-substeps", "bool-substeps", "schedule-zero-substeps",
          "schedule-fractional-substeps", "fractional-steps", "bool-steps",
-         "fractional-depth", "bool-depth", "solve-driver-dimension"],
+         "fractional-depth", "bool-depth", "solve-driver-dimension", "ragged-validate-at"],
 )
 def test_input_checks(call, match):
     with pytest.raises(DomainError, match=match):

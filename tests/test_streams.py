@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigstream import errors
@@ -35,6 +35,7 @@ from sigstream.tensor_algebra import (
 
 from oracles import (
     dp_distance_per_piece,
+    ingest_csv_rows,
     p1_distance_exhaustive,
     riemann_iterated_integrals,
     shoelace_area,
@@ -82,6 +83,92 @@ class TestIngest:
         assert back.n_samples == 500
         assert np.array_equal(back.times, s.times)
         assert np.array_equal(back.points, s.points)
+
+
+# -- the one-call reader against the row-by-row reference ------------------------
+
+FIELD_SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]  # str.splitlines breaks here
+
+
+@st.composite
+def csv_texts(draw):
+    """A valid stream CSV written with repr of drawn floats, then up to four mutations."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    times = sorted(draw(st.sets(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    if n > 1 and draw(st.booleans()):  # a repeated or a decreasing time
+        i = draw(st.integers(1, n - 1))
+        times[i] = times[i - 1] - draw(st.sampled_from([0.0, 1.0]))
+    coords = st.floats(allow_nan=False, allow_infinity=False)
+    lines = [["t"] + [f"x{i}" for i in range(1, d + 1)]]
+    lines += [[repr(t)] + [repr(draw(coords)) for _ in range(d)] for t in times]
+    ends = ["\n"] * len(lines)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["blank", "ending", "separator", "cell", "ragged", "header"]))
+        row = draw(st.integers(0, len(lines) - 1))
+        col = draw(st.integers(0, len(lines[row]) - 1))
+        cell = lines[row][col]
+        if kind == "blank":
+            at = draw(st.integers(1, len(lines)))
+            lines.insert(at, [draw(st.sampled_from(["", " ", "\t", "  \x0c"]))])
+            ends.insert(at, "\n")
+        elif kind == "ending":
+            ending = draw(st.sampled_from(["\r\n", "\r"]))
+            ends = [ending] * len(ends) if draw(st.booleans()) else ends
+            ends[row] = ending
+        elif kind == "separator":
+            at = draw(st.integers(0, len(cell)))
+            lines[row][col] = cell[:at] + draw(st.sampled_from(FIELD_SEPARATORS)) + cell[at:]
+        elif kind == "cell":
+            lines[row][col] = draw(st.sampled_from(
+                [f'"{cell}"', "1_000", "\u0661", f" {cell} ", "", "abc", "nan", "inf", "-inf"]))
+        elif kind == "ragged":
+            lines[row] = draw(st.sampled_from(
+                [lines[row][:-1] or [""], lines[row] + ["1.0"], lines[row] + [""]]))
+        else:
+            lines[0] = draw(st.sampled_from([
+                ["time"] + lines[0][1:], [f" {h} " for h in lines[0]],
+                ["\ufefft"] + lines[0][1:], lines[0][:-1] or [""], lines[0] + ["x9"]]))
+    return "".join(",".join(cells) + end for cells, end in zip(lines, ends))
+
+
+def read_outcome(read, source):
+    """A stream's times, points and shape as bytes, or the exception's type and message."""
+    try:
+        s = read(source)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return s.times.tobytes(), s.points.tobytes(), s.points.shape
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "stream.csv"
+
+
+class TestOneCallReader:
+    @example(text="t,x1\n0,0\n1,1\x0c2,2\n")  # three fields; no split at the form feed
+    @example(text="t,x1\n0,0\r1,1\n")  # a lone \r ends a line in a file, not in a StringIO
+    @example(text="t,x1\n\n \n")  # no data rows, and no loadtxt warning
+    @example(text="t,x1\n0,\x1c1\n")  # loadtxt strips \x1c around a number; float() does not
+    @example(text="t,x1\n0," + " " * 140_000 + "1\n")  # over csv's field size limit
+    @example(text='"t","x1"\n0,"1"\n1,1_000\n2,\u0661\n')  # cells that only float() takes
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_texts())
+    def test_equals_the_row_by_row_reader(self, csv_path, text):
+        csv_path.write_bytes(text.encode("utf-8"))
+        for source in (lambda: csv_path, lambda: io.StringIO(text, newline=""),
+                       lambda: io.StringIO(text)):
+            got = read_outcome(ingest_csv, source())
+            assert got == read_outcome(ingest_csv_rows, source()), repr(text)
+
+    def test_a_valid_body_never_reaches_the_row_loop(self, monkeypatch):
+        def row_loop(*args):
+            raise AssertionError("row loop reached")
+
+        monkeypatch.setattr(streams_module, "_parse_rows", row_loop)
+        s = ingest_csv(io.StringIO("t,x1,x2\r\n0,0,0\r\n\r\n1, 1.5 ,-2e-3\r\n"))
+        assert s.times.tolist() == [0.0, 1.0]
+        assert s.points.tolist() == [[0.0, 0.0], [1.5, -0.002]]
 
 
 class TestTransforms:
