@@ -102,6 +102,7 @@ def _develop_batch(policy: UnitaryPolicy, increments: np.ndarray) -> np.ndarray:
 
 def develop(policy: UnitaryPolicy, s: Stream) -> DevelopmentResult:
     """Ordered product over segments of exp(i sum_j dgamma_j H_j)."""
+    s = _instance("s", s, Stream)
     psi = _develop_batch(policy, s.increments()[None])
     return DevelopmentResult(psi[0], s.interval)
 

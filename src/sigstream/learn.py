@@ -368,7 +368,7 @@ def fit_conditional_law(
     One ridge fit per output coordinate (all solved in a single SVD pass);
     the predicted vector estimates E[S(output) | S(input)].
     """
-    pairs = list(_instance("pairs", pairs, Iterable))
+    pairs = [_stream_pair(pair) for pair in _instance("pairs", pairs, Iterable)]
     if len(pairs) < 2:
         raise DomainError("need at least two stream pairs")
     depth_in, depth_out = _count("depth_in", depth_in, 1), _count("depth_out", depth_out, 1)
@@ -385,6 +385,15 @@ def fit_conditional_law(
         transform,
         lam,
     )
+
+
+def _stream_pair(pair) -> tuple[Stream, Stream]:
+    """pair as (input, output), when it is a tuple or list of two Streams."""
+    sequence = isinstance(pair, (tuple, list))
+    if not (sequence and len(pair) == 2):
+        got = type(pair).__name__ + (f" of length {len(pair)}" if sequence else "")
+        raise DomainError(f"each of pairs must be a pair of streams, got {got}")
+    return tuple(_instance("each stream of pairs", s, Stream) for s in pair)
 
 
 def coordinate_r2(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:

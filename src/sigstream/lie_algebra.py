@@ -460,16 +460,20 @@ class LieCoordinates:
 
     def as_pairs(self) -> list[tuple[str, float]]:
         """(rendered element, coordinate) pairs in basis order."""
-        return [(str(b), float(v)) for b, v in zip(self.basis, self.values)]
+        return list(zip(_names(self.dim, self.depth), self.values.tolist()))
+
+
+@functools.lru_cache(maxsize=None)
+def _names(dim: int, depth: int) -> tuple[str, ...]:
+    """The rendering of each Lyndon basis element in basis order, per (dim, depth)."""
+    return tuple(map(str, _lyndon_basis(dim, depth)))
 
 
 @functools.lru_cache(maxsize=None)
 def _coord_lookup(dim: int, depth: int) -> dict:
     """Basis index of each Lyndon word and of each rendering, per (dim, depth)."""
-    table = {}
-    for i, b in enumerate(_lyndon_basis(dim, depth)):
-        table[b.word.letters] = i
-        table[str(b)] = i
+    table = {b.word.letters: i for i, b in enumerate(_lyndon_basis(dim, depth))}
+    table.update((name, i) for i, name in enumerate(_names(dim, depth)))
     return table
 
 

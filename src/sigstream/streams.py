@@ -8,8 +8,9 @@ folded in slices of rows that stay in cache.
 Also provides CSV ingestion, the canonical time-augmentation and lead-lag
 transforms, and a computable lower-bound profile for the p-variation
 signature metric.
-A CSV body is parsed by one ``np.loadtxt`` call; a body that it or ``Stream``
-refuses is read again by the row-by-row reader, which names the bad row.
+A CSV body is parsed by one ``np.loadtxt`` call, and by a second one without its
+whitespace-only lines when the first refuses a body that has some; a body that these
+or ``Stream`` refuse is read again by the row-by-row reader, which names the bad row.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors, lie_algebra, tensor_algebra
-from .errors import DimensionMismatchError, DomainError, StreamParseError, _count, _points, _real
+from .errors import (
+    DimensionMismatchError, DomainError, StreamParseError, _count, _instance, _points, _real
+)
 from .tensor_algebra import (
     TruncatedTensor, _frozen, _log_levels, _mul_levels, _vector_norms, chen_fold
 )
@@ -134,7 +137,13 @@ def _parse_csv(handle, name) -> Stream:
     if (text.strip() and not any(c in text for c in "\x1c\x1d\x1e\x1f")
             and max(map(len, body)) <= csv.field_size_limit()):
         try:  # one C call; anything it refuses is read again, row by row, below
-            table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+            try:
+                table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+            except ValueError:  # loadtxt skips empty lines, not whitespace-only ones
+                kept = [line for line in body if line.strip()]
+                if len(kept) == len(body):
+                    raise
+                table = np.loadtxt(kept, delimiter=",", comments=None, ndmin=2)
             if table.shape[1] == width:
                 return Stream(table[:, 0], table[:, 1:])
         except ValueError:  # a cell, a row width, or Stream's DomainError
@@ -172,6 +181,7 @@ def _parse_rows(reader, name, width) -> Stream:
 
 def write_csv(stream: Stream, dest) -> None:
     """Inverse of ingest_csv."""
+    stream = _instance("stream", stream, Stream)
     own = not hasattr(dest, "write")
     handle = open(dest, "w", newline="") if own else dest
     try:
@@ -189,6 +199,7 @@ def write_csv(stream: Stream, dest) -> None:
 
 def time_augment(s: Stream) -> Stream:
     """Prepend time as coordinate 0, turning a d-stream into a (d+1)-stream."""
+    s = _instance("s", s, Stream)
     return Stream(*_transformed(s.times, s.points, "time"))
 
 
@@ -198,6 +209,7 @@ def lead_lag(s: Stream) -> Stream:
     Convention: over each data increment the lead block (dimensions
     1..d) moves first, then the lag block (dimensions d+1..2d) follows.
     """
+    s = _instance("s", s, Stream)
     return Stream(*_transformed(s.times, s.points, "leadlag"))
 
 
@@ -228,6 +240,7 @@ TRANSFORMS = {
 
 def concat(a: Stream, b: Stream) -> Stream:
     """Run ``a`` then ``b``, translating ``b`` in time and space to continue ``a``."""
+    a, b = _instance("a", a, Stream), _instance("b", b, Stream)
     if a.dimension != b.dimension:
         raise DimensionMismatchError(
             f"cannot concatenate streams of dimension {a.dimension} and {b.dimension}"
@@ -241,13 +254,13 @@ def concat(a: Stream, b: Stream) -> Stream:
 
 def reverse(s: Stream) -> Stream:
     """The same trace traversed backwards."""
-    t0, t1 = s.interval
+    t0, t1 = _instance("s", s, Stream).interval
     return Stream((t0 + t1) - s.times[::-1], s.points[::-1])
 
 
 def restrict(s: Stream, t0: float, t1: float) -> Stream:
     """Sub-stream on [t0, t1], interpolating the endpoints."""
-    (lo, hi), t0, t1 = s.interval, _real("t0", t0), _real("t1", t1)
+    (lo, hi), t0, t1 = _instance("s", s, Stream).interval, _real("t0", t0), _real("t1", t1)
     if t0 < lo - 1e-9 or t1 > hi + 1e-9 or t0 > t1:
         raise DomainError(f"[{t0}, {t1}] is not inside [{lo}, {hi}]")
     times, points, _ = _cut(s, [t0, t1])
@@ -269,6 +282,7 @@ def _cut(s: Stream, cuts):
 
 def signature(s: Stream, depth: int) -> TruncatedTensor:
     """Truncated signature of the stream: the ordered product of segment exponentials."""
+    s = _instance("s", s, Stream)
     levels = _signature_levels(s.points, [0], [s.n_samples - 1], depth)
     return TruncatedTensor(s.dimension, depth, [lvl[0] for lvl in levels], grouplike=True)
 
@@ -305,6 +319,7 @@ def _signature_levels(points, starts, ends, depth: int) -> list[np.ndarray]:
 
 def log_signature(s: Stream, depth: int) -> lie_algebra.LieCoordinates:
     """Lyndon-basis coordinates of log of the stream's signature."""
+    s = _instance("s", s, Stream)
     values = _log_signature_rows(s.points, [0], [s.n_samples - 1], depth)
     return lie_algebra.LieCoordinates(s.dimension, depth, values[0])
 
@@ -347,6 +362,7 @@ def dp_distance_estimate(
     certified lower bound for the sup over all partitions.  Only the finest
     pieces are signed; each coarser piece is the Chen product of its halves.
     """
+    a, b = _instance("a", a, Stream), _instance("b", b, Stream)
     if a.dimension != b.dimension:
         raise DimensionMismatchError(f"streams have dimensions {a.dimension} and {b.dimension}")
     p, max_level = _real("p", p, 1), _count("max_level", max_level, 1)

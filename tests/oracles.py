@@ -480,21 +480,50 @@ def commutator_matrix(mats, tree):
     return right @ left - left @ right
 
 
-def linear_logode_step(mats, trees, lams, y0, substeps):
-    """One log-ODE step of a linear system, rounding as the compiled route does:
-    K = 0 + sum_b lambda_b M_b over the nonzero lambda_b in basis order, then
-    ``substeps`` times y <- y + (R - I) y with R - I = hK(I + hK/2(I + hK/3(I + hK/4))),
-    h = 1 / substeps."""
+def _rk4_increment(mats, trees, lams, substeps):
+    """R - I = hK(I + hK/2(I + hK/3(I + hK/4))), h = 1 / substeps, of RK4's one-step matrix
+    R for K = 0 + sum_b lambda_b M_b over the nonzero lambda_b in basis order."""
     K = np.zeros(np.shape(mats)[1:])
     for tree, lam in zip(trees, lams):
         if lam != 0.0:
             K = K + lam * commutator_matrix(mats, tree)
     eye, hk = np.eye(K.shape[0]), (1.0 / substeps) * K
-    delta = hk @ (eye + (hk / 2) @ (eye + (hk / 3) @ (eye + hk / 4)))
+    return hk @ (eye + (hk / 2) @ (eye + (hk / 3) @ (eye + hk / 4)))
+
+
+def linear_logode_step(mats, trees, lams, y0, substeps):
+    """One log-ODE step of a linear system by its substeps, rounding as the compiled route
+    does above its squaring crossover: ``substeps`` times y <- y + (R - I) y."""
+    delta = _rk4_increment(mats, trees, lams, substeps)
     y = np.asarray(y0, dtype=float).copy()
     for _ in range(substeps):
         y = y + delta @ y
     return y
+
+
+def linear_logode_power_step(mats, trees, lams, y0, substeps, safe_size=2.0**1000):
+    """One log-ODE step of a linear system as the compiled route takes it below its
+    squaring crossover: y + P y with P = R^s - I by binary powering on increments,
+    (I + A)(I + B) - I = A + B + AB.  The increments of R^(2^k) are E <- E + E + E E from
+    E = R - I, and the set bits of s, lowest first, multiply in as P <- P + E + P E.  Where
+    |y| (1 + |R - I|)^(s + 1) >= safe_size in the infinity norm, or the result is not
+    finite, the step is ``linear_logode_step``.  Any m <= 12 is below the crossover."""
+    delta = _rk4_increment(mats, trees, lams, substeps)
+    y = np.asarray(y0, dtype=float)
+    with np.errstate(all="ignore"):
+        increments = [delta]
+        for _ in range(substeps.bit_length() - 1):
+            e = increments[-1]
+            increments.append(e + e + e @ e)
+        power = None
+        for bit, e in enumerate(increments):
+            if substeps >> bit & 1:
+                power = e if power is None else power + e + power @ e
+        growth = (1.0 + np.abs(delta).sum(axis=1).max()) ** (substeps + 1)
+        out = y + power @ y
+    if np.abs(y).max() < safe_size / growth and np.isfinite(out).all():
+        return out
+    return linear_logode_step(mats, trees, lams, y0, substeps)
 
 
 def ingest_csv_rows(source):

@@ -2,8 +2,8 @@
 
 Each row gives a valid call and the kind of each argument that the shared checks in
 ``sigstream.errors`` take: a count (an integer in [lo, hi], not a bool), a real (finite,
-in an interval), a point (a finite real array of a shape) or an instance (a tensor, or an
-iterable of streams or stream pairs).  ``hypothesis`` puts
+in an interval), a point (a finite real array of a shape) or an instance (a tensor, a
+stream, or an iterable of streams or stream pairs).  ``hypothesis`` puts
 values outside each argument's valid set in its place, one argument at a time, and the
 call must raise DomainError or DimensionMismatchError with no warning.  Every name in
 a module's ``__all__`` needs a row, or an entry in ``RESULT_TYPES`` naming the row
@@ -115,7 +115,7 @@ class Point:
 
 @dataclass(frozen=True)
 class Instance:
-    """A value of this type: a tensor, or an iterable of streams or stream pairs."""
+    """A value of this type: a tensor, a stream, or an iterable of streams or stream pairs."""
 
     cls: type
 
@@ -124,7 +124,7 @@ class Instance:
         return st.sampled_from([v for v in values if not isinstance(v, self.cls)])
 
 
-TENSOR, ITERABLE = Instance(TruncatedTensor), Instance(Iterable)
+TENSOR, ITERABLE, STREAM = Instance(TruncatedTensor), Instance(Iterable), Instance(Stream)
 
 
 def _with_entry(valid, index, value):
@@ -185,16 +185,20 @@ ROWS = {
     "Stream": (lambda: Stream([0.0, 1.0], [[0.0], [1.0]]), {}),
     "Stream.value_at": (lambda t: S.value_at(t), {"t": (0.25, Real())}),
     "ingest_csv": (lambda: ingest_csv(io.StringIO(CSV)), {}),
-    "write_csv": (lambda: write_csv(S, io.StringIO()), {}),
-    "time_augment": (lambda: time_augment(S), {}),
-    "lead_lag": (lambda: lead_lag(S), {}),
-    "concat": (lambda: concat(S, S), {}),
-    "reverse": (lambda: reverse(S), {}),
-    "restrict": (lambda t0, t1: restrict(S, t0, t1), {"t0": (0.2, Real()), "t1": (0.8, Real())}),
-    "signature": (lambda depth: signature(S, depth), {"depth": (3, Count(1))}),
-    "log_signature": (lambda depth: log_signature(S, depth), {"depth": (3, Count(1))}),
-    "dp_distance_estimate": (lambda p, max_level: dp_distance_estimate(S, S, p, max_level),
-                             {"p": (2.0, Real(1.0)), "max_level": (2, Count(1))}),
+    "write_csv": (lambda stream: write_csv(stream, io.StringIO()), {"stream": (S, STREAM)}),
+    "time_augment": (lambda s: time_augment(s), {"s": (S, STREAM)}),
+    "lead_lag": (lambda s: lead_lag(s), {"s": (S, STREAM)}),
+    "concat": (lambda a, b: concat(a, b), {"a": (S, STREAM), "b": (S, STREAM)}),
+    "reverse": (lambda s: reverse(s), {"s": (S, STREAM)}),
+    "restrict": (lambda s, t0, t1: restrict(s, t0, t1),
+                 {"s": (S, STREAM), "t0": (0.2, Real()), "t1": (0.8, Real())}),
+    "signature": (lambda s, depth: signature(s, depth),
+                  {"s": (S, STREAM), "depth": (3, Count(1))}),
+    "log_signature": (lambda s, depth: log_signature(s, depth),
+                      {"s": (S, STREAM), "depth": (3, Count(1))}),
+    "dp_distance_estimate": (lambda a, b, p, max_level: dp_distance_estimate(a, b, p, max_level),
+                             {"a": (S, STREAM), "b": (S, STREAM), "p": (2.0, Real(1.0)),
+                              "max_level": (2, Count(1))}),
     # lie_algebra
     "LieCoordinates": (lambda dim, depth: LieCoordinates(dim, depth, [0.1, -0.2, 0.05]),
                        {"dim": (2, Count(1)), "depth": (2, Count(1))}),
@@ -218,14 +222,17 @@ ROWS = {
     "LinearSystem": (lambda: LinearSystem(np.ones((2, 3, 3))), {}),
     "LogOdeSchedule": (lambda depth, substeps: LogOdeSchedule([0.0, 0.5, 1.0], depth, substeps),
                        {"depth": (2, Count(1)), "substeps": (4, Count(1))}),
-    "LogOdeSchedule.uniform": (lambda steps: LogOdeSchedule.uniform(S, steps, 2),
-                               {"steps": (4, Count(1, errors._COEFF_BUDGET))}),
+    "LogOdeSchedule.uniform": (lambda stream, steps: LogOdeSchedule.uniform(stream, steps, 2),
+                               {"stream": (S, STREAM),
+                                "steps": (4, Count(1, errors._COEFF_BUDGET))}),
     "lie_extend_evaluate": (lambda y: lie_extend_evaluate(VFS, COORDS, y),
                             {"y": ([1.0, 0.5], Point((2,)))}),
     "logode_step": (lambda y0, substeps: logode_step(VFS, y0, COORDS, substeps),
                     {"y0": ([1.0, 0.5], Point((2,))), "substeps": (4, Count(1))}),
-    "solve": (lambda y0: solve(VFS, S, y0, SCHEDULE), {"y0": ([1.0, 0.5], Point((2,)))}),
-    "linear_solve": (lambda y0: linear_solve(LIN, S, y0), {"y0": ([1.0, 0.5], Point((2,)))}),
+    "solve": (lambda stream, y0: solve(VFS, stream, y0, SCHEDULE),
+              {"stream": (S, STREAM), "y0": ([1.0, 0.5], Point((2,)))}),
+    "linear_solve": (lambda s, y0: linear_solve(LIN, s, y0),
+                     {"s": (S, STREAM), "y0": ([1.0, 0.5], Point((2,)))}),
     "linear_series_apply": (lambda sig, y0: linear_series_apply(LIN, sig, y0),
                             {"sig": (SIG, TENSOR), "y0": ([1.0, 0.5], Point((2,)))}),
     "series_tail_bound": (
@@ -234,7 +241,7 @@ ROWS = {
          "y0_norm": (1.0, Real(0.0))}),
     # development
     "UnitaryPolicy": (lambda: UnitaryPolicy(POLICY.generators), {}),
-    "develop": (lambda: develop(POLICY, S), {}),
+    "develop": (lambda s: develop(POLICY, s), {"s": (S, STREAM)}),
     "expected_development": (lambda count, seed: expected_development(POLICY, lambda rng: S,
                                                                       count, seed),
                              {"count": (3, Count(1)), "seed": (5, Count(0))}),

@@ -535,6 +535,12 @@ PAIR = random_streams(np.random.default_rng(0), 2, 2, 5)
          "each of streams must be a Stream"),
         (lambda: fit_ridge(np.ones((2, 2)), [[0.0], [1.0, 2.0]]), DomainError,
          "y must be an array of finite reals"),
+        (lambda: fit_conditional_law([1, 2], 2, 2), DomainError,
+         "each of pairs must be a pair of streams, got int"),
+        (lambda: fit_conditional_law([PAIR, (*PAIR, PAIR[0])], 2, 2), DomainError,
+         "each of pairs must be a pair of streams, got tuple of length 3"),
+        (lambda: fit_conditional_law([PAIR, (PAIR[0], "x")], 2, 2), DomainError,
+         "each stream of pairs must be a Stream, got str"),
     ],
     ids=["transform", "no-streams", "ridge-rows", "lasso-rows", "max-penalty-rows", "kkt-rows",
          "stability-rows", "stability-rounds", "stability-fraction-high", "stability-fraction-nan",
@@ -543,7 +549,8 @@ PAIR = random_streams(np.random.default_rng(0), 2, 2, 5)
          "logsig-fractional-depth", "logsig-bool-depth", "ridge-non-finite-design",
          "conditional-law-columns", "fractional-labels", "nan-scores", "label-count",
          "r2-shapes", "featurize-string", "logsig-tuple-stream", "predict-string",
-         "ridge-ragged-y"],
+         "ridge-ragged-y", "conditional-law-not-pairs", "conditional-law-triple",
+         "conditional-law-string"],
 )
 def test_input_checks(call, error, match):
     with pytest.raises(error, match=match):

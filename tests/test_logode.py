@@ -25,7 +25,8 @@ from sigstream.streams import Stream, log_signature, restrict, signature
 from sigstream.tensor_algebra import _represent
 
 from oracles import (
-    expm, linear_logode_step, nested_bracket_field, nested_lie_terms, rk4_linear
+    expm, linear_logode_power_step, linear_logode_step, nested_bracket_field, nested_lie_terms,
+    rk4_linear,
 )
 
 
@@ -143,12 +144,13 @@ class TestCompiledLinearField:
     @settings(max_examples=80, deadline=None)
     @given(linear_cases(), st.integers(1, 16))
     def test_step_is_the_commutator_algorithm_bit_for_bit(self, case, substeps):
-        # K = sum_b lambda_b M_b in basis order and powers of RK4's one-step matrix,
-        # signed zeros included
+        # K = sum_b lambda_b M_b in basis order and RK4's one-step matrix raised to the
+        # substeps by squaring, signed zeros included
         A, coords, y = case
         got = logode_step(VectorFieldSystem.from_linear(LinearSystem(A)), y, coords, substeps)
         trees = [b.bracketing for b in coords.basis]
-        assert got.tobytes() == linear_logode_step(A, trees, coords.values, y, substeps).tobytes()
+        want = linear_logode_power_step(A, trees, coords.values, y, substeps)
+        assert got.tobytes() == want.tobytes()
 
     def test_general_route_agrees_at_depth_4(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -335,7 +337,7 @@ class TestLinearStep:
         assert coords.coeff("[1,2]") == 0.0
         y0 = np.array([1.0, -1.0])
         trees = [b.bracketing for b in coords.basis]
-        want = linear_logode_step(A, trees, coords.values, y0, 3)
+        want = linear_logode_power_step(A, trees, coords.values, y0, 3)
         assert np.isfinite(want).all()
         assert logode_step(vfs, y0, coords, 3).tobytes() == want.tobytes()
         assert np.isfinite(lie_extend_evaluate(vfs, coords, y0)).all()
@@ -362,6 +364,66 @@ class TestLinearStep:
             reports.append((err.value.substep, [(w.category, str(w.message)) for w in seen]))
         assert want == reports[0][0] == 3
         assert reports[0] == reports[1] and reports[0][1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(linear_cases(max_depth=4), st.integers(1, 64))
+    def test_squaring_stays_near_the_substeps(self, case, substeps):
+        # R^s by squaring rounds differently from s products with R, within the rounding
+        # scale of test_matches_four_stage_rk4
+        A, coords, y = case
+        vfs = VectorFieldSystem.from_linear(LinearSystem(A))
+        scale = float(rk4_linear(np.abs(frozen_matrix(vfs, coords)), np.abs(y), substeps)[0].max())
+        trees = [b.bracketing for b in coords.basis]
+        want = linear_logode_step(A, trees, coords.values, y, substeps)
+        got = logode_step(vfs, y, coords, substeps)
+        assert np.abs(got - want).max() <= max(1e-13 * scale, 4 * np.spacing(scale))
+
+    def test_overflowing_power_returns_the_substep_state(self):
+        # R = 74,046 per substep: R^64 overflows, while the state grows from 1e-300 to
+        # about 4.4e11 through finite substeps
+        A = np.ones((1, 1, 1))
+        coords, y0 = coords_on(1, 1, "1", 2270.0), np.array([1e-300])
+        delta = 2270.0 / 64 * (1 + 2270.0 / 128 * (1 + 2270.0 / 192 * (1 + 2270.0 / 256)))
+        assert 64 * np.log1p(delta) > np.log(np.finfo(float).max)
+        want = linear_logode_step(A, [1], coords.values, y0, 64)
+        assert np.isfinite(want).all() and want[0] > 1e11
+        vfs = VectorFieldSystem.from_linear(LinearSystem(A))
+        assert logode_step(vfs, y0, coords, 64).tobytes() == want.tobytes()
+        driver = Stream([0.0, 1.0], [[0.0], [2270.0]])
+        states = solve(vfs, driver, y0, LogOdeSchedule([0.0, 1.0], 1, 64))
+        assert states[-1].tobytes() == want.tobytes()
+
+    def test_transient_overflow_names_the_substep(self):
+        # K = [[-16, 1e10], [0, -16]] at h = 1/16: R = [[p, 1e10 p' / 16], [0, p]] with
+        # p = p(-1) = 0.375 and p' = p'(-1) = 1/3, so R y overflows from y = (0, 1e301)
+        # at substep 1, while R^16 y = (16 p^15 1e10 p' / 16, p^16) 1e301 stays finite
+        A = np.array([[[-16.0, 1e10], [0.0, -16.0]]])
+        y0 = np.array([0.0, 1e301])
+        hk, eye = A[0] / 16, np.eye(2)
+        R = eye + hk @ (eye + hk / 2 @ (eye + hk / 3 @ (eye + hk / 4)))
+        assert np.isfinite(np.linalg.matrix_power(R, 16) @ y0).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert rk4_linear(A[0], y0, 16)[1] == 1
+        vfs = VectorFieldSystem.from_linear(LinearSystem(A))
+        driver = Stream([0.0, 1.0], [[0.0], [1.0]])
+        for call in (lambda: logode_step(vfs, y0, coords_on(1, 1, "1"), 16),
+                     lambda: solve(vfs, driver, y0, LogOdeSchedule([0.0, 1.0], 1, 16))):
+            with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+                call()
+            assert err.value.substep == 1
+
+    @pytest.mark.parametrize("substeps", [2, 3, 16])
+    def test_above_the_crossover_the_substeps_run(self, substeps):
+        # the first state size past the crossover, which the one constant sets
+        m = next(m for m in range(1, 200) if not logode._squares(m, substeps))
+        assert m > 12 and logode._squares(m - 1, substeps)
+        rng = np.random.default_rng(substeps)
+        A = rng.standard_normal((2, m, m)) / m
+        coords, y0 = LieCoordinates(2, 2, rng.standard_normal(3)), rng.standard_normal(m)
+        want = linear_logode_step(A, [b.bracketing for b in coords.basis], coords.values, y0,
+                                  substeps)
+        got = logode_step(VectorFieldSystem.from_linear(LinearSystem(A)), y0, coords, substeps)
+        assert got.tobytes() == want.tobytes()
 
 
 @st.composite

@@ -170,6 +170,16 @@ class TestOneCallReader:
         assert s.times.tolist() == [0.0, 1.0]
         assert s.points.tolist() == [[0.0, 0.0], [1.5, -0.002]]
 
+    def test_whitespace_only_lines_never_reach_the_row_loop(self, monkeypatch):
+        # loadtxt refuses them; the second call, without them, reads the body
+        def row_loop(*args):
+            raise AssertionError("row loop reached")
+
+        monkeypatch.setattr(streams_module, "_parse_rows", row_loop)
+        s = ingest_csv(io.StringIO("t,x1\r\n0,0\r\n \t\r\n1,1.5\r\n\x0b\n2,-2e-3\r\n  \r\n"))
+        assert s.times.tolist() == [0.0, 1.0, 2.0]
+        assert s.points.tolist() == [[0.0], [1.5], [-0.002]]
+
 
 class TestTransforms:
     def test_time_augment_constant_stream(self):
