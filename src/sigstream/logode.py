@@ -6,8 +6,8 @@ coordinate -> vector field) through the bracket structure of the free Lie
 algebra, freeze the resulting field, and integrate it for unit time with RK4.
 On linear systems RK4's s substeps are s products with its one-step matrix R, so each
 step applies R^s once, raised by squaring for all steps at once in stacks of at most
-_CACHE_ELEMENTS floats; a step whose substeps could overflow, or one above the state
-size where squaring costs more than the substeps (_SQUARE_RATIO), runs the substeps.
+_CACHE_ELEMENTS floats; a step whose substeps could overflow, or whose state ends
+non-finite, is replayed substep by substep.
 
 Brackets follow [V, W](y) = DW(y) V(y) - DV(y) W(y); on linear fields
 V_i(y) = A_i y this gives [V_i, V_j] -> (A_j A_i - A_i A_j) y, the
@@ -44,12 +44,6 @@ __all__ = [
 ]
 
 _FD_SCALE = 1e-5  # directional finite-difference step per unit of (1 + |y|)
-# a linear step on R^m raises R to the s-th power by squaring when m times its count of
-# batched products, floor(log2 s) + popcount(s) - 1, is at most this times s (a product
-# costs m^3 per step, a substep m^2); solving 64 steps with one BLAS thread, squaring was
-# no slower up to m = 32 at s = 16 and m = 16 at s = 2, and slower at m = 48, s = 16 and
-# m = 24, s = 2
-_SQUARE_RATIO = 8
 # a state bound below which no substep of a linear step can overflow, 2^24 below the
 # largest float to spare for rounding
 _SAFE_SIZE = 2.0**1000
@@ -243,13 +237,6 @@ def _march(substep, y: np.ndarray, substeps: int) -> np.ndarray:
     return y
 
 
-def _squares(state_dim: int, substeps: int) -> bool:
-    """Whether R^s by squaring costs less than s substeps at m = ``state_dim``: each of
-    its batched products costs about m^3 per step, each substep m^2 (see _SQUARE_RATIO)."""
-    products = substeps.bit_length() + substeps.bit_count() - 2
-    return state_dim * products <= _SQUARE_RATIO * substeps
-
-
 def _increment_power(deltas: np.ndarray, substeps: int) -> np.ndarray:
     """R^s - I for each R = I + D of a stack of increments D, by binary powering on
     increments, (I + A)(I + B) - I = A + B + AB: floor(log2 s) squarings E + E + E @ E and
@@ -269,32 +256,24 @@ def _linear_steps(vfs: VectorFieldSystem, dim: int, depth: int, rows, y, substep
     of Lyndon coordinates.  K and D = R - I = hK(I + hK/2(I + hK/3(I + hK/4))), h = 1 /
     substeps, are stacked for a slice of steps of at most _CACHE_ELEMENTS floats.
 
-    Where ``_squares``, the slice's P = R^s - I come from ``_increment_power``, and a step
-    is one product y <- y + P y where |y| (1 + |D|)^(s + 1) < _SAFE_SIZE (infinity norms),
-    so that none of its substeps could overflow, and where the new state is finite (as it
-    is not when P is not).  Any other step is replayed by ``_march``, which raises the
-    substeps' DivergenceError or returns their finite state.  Otherwise each step runs its
-    s substeps y <- y + D y, is checked once, and is replayed by ``_march`` if it ends
-    non-finite.  Steps run under np.errstate(all="ignore"), replays under the caller's.
+    The slice's P = R^s - I come from ``_increment_power``, and a step is one product
+    y <- y + P y where |y| (1 + |D|)^(s + 1) < _SAFE_SIZE (infinity norms), so that none of
+    its substeps could overflow, and where the new state is finite (as it is not when P is
+    not).  Any other step is replayed by ``_march``, which raises the substeps'
+    DivergenceError or returns their finite state.  Products run under
+    np.errstate(all="ignore"), replays under the caller's.
     """
     eye, per_slice = np.eye(vfs.state_dim), max(_CACHE_ELEMENTS // vfs.state_dim**2, 1)
-    squares, caller = _squares(vfs.state_dim, substeps), np.geterr()
-    size = float(np.abs(y).max())
+    caller, size = np.geterr(), float(np.abs(y).max())
     for lo in range(0, len(rows), per_slice):
         hk = (1.0 / substeps) * _frozen_matrices(vfs, dim, depth, rows[lo : lo + per_slice])
         deltas = hk @ (eye + hk / 2 @ (eye + hk / 3 @ (eye + hk / 4)))
         with np.errstate(all="ignore"):
-            if squares:
-                powers = _increment_power(deltas, substeps)
-                growth = (1.0 + np.abs(deltas).sum(axis=2).max(axis=1)) ** (substeps + 1)
-                limits = (_SAFE_SIZE / growth).tolist()
+            powers = _increment_power(deltas, substeps)
+            growth = (1.0 + np.abs(deltas).sum(axis=2).max(axis=1)) ** (substeps + 1)
+            limits = (_SAFE_SIZE / growth).tolist()
             for j, delta in enumerate(deltas):
-                if not squares:
-                    step = y
-                    for _ in range(substeps):
-                        step = step + delta @ step
-                    done = np.isfinite(step).all()
-                elif done := size < limits[j]:
+                if done := size < limits[j]:
                     step = y + powers[j] @ y
                     size = float(np.abs(step).max())
                     done = size < math.inf
@@ -325,9 +304,9 @@ def logode_step(
     On ``from_linear`` systems the frozen field is y -> K y, and each RK4 substep
     of length h is y <- R y with R = I + hK(I + hK/2(I + hK/3(I + hK/4))),
     RK4's one-step matrix, so the step is y <- R^s y, with R^s raised by squaring
-    below the crossover of ``_squares`` (see ``_linear_steps``, which ``solve`` shares).
-    Its state is checked once, and the step replayed substep by substep where it is not
-    finite or a substep could overflow; a general field's state, after every substep.
+    (see ``_linear_steps``, which ``solve`` shares).  Its state is checked once, and the
+    step replayed substep by substep where it is not finite or a substep could overflow;
+    a general field's state, after every substep.
     """
     y = _points("y0", y0, (vfs.state_dim,), DimensionMismatchError)
     return _logode_step(vfs, y, coords, _count("substeps", substeps, 1))
@@ -380,8 +359,8 @@ def solve(
     """Log-ODE trajectory: the state at every schedule boundary, row 0 = y0.
 
     A ``from_linear`` system's K, R - I and R^s - I (see ``logode_step``) are stacked
-    for a slice of steps at a time; each step is then one product, or its substeps above
-    the squaring crossover, checked once and replayed to name the substep of a divergence.
+    for a slice of steps at a time; each step is then one product, checked once and
+    replayed substep by substep to name the substep of a divergence.
     """
     t0, t1 = _instance("stream", stream, Stream).interval
     bounds = schedule.boundaries

@@ -493,7 +493,7 @@ def _rk4_increment(mats, trees, lams, substeps):
 
 def linear_logode_step(mats, trees, lams, y0, substeps):
     """One log-ODE step of a linear system by its substeps, rounding as the compiled route
-    does above its squaring crossover: ``substeps`` times y <- y + (R - I) y."""
+    does when it replays a step: ``substeps`` times y <- y + (R - I) y."""
     delta = _rk4_increment(mats, trees, lams, substeps)
     y = np.asarray(y0, dtype=float).copy()
     for _ in range(substeps):
@@ -502,12 +502,12 @@ def linear_logode_step(mats, trees, lams, y0, substeps):
 
 
 def linear_logode_power_step(mats, trees, lams, y0, substeps, safe_size=2.0**1000):
-    """One log-ODE step of a linear system as the compiled route takes it below its
-    squaring crossover: y + P y with P = R^s - I by binary powering on increments,
+    """One log-ODE step of a linear system as the compiled route takes it: y + P y with
+    P = R^s - I by binary powering on increments,
     (I + A)(I + B) - I = A + B + AB.  The increments of R^(2^k) are E <- E + E + E E from
     E = R - I, and the set bits of s, lowest first, multiply in as P <- P + E + P E.  Where
     |y| (1 + |R - I|)^(s + 1) >= safe_size in the infinity norm, or the result is not
-    finite, the step is ``linear_logode_step``.  Any m <= 12 is below the crossover."""
+    finite, the step is ``linear_logode_step``."""
     delta = _rk4_increment(mats, trees, lams, substeps)
     y = np.asarray(y0, dtype=float)
     with np.errstate(all="ignore"):

@@ -412,19 +412,6 @@ class TestLinearStep:
                 call()
             assert err.value.substep == 1
 
-    @pytest.mark.parametrize("substeps", [2, 3, 16])
-    def test_above_the_crossover_the_substeps_run(self, substeps):
-        # the first state size past the crossover, which the one constant sets
-        m = next(m for m in range(1, 200) if not logode._squares(m, substeps))
-        assert m > 12 and logode._squares(m - 1, substeps)
-        rng = np.random.default_rng(substeps)
-        A = rng.standard_normal((2, m, m)) / m
-        coords, y0 = LieCoordinates(2, 2, rng.standard_normal(3)), rng.standard_normal(m)
-        want = linear_logode_step(A, [b.bracketing for b in coords.basis], coords.values, y0,
-                                  substeps)
-        got = logode_step(VectorFieldSystem.from_linear(LinearSystem(A)), y0, coords, substeps)
-        assert got.tobytes() == want.tobytes()
-
 
 @st.composite
 def linear_solves(draw):
