@@ -102,7 +102,7 @@ def _develop_batch(policy: UnitaryPolicy, increments: np.ndarray) -> np.ndarray:
 
 def develop(policy: UnitaryPolicy, s: Stream) -> DevelopmentResult:
     """Ordered product over segments of exp(i sum_j dgamma_j H_j)."""
-    s = _instance("s", s, Stream)
+    policy, s = _instance("policy", policy, UnitaryPolicy), _instance("s", s, Stream)
     psi = _develop_batch(policy, s.increments()[None])
     return DevelopmentResult(psi[0], s.interval)
 
@@ -131,7 +131,7 @@ def expected_development(
     """
     count = _count("count", count, 1)
     rng = np.random.default_rng(_count("seed", seed, 0))
-    u = policy.size
+    u = _instance("policy", policy, UnitaryPolicy).size
     total = np.zeros((u, u), dtype=complex)
     total_sq = np.zeros((u, u))
     for start in range(0, count, _SLICE):
@@ -153,6 +153,7 @@ def evaluate_signature(policy: UnitaryPolicy, sig: TruncatedTensor) -> np.ndarra
     sum_k i^k sum_w S_w H_{w_1} ... H_{w_k}: the linear functional of the
     signature that ``develop`` computes, truncated at the signature's depth.
     """
+    policy = _instance("policy", policy, UnitaryPolicy)
     if _instance("sig", sig, TruncatedTensor).dim != policy.driver_dim:
         raise DimensionMismatchError("signature and policy driver dimensions differ")
     return _represent(sig, 1j * policy.generators)
@@ -160,6 +161,7 @@ def evaluate_signature(policy: UnitaryPolicy, sig: TruncatedTensor) -> np.ndarra
 
 def development_tail_bound(policy: UnitaryPolicy, l1_length: float, depth: int) -> float:
     """Operator-norm bound sum_{k > depth} (max_j |H_j| L)^k / k! on the truncation."""
+    policy = _instance("policy", policy, UnitaryPolicy)
     x = policy.max_generator_norm() * _real("l1_length", l1_length, 0)
     return _exp_tail(x, _count("depth", depth, 0))
 

@@ -126,7 +126,7 @@ def _points(name, value, shape, mismatch=DomainError):
 def _instance(name, value, cls):
     """value, when it is a ``cls``."""
     if not isinstance(value, cls):
-        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        article = "an" if cls.__name__[0] in "AEIO" else "a"  # a UnitaryPolicy
         raise DomainError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
     return value
 

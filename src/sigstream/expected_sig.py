@@ -7,7 +7,8 @@ signatures.  A radius diagnostic reports the per-level norm profile used to
 reason about convergence of sum_n z^n |E S^n|; it makes no determinacy claim.
 
 A domain is any object with four members; GridDomain and mc_expected_sig use
-no others, so it needs no base class.  ``bbox`` is (x0, x1, y0, y1), ``anchor``
+no others, so it needs no base class (they check the members by ``isinstance`` with the
+unexported Protocol ``Domain``).  ``bbox`` is (x0, x1, y0, y1), ``anchor``
 an interior point, ``contains(points)`` tests for strictly inside (domains are
 open), and ``ray_hits(origins, directions)`` gives per ray the least t > 0 with
 origin + t * direction on the boundary (non-finite where the ray misses it).
@@ -20,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -43,6 +45,18 @@ __all__ = [
 
 _THETA_FLOOR = 1e-8
 _BLOCK_STEPS = 8  # Monte Carlo steps drawn and folded per block
+
+
+@runtime_checkable
+class Domain(Protocol):
+    """The four members of a domain (see the module docstring)."""
+
+    bbox: tuple
+    anchor: np.ndarray
+
+    def contains(self, points) -> np.ndarray: ...
+
+    def ray_hits(self, origins, directions) -> np.ndarray: ...
 
 
 class DiskDomain:
@@ -190,7 +204,8 @@ class GridDomain:
         self.h = h = _real("h", h, 0, lo_open=True)
         if boundary not in ("exact", "snap"):
             raise DomainError("boundary must be 'exact' or 'snap'")
-        self.descriptor, self.boundary = descriptor, boundary
+        self.descriptor = errors._instance("descriptor", descriptor, Domain)
+        self.boundary = boundary
         x0, x1, y0, y1 = descriptor.bbox
         ax, ay = descriptor.anchor
         # nodes per side of the anchor, each capped at the budget, which it then exceeds
@@ -335,7 +350,7 @@ def solve_recurrence(grid: GridDomain, depth: int) -> ExpectedSigField:
     """
     depth = _count("depth", depth, 2)
     d = 2
-    n = grid.n_interior
+    n = errors._instance("grid", grid, GridDomain).n_interior
     errors._check_budget(f"expected signatures at {n} grid points", n, d, depth)
     levels = [np.ones((1, n)), np.zeros((d, n))]
     letters = np.arange(d)
@@ -394,7 +409,7 @@ def mc_expected_sig(
     seed implies byte-identical output.
     """
     start = _points("start", start, (2,))
-    if not bool(domain.contains(start[None, :])[0]):
+    if not bool(errors._instance("domain", domain, Domain).contains(start[None, :])[0]):
         raise DomainError(f"start point {start} is not strictly interior")
     depth, paths = _count("depth", depth, 1), _count("paths", paths, 1)
     seed, dt = _count("seed", seed, 0), _real("dt", dt, 0, lo_open=True)

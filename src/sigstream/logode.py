@@ -4,10 +4,8 @@ Per step: take the truncated log-signature of the driving stream over the
 step (all steps are signed in one batch), extend the linear map (driver
 coordinate -> vector field) through the bracket structure of the free Lie
 algebra, freeze the resulting field, and integrate it for unit time with RK4.
-On linear systems RK4's s substeps are s products with its one-step matrix R, so each
-step applies R^s once, raised by squaring for all steps at once in stacks of at most
-_CACHE_ELEMENTS floats; a step whose substeps could overflow, or whose state ends
-non-finite, is replayed substep by substep.
+``logode_step`` and ``solve`` take every step through ``_steps``; it and
+``_linear_steps`` state the step policy in their docstrings.
 
 Brackets follow [V, W](y) = DW(y) V(y) - DV(y) W(y); on linear fields
 V_i(y) = A_i y this gives [V_i, V_j] -> (A_j A_i - A_i A_j) y, the
@@ -27,7 +25,7 @@ import numpy as np
 
 from .errors import CapabilityError, DimensionMismatchError, DivergenceError, DomainError
 from .errors import _check_budget, _count, _instance, _points, _real
-from .lie_algebra import LieCoordinates, lyndon_basis
+from .lie_algebra import LieCoordinates, _lyndon_basis
 from .streams import Stream, _cut, _log_signature_rows
 from .tensor_algebra import _CACHE_ELEMENTS, TruncatedTensor, _exp_tail, _frozen, _represent
 
@@ -111,7 +109,7 @@ class VectorFieldSystem:
 
     @classmethod
     def from_linear(cls, lin: LinearSystem) -> "VectorFieldSystem":
-        mats = lin.matrices
+        mats = _instance("lin", lin, LinearSystem).matrices
         fields = [lambda y, a=a: a @ y for a in mats]
         jacobians = [lambda y, a=a: a for a in mats]
         vfs = cls(lin.state_dim, lin.driver_dim, fields, jacobians, smoothness=10**9)
@@ -202,14 +200,15 @@ def _check_driver(vfs: VectorFieldSystem, dim: int) -> None:
         raise DomainError(f"coordinates are {dim}-dimensional, fields expect {vfs.driver_dim}")
 
 
-def _frozen_field(vfs: VectorFieldSystem, coords: LieCoordinates):
-    """The frozen field y -> sum_b lambda_b B_b(y) of a general system."""
-    _check_driver(vfs, coords.dim)
-    top = coords.max_degree()
+def _frozen_field(vfs: VectorFieldSystem, dim: int, depth: int, row):
+    """The frozen field y -> sum_b lambda_b B_b(y) of a general system, for one row of
+    Lyndon coordinates."""
+    basis = _lyndon_basis(dim, depth)
+    top = max((b.degree for lam, b in zip(row, basis) if abs(lam) > 0.0), default=0)
     if top > vfs.smoothness + 1:
         raise CapabilityError(f"degree-{top} brackets need {top - 1} derivatives; "
                               f"system declares {vfs.smoothness}")
-    terms = {b.bracketing: lam for lam, b in zip(coords.values, coords.basis) if lam != 0.0}
+    terms = {b.bracketing: lam for lam, b in zip(row, basis) if lam != 0.0}
     return lambda y: _Point(vfs, y, {}).combination(terms)
 
 
@@ -217,9 +216,8 @@ def _frozen_matrices(vfs: VectorFieldSystem, dim: int, depth: int, rows) -> np.n
     """K = sum_b lambda_b M_b of a ``from_linear`` system for each row of Lyndon
     coordinates, stacked (rows, m, m): summed from +0.0 in basis order, where a
     lambda_b equal to 0 adds nothing."""
-    _check_driver(vfs, dim)
     K = np.zeros((len(rows), vfs.state_dim, vfs.state_dim))
-    for lam, b in zip(rows.T, lyndon_basis(dim, depth)):
+    for lam, b in zip(rows.T, _lyndon_basis(dim, depth)):
         live = lam != 0.0
         if live.any():  # M_b itself may overflow, so it is formed only when it is used
             K[live] += lam[live, None, None] * vfs._identity.value(b.bracketing)
@@ -252,9 +250,10 @@ def _increment_power(deltas: np.ndarray, substeps: int) -> np.ndarray:
 
 
 def _linear_steps(vfs: VectorFieldSystem, dim: int, depth: int, rows, y, substeps: int, out):
-    """Write to out[i] the state after step i of a ``from_linear`` system, one step per row
-    of Lyndon coordinates.  K and D = R - I = hK(I + hK/2(I + hK/3(I + hK/4))), h = 1 /
-    substeps, are stacked for a slice of steps of at most _CACHE_ELEMENTS floats.
+    """``_steps`` of a ``from_linear`` system.  Its frozen field is y -> K y, and each RK4
+    substep of length h = 1 / substeps is y <- R y with RK4's one-step matrix R = I + D,
+    D = hK(I + hK/2(I + hK/3(I + hK/4))), so a step is y <- R^s y.  K and D are stacked
+    for a slice of steps of at most _CACHE_ELEMENTS floats.
 
     The slice's P = R^s - I come from ``_increment_power``, and a step is one product
     y <- y + P y where |y| (1 + |D|)^(s + 1) < _SAFE_SIZE (infinity norms), so that none of
@@ -284,50 +283,56 @@ def _linear_steps(vfs: VectorFieldSystem, dim: int, depth: int, rows, y, substep
                 y = out[lo + j] = step
 
 
+def _steps(vfs: VectorFieldSystem, dim: int, depth: int, rows, y, substeps: int, out):
+    """Write to out[i] the state after step i from y, one step per row of Lyndon
+    coordinates: the one step routine of ``logode_step`` (one row) and ``solve`` (all).
+
+    A ``from_linear`` system takes ``_linear_steps``.  A general system freezes each row's
+    field and integrates it for unit time by ``substeps`` RK4 substeps under ``_march``,
+    which checks the state after every substep.
+    """
+    _check_driver(vfs, dim)
+    if vfs._identity is not None:
+        return _linear_steps(vfs, dim, depth, rows, y, substeps, out)
+    dt = 1.0 / substeps
+    for i, row in enumerate(rows):
+        field = _frozen_field(vfs, dim, depth, row)
+
+        def substep(y):
+            k1 = field(y)
+            k2 = field(y + 0.5 * dt * k1)
+            k3 = field(y + 0.5 * dt * k2)
+            k4 = field(y + dt * k3)
+            return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+        y = out[i] = _march(substep, y, substeps)
+
+
 def lie_extend_evaluate(vfs: VectorFieldSystem, coords: LieCoordinates, y) -> np.ndarray:
     """Evaluate the Lie extension of the field map at the given coordinates.
 
     Returns sum_b lambda_b B_b(y) where B_b is the iterated vector-field
     bracket following each basis element's bracketing.
     """
+    vfs = _instance("vfs", vfs, VectorFieldSystem)
+    coords = _instance("coords", coords, LieCoordinates)
     y = _points("y", y, (vfs.state_dim,), DimensionMismatchError)
+    _check_driver(vfs, coords.dim)
     if vfs._identity is not None:
         return _frozen_matrices(vfs, coords.dim, coords.depth, coords.values[None])[0] @ y
-    return _frozen_field(vfs, coords)(y)
+    return _frozen_field(vfs, coords.dim, coords.depth, coords.values)(y)
 
 
-def logode_step(
-    vfs: VectorFieldSystem, y0, coords: LieCoordinates, substeps: int
-) -> np.ndarray:
-    """Integrate the frozen log-signature field over unit time with RK4.
-
-    On ``from_linear`` systems the frozen field is y -> K y, and each RK4 substep
-    of length h is y <- R y with R = I + hK(I + hK/2(I + hK/3(I + hK/4))),
-    RK4's one-step matrix, so the step is y <- R^s y, with R^s raised by squaring
-    (see ``_linear_steps``, which ``solve`` shares).  Its state is checked once, and the
-    step replayed substep by substep where it is not finite or a substep could overflow;
-    a general field's state, after every substep.
-    """
+def logode_step(vfs: VectorFieldSystem, y0, coords: LieCoordinates, substeps: int) -> np.ndarray:
+    """Integrate the frozen log-signature field over unit time with RK4: ``_steps`` on
+    one row, which states the step policy."""
+    vfs = _instance("vfs", vfs, VectorFieldSystem)
+    coords = _instance("coords", coords, LieCoordinates)
     y = _points("y0", y0, (vfs.state_dim,), DimensionMismatchError)
-    return _logode_step(vfs, y, coords, _count("substeps", substeps, 1))
-
-
-def _logode_step(vfs: VectorFieldSystem, y, coords: LieCoordinates, substeps: int):
-    """logode_step for checked arguments: ``solve``'s per-step call."""
-    if vfs._identity is not None:
-        out = np.empty((1,) + y.shape)
-        _linear_steps(vfs, coords.dim, coords.depth, coords.values[None], y, substeps, out)
-        return out[0]
-    field, dt = _frozen_field(vfs, coords), 1.0 / substeps
-
-    def substep(y):
-        k1 = field(y)
-        k2 = field(y + 0.5 * dt * k1)
-        k3 = field(y + 0.5 * dt * k2)
-        k4 = field(y + dt * k3)
-        return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    return _march(substep, y, substeps)
+    out = np.empty((1, vfs.state_dim))
+    _steps(vfs, coords.dim, coords.depth, coords.values[None], y,
+           _count("substeps", substeps, 1), out)
+    return out[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,30 +358,22 @@ class LogOdeSchedule:
         return cls(np.linspace(t0, t1, steps + 1), depth, substeps)
 
 
-def solve(
-    vfs: VectorFieldSystem, stream: Stream, y0, schedule: LogOdeSchedule
-) -> np.ndarray:
+def solve(vfs: VectorFieldSystem, stream: Stream, y0, schedule: LogOdeSchedule) -> np.ndarray:
     """Log-ODE trajectory: the state at every schedule boundary, row 0 = y0.
 
-    A ``from_linear`` system's K, R - I and R^s - I (see ``logode_step``) are stacked
-    for a slice of steps at a time; each step is then one product, checked once and
-    replayed substep by substep to name the substep of a divergence.
+    Every step is signed in one batch and taken by ``_steps``, which states the step
+    policy; so the trajectory is the chain of ``logode_step`` calls, byte for byte.
     """
+    vfs = _instance("vfs", vfs, VectorFieldSystem)
     t0, t1 = _instance("stream", stream, Stream).interval
-    bounds = schedule.boundaries
+    bounds = _instance("schedule", schedule, LogOdeSchedule).boundaries
     if bounds[0] < t0 - 1e-9 or bounds[-1] > t1 + 1e-9:
         raise DomainError("schedule boundaries leave the stream's interval")
-    y = _points("y0", y0, (vfs.state_dim,))
-    d, depth, substeps = stream.dimension, schedule.depth, schedule.substeps
-    _, points, index = _cut(stream, bounds)
-    rows = _log_signature_rows(points, index[:-1], index[1:], depth)
     states = np.empty((bounds.size, vfs.state_dim))
-    states[0] = y
-    if vfs._identity is not None:
-        _linear_steps(vfs, d, depth, rows, y, substeps, states[1:])
-        return states
-    for i, row in enumerate(rows, start=1):
-        y = states[i] = _logode_step(vfs, y, LieCoordinates(d, depth, row), substeps)
+    states[0] = y = _points("y0", y0, (vfs.state_dim,))
+    _, points, index = _cut(stream, bounds)
+    rows = _log_signature_rows(points, index[:-1], index[1:], schedule.depth)
+    _steps(vfs, stream.dimension, schedule.depth, rows, y, schedule.substeps, states[1:])
     return states
 
 
@@ -390,7 +387,8 @@ def linear_solve(lin: LinearSystem, s: Stream, y0) -> np.ndarray:
     """
     import scipy.linalg  # here, so importing the package leaves scipy.linalg out
 
-    y = _points("y0", y0, (lin.state_dim,), DimensionMismatchError)
+    m = _instance("lin", lin, LinearSystem).state_dim
+    y = _points("y0", y0, (m,), DimensionMismatchError)
     if _instance("s", s, Stream).dimension != lin.driver_dim:
         raise DomainError(
             f"stream dimension {s.dimension} != system driver dimension {lin.driver_dim}"
@@ -403,7 +401,7 @@ def linear_solve(lin: LinearSystem, s: Stream, y0) -> np.ndarray:
 
 def linear_series_apply(lin: LinearSystem, sig: TruncatedTensor, y0) -> np.ndarray:
     """Truncated signature series sum_k sum_w S_w A_{w_k} ... A_{w_1} y0."""
-    if _instance("sig", sig, TruncatedTensor).dim != lin.driver_dim:
+    if _instance("sig", sig, TruncatedTensor).dim != _instance("lin", lin, LinearSystem).driver_dim:
         raise DomainError("signature and system driver dimensions differ")
     y = _points("y0", y0, (lin.state_dim,), DimensionMismatchError)
     # (A_{w_1}^T ... A_{w_k}^T)^T = A_{w_k} ... A_{w_1}

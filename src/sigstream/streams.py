@@ -5,12 +5,11 @@ linear path through them.  Signatures are computed exactly (up to rounding)
 as the ordered product of per-segment exponentials, via Chen's identity, by
 ``tensor_algebra.chen_fold`` on groups of equal-length streams, each group
 folded in slices of rows that stay in cache.
-Also provides CSV ingestion, the canonical time-augmentation and lead-lag
-transforms, and a computable lower-bound profile for the p-variation
-signature metric.
-A CSV body is parsed by one ``np.loadtxt`` call, and by a second one without its
-whitespace-only lines when the first refuses a body that has some; a body that these
-or ``Stream`` refuse is read again by the row-by-row reader, which names the bad row.
+Also provides CSV ingestion, the canonical time-augmentation and lead-lag transforms,
+and a computable lower-bound profile for the p-variation signature metric.
+A CSV body without its whitespace-only lines is parsed by one ``np.loadtxt`` call; what
+it or ``Stream`` refuses, the row-by-row reader reads again, and a row that it or ``csv``
+refuses is named in a StreamParseError.
 """
 
 from __future__ import annotations
@@ -120,30 +119,27 @@ def _parse_csv(handle, name) -> Stream:
     lines = list(handle)
     reader = csv.reader(lines)
     try:
-        header = next(reader)
+        header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise StreamParseError(f"{name}: empty file") from None
-    header = [h.strip() for h in header]
+    except csv.Error as exc:
+        raise StreamParseError(f"{name}: row 1: {exc}") from None
     if len(header) < 2 or header[0] != "t":
         raise StreamParseError(
             f"{name}: row 1: expected header 't,x1,...,xd', got {','.join(header)!r}"
         )
-    width = len(header)
-    body = lines[reader.line_num:]
-    text = "".join(body)
-    # loadtxt warns on a body without data; it strips \x1c-\x1f from a cell as white
-    # space, where float() refuses the cell; and it has no limit where csv refuses a cell
-    # longer than csv.field_size_limit() (a line's length bounds its cells')
-    if (text.strip() and not any(c in text for c in "\x1c\x1d\x1e\x1f")
-            and max(map(len, body)) <= csv.field_size_limit()):
+    width, rest = len(header), lines[reader.line_num:]
+    # loadtxt refuses whitespace-only lines, which the row loop skips, so the body drops
+    # them, but not one with a \r inside, which csv refuses; loadtxt warns on an empty
+    # body, strips \x1c-\x1f from a cell as white space, where float() refuses the cell,
+    # and has no limit where csv refuses a cell longer than csv.field_size_limit() (a
+    # line's length bounds its cells')
+    body = [line for line in rest if not line.isspace() or "\r" in line.rstrip("\r\n")]
+    text = "".join(rest)
+    if (body and not any(c in text for c in "\x1c\x1d\x1e\x1f")
+            and max(map(len, rest)) <= csv.field_size_limit()):
         try:  # one C call; anything it refuses is read again, row by row, below
-            try:
-                table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-            except ValueError:  # loadtxt skips empty lines, not whitespace-only ones
-                kept = [line for line in body if line.strip()]
-                if len(kept) == len(body):
-                    raise
-                table = np.loadtxt(kept, delimiter=",", comments=None, ndmin=2)
+            table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
             if table.shape[1] == width:
                 return Stream(table[:, 0], table[:, 1:])
         except ValueError:  # a cell, a row width, or Stream's DomainError
@@ -154,26 +150,29 @@ def _parse_csv(handle, name) -> Stream:
 def _parse_rows(reader, name, width) -> Stream:
     """The body's rows, one float() per cell: accepts what loadtxt refuses (quoted cells,
     1_000, non-ASCII digits) and raises StreamParseError naming the first bad row."""
-    times, rows = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != width:
-            raise StreamParseError(
-                f"{name}: row {lineno}: expected {width} fields, got {len(row)}"
-            )
-        try:
-            values = [float(cell) for cell in row]
-        except ValueError:
-            raise StreamParseError(
-                f"{name}: row {lineno}: non-numeric cell in {row!r}"
-            ) from None
-        if times and values[0] <= times[-1]:
-            raise StreamParseError(
-                f"{name}: row {lineno}: time {values[0]!r} does not increase"
-            )
-        times.append(values[0])
-        rows.append(values[1:])
+    times, rows, lineno = [], [], 1
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != width:
+                raise StreamParseError(
+                    f"{name}: row {lineno}: expected {width} fields, got {len(row)}"
+                )
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError:
+                raise StreamParseError(
+                    f"{name}: row {lineno}: non-numeric cell in {row!r}"
+                ) from None
+            if times and values[0] <= times[-1]:
+                raise StreamParseError(
+                    f"{name}: row {lineno}: time {values[0]!r} does not increase"
+                )
+            times.append(values[0])
+            rows.append(values[1:])
+    except csv.Error as exc:  # csv's own refusal of row lineno + 1
+        raise StreamParseError(f"{name}: row {lineno + 1}: {exc}") from None
     if not rows:
         raise StreamParseError(f"{name}: no data rows")
     return Stream(np.array(times), np.array(rows))

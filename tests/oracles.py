@@ -528,8 +528,9 @@ def linear_logode_power_step(mats, trees, lams, y0, substeps, safe_size=2.0**100
 
 def ingest_csv_rows(source):
     """A stream CSV read row by row, one float() per cell: the package's reader before
-    its body went through np.loadtxt, kept verbatim as the reference that the one-call
-    reader must equal."""
+    its body went through np.loadtxt, kept as the reference that the one-call reader must
+    equal.  Where csv itself refuses a row (a cell over csv.field_size_limit(), a lone \r
+    inside a line), it raises StreamParseError naming that row."""
     if hasattr(source, "read"):
         return _parse_csv_rows(source, getattr(source, "name", "<stream>"))
     with open(source, newline="") as handle:
@@ -545,6 +546,8 @@ def _parse_csv_rows(handle, name):
         header = next(reader)
     except StopIteration:
         raise StreamParseError(f"{name}: empty file") from None
+    except csv.Error as exc:
+        raise StreamParseError(f"{name}: row 1: {exc}") from None
     header = [h.strip() for h in header]
     if len(header) < 2 or header[0] != "t":
         raise StreamParseError(
@@ -552,7 +555,15 @@ def _parse_csv_rows(handle, name):
         )
     width = len(header)
     times, rows = [], []
-    for lineno, row in enumerate(reader, start=2):
+    lineno = 1
+    while True:
+        lineno += 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            raise StreamParseError(f"{name}: row {lineno}: {exc}") from None
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != width:

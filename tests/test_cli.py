@@ -114,6 +114,8 @@ EDGE_FILES = {
     "header_only": lambda path: path.write_bytes(b"t,x1,x2\n"),
     "blank_body": lambda path: path.write_bytes(b"t,x1,x2\n\n  \r\n\r\n"),
     "non_utf8": lambda path: path.write_bytes(b"t,x1,x2\n0,0,0\n1,\xff,1\n"),
+    # a cell longer than csv.field_size_limit(), which csv refuses
+    "long_cell": lambda path: path.write_bytes(b"t,x1\n0," + b" " * 140_000 + b"1\n1,2\n"),
     "missing": lambda path: None,
     "directory": lambda path: path.mkdir(),
 }

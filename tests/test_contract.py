@@ -3,7 +3,8 @@
 Each row gives a valid call and the kind of each argument that the shared checks in
 ``sigstream.errors`` take: a count (an integer in [lo, hi], not a bool), a real (finite,
 in an interval), a point (a finite real array of a shape) or an instance (a tensor, a
-stream, or an iterable of streams or stream pairs).  ``hypothesis`` puts
+stream, a system, schedule, coordinates, policy, linear system, grid or domain, or an
+iterable of streams or stream pairs).  ``hypothesis`` puts
 values outside each argument's valid set in its place, one argument at a time, and the
 call must raise DomainError or DimensionMismatchError with no warning.  Every name in
 a module's ``__all__`` needs a row, or an entry in ``RESULT_TYPES`` naming the row
@@ -115,7 +116,8 @@ class Point:
 
 @dataclass(frozen=True)
 class Instance:
-    """A value of this type: a tensor, a stream, or an iterable of streams or stream pairs."""
+    """A value of this type: a tensor, a stream, another object argument, or an iterable
+    of streams or stream pairs."""
 
     cls: type
 
@@ -125,6 +127,10 @@ class Instance:
 
 
 TENSOR, ITERABLE, STREAM = Instance(TruncatedTensor), Instance(Iterable), Instance(Stream)
+SYSTEM, LINEAR, COORDINATES = (Instance(VectorFieldSystem), Instance(LinearSystem),
+                               Instance(LieCoordinates))
+A_SCHEDULE, A_POLICY = Instance(LogOdeSchedule), Instance(UnitaryPolicy)
+A_GRID, A_DOMAIN = Instance(GridDomain), Instance(expected_sig.Domain)
 
 
 def _with_entry(valid, index, value):
@@ -225,30 +231,40 @@ ROWS = {
     "LogOdeSchedule.uniform": (lambda stream, steps: LogOdeSchedule.uniform(stream, steps, 2),
                                {"stream": (S, STREAM),
                                 "steps": (4, Count(1, errors._COEFF_BUDGET))}),
-    "lie_extend_evaluate": (lambda y: lie_extend_evaluate(VFS, COORDS, y),
-                            {"y": ([1.0, 0.5], Point((2,)))}),
-    "logode_step": (lambda y0, substeps: logode_step(VFS, y0, COORDS, substeps),
-                    {"y0": ([1.0, 0.5], Point((2,))), "substeps": (4, Count(1))}),
-    "solve": (lambda stream, y0: solve(VFS, stream, y0, SCHEDULE),
-              {"stream": (S, STREAM), "y0": ([1.0, 0.5], Point((2,)))}),
-    "linear_solve": (lambda s, y0: linear_solve(LIN, s, y0),
-                     {"s": (S, STREAM), "y0": ([1.0, 0.5], Point((2,)))}),
-    "linear_series_apply": (lambda sig, y0: linear_series_apply(LIN, sig, y0),
-                            {"sig": (SIG, TENSOR), "y0": ([1.0, 0.5], Point((2,)))}),
+    "VectorFieldSystem.from_linear": (lambda lin: VectorFieldSystem.from_linear(lin),
+                                      {"lin": (LIN, LINEAR)}),
+    "lie_extend_evaluate": (lambda vfs, coords, y: lie_extend_evaluate(vfs, coords, y),
+                            {"vfs": (VFS, SYSTEM), "coords": (COORDS, COORDINATES),
+                             "y": ([1.0, 0.5], Point((2,)))}),
+    "logode_step": (lambda vfs, y0, coords, substeps: logode_step(vfs, y0, coords, substeps),
+                    {"vfs": (VFS, SYSTEM), "y0": ([1.0, 0.5], Point((2,))),
+                     "coords": (COORDS, COORDINATES), "substeps": (4, Count(1))}),
+    "solve": (lambda vfs, stream, y0, schedule: solve(vfs, stream, y0, schedule),
+              {"vfs": (VFS, SYSTEM), "stream": (S, STREAM), "y0": ([1.0, 0.5], Point((2,))),
+               "schedule": (SCHEDULE, A_SCHEDULE)}),
+    "linear_solve": (lambda lin, s, y0: linear_solve(lin, s, y0),
+                     {"lin": (LIN, LINEAR), "s": (S, STREAM), "y0": ([1.0, 0.5], Point((2,)))}),
+    "linear_series_apply": (lambda lin, sig, y0: linear_series_apply(lin, sig, y0),
+                            {"lin": (LIN, LINEAR), "sig": (SIG, TENSOR),
+                             "y0": ([1.0, 0.5], Point((2,)))}),
     "series_tail_bound": (
         lambda op_norm, length, depth, y0_norm: series_tail_bound(op_norm, length, depth, y0_norm),
         {"op_norm": (1.5, Real(0.0)), "length": (2.0, Real(0.0)), "depth": (3, Count(0)),
          "y0_norm": (1.0, Real(0.0))}),
     # development
     "UnitaryPolicy": (lambda: UnitaryPolicy(POLICY.generators), {}),
-    "develop": (lambda s: develop(POLICY, s), {"s": (S, STREAM)}),
-    "expected_development": (lambda count, seed: expected_development(POLICY, lambda rng: S,
-                                                                      count, seed),
-                             {"count": (3, Count(1)), "seed": (5, Count(0))}),
-    "evaluate_signature": (lambda sig: evaluate_signature(POLICY, sig), {"sig": (SIG, TENSOR)}),
-    "development_tail_bound": (lambda l1_length, depth: development_tail_bound(POLICY, l1_length,
-                                                                               depth),
-                               {"l1_length": (1.5, Real(0.0)), "depth": (3, Count(0))}),
+    "develop": (lambda policy, s: develop(policy, s),
+                {"policy": (POLICY, A_POLICY), "s": (S, STREAM)}),
+    "expected_development": (lambda policy, count, seed: expected_development(
+                                 policy, lambda rng: S, count, seed),
+                             {"policy": (POLICY, A_POLICY), "count": (3, Count(1)),
+                              "seed": (5, Count(0))}),
+    "evaluate_signature": (lambda policy, sig: evaluate_signature(policy, sig),
+                           {"policy": (POLICY, A_POLICY), "sig": (SIG, TENSOR)}),
+    "development_tail_bound": (lambda policy, l1_length, depth: development_tail_bound(
+                                   policy, l1_length, depth),
+                               {"policy": (POLICY, A_POLICY), "l1_length": (1.5, Real(0.0)),
+                                "depth": (3, Count(0))}),
     "unitarity_defect": (lambda: unitarity_defect(develop(POLICY, S).psi), {}),
     "random_policy": (lambda size, driver_dim, seed: random_policy(size, driver_dim, seed),
                       {"size": (3, Count(2)), "driver_dim": (2, Count(1)), "seed": (4, Count(0))}),
@@ -257,15 +273,18 @@ ROWS = {
                    {"radius": (1.5, Real(0.0, lo_open=True)),
                     "center": ((0.5, -0.5), Point((2,)))}),
     "PolygonDomain": (lambda: PolygonDomain([(0, 0), (1, 0), (0, 1)]), {}),
-    "GridDomain": (lambda h: GridDomain(DISK, h), {"h": (0.25, Real(0.0, lo_open=True))}),
+    "GridDomain": (lambda descriptor, h: GridDomain(descriptor, h),
+                   {"descriptor": (DISK, A_DOMAIN), "h": (0.25, Real(0.0, lo_open=True))}),
     "GridDomain.index_of_point": (lambda xy: GRID.index_of_point(xy),
                                   {"xy": ((0.1, 0.0), Point((2,)))}),
     "ExpectedSigField.at_point": (lambda xy: FIELD.at_point(xy), {"xy": ((0.1, 0.0), Point((2,)))}),
-    "solve_recurrence": (lambda depth: solve_recurrence(GRID, depth), {"depth": (3, Count(2))}),
+    "solve_recurrence": (lambda grid, depth: solve_recurrence(grid, depth),
+                         {"grid": (GRID, A_GRID), "depth": (3, Count(2))}),
     "mc_expected_sig": (
-        lambda start, depth, paths, dt, seed: mc_expected_sig(DISK, start, depth, paths, dt, seed),
-        {"start": ((0.1, 0.0), Point((2,))), "depth": (2, Count(1)), "paths": (5, Count(1)),
-         "dt": (0.05, Real(0.0, lo_open=True)), "seed": (3, Count(0))}),
+        lambda domain, start, depth, paths, dt, seed: mc_expected_sig(domain, start, depth,
+                                                                      paths, dt, seed),
+        {"domain": (DISK, A_DOMAIN), "start": ((0.1, 0.0), Point((2,))), "depth": (2, Count(1)),
+         "paths": (5, Count(1)), "dt": (0.05, Real(0.0, lo_open=True)), "seed": (3, Count(0))}),
     "radius_diagnostic": (lambda point: radius_diagnostic(FIELD, point),
                           {"point": ((0.1, 0.0), Point((2,)))}),
     "parse_domain": (lambda: parse_domain("polygon:0,0;1,0;0,1"), {}),

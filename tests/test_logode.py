@@ -189,6 +189,16 @@ def general_fields(kind, A, B):
     return fields, jacobians
 
 
+def demo_trig_fields():
+    """The two trigonometric fields of demos/03_logode.py and their Jacobians."""
+    fields = [lambda y: np.array([np.sin(y[1]), np.cos(y[0])]),
+              lambda y: np.array([np.cos(y[0] + y[1]), np.sin(y[0] - y[1])])]
+    jacobians = [lambda y: np.array([[0.0, np.cos(y[1])], [-np.sin(y[0]), 0.0]]),
+                 lambda y: np.array([[-np.sin(y[0] + y[1])] * 2,
+                                     [np.cos(y[0] - y[1]), -np.cos(y[0] - y[1])]])]
+    return fields, jacobians
+
+
 @st.composite
 def general_cases(draw):
     """Trigonometric or quadratic fields over d <= 3 letters on R^m, m <= 3, Lie
@@ -501,21 +511,25 @@ class TestSolve:
     def test_matches_step_by_step_restricted_log_signatures(self):
         rng = np.random.default_rng(21)
         lin = LinearSystem(0.5 * rng.standard_normal((2, 3, 3)))
-        vfs = VectorFieldSystem.from_linear(lin)
         driver = Stream(np.cumsum(rng.uniform(0.1, 1.0, 40)), rng.standard_normal((40, 2)))
-        y0 = np.array([1.0, 0.0, -1.0])
         t0, t1 = driver.interval
-        # uniform steps, and steps whose boundaries fall on sample times
-        for bounds in (np.linspace(t0, t1, 8), driver.times[::3]):
-            for depth in (1, 2, 3):
-                schedule = LogOdeSchedule(bounds, depth, substeps=4)
-                y, want = y0, [y0]
-                for lo, hi in zip(bounds[:-1], bounds[1:]):
-                    coords = log_signature(restrict(driver, lo, hi), depth)
-                    y = logode_step(vfs, y, coords, schedule.substeps)
-                    want.append(y)
-                got = solve(vfs, driver, y0, schedule)
-                assert got.tobytes() == np.array(want).tobytes()
+        # a linear system, whose steps are squared, and the general trigonometric one of
+        # demos/03_logode.py, whose steps take RK4 substeps
+        systems = [(VectorFieldSystem.from_linear(lin), np.array([1.0, 0.0, -1.0])),
+                   (VectorFieldSystem(2, 2, *demo_trig_fields(), smoothness=3),
+                    np.array([0.2, -0.1]))]
+        for vfs, y0 in systems:
+            # uniform steps, and steps whose boundaries fall on sample times
+            for bounds in (np.linspace(t0, t1, 8), driver.times[::3]):
+                for depth in (1, 2, 3):
+                    schedule = LogOdeSchedule(bounds, depth, substeps=4)
+                    y, want = y0, [y0]
+                    for lo, hi in zip(bounds[:-1], bounds[1:]):
+                        coords = log_signature(restrict(driver, lo, hi), depth)
+                        y = logode_step(vfs, y, coords, schedule.substeps)
+                        want.append(y)
+                    got = solve(vfs, driver, y0, schedule)
+                    assert got.tobytes() == np.array(want).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(linear_solves(), st.integers(1, 5))

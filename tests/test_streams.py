@@ -171,7 +171,7 @@ class TestOneCallReader:
         assert s.points.tolist() == [[0.0, 0.0], [1.5, -0.002]]
 
     def test_whitespace_only_lines_never_reach_the_row_loop(self, monkeypatch):
-        # loadtxt refuses them; the second call, without them, reads the body
+        # loadtxt refuses them, so the body it reads is the one without them
         def row_loop(*args):
             raise AssertionError("row loop reached")
 
@@ -179,6 +179,21 @@ class TestOneCallReader:
         s = ingest_csv(io.StringIO("t,x1\r\n0,0\r\n \t\r\n1,1.5\r\n\x0b\n2,-2e-3\r\n  \r\n"))
         assert s.times.tolist() == [0.0, 1.0, 2.0]
         assert s.points.tolist() == [[0.0], [1.5], [-0.002]]
+
+    def test_rows_that_csv_refuses_are_parse_errors(self, csv_path):
+        # a lone \r inside a line of a StringIO, which splits lines at \n only, and a cell
+        # over csv.field_size_limit(): each is named by its row, also on a whitespace-only
+        # line, which the body that loadtxt reads would otherwise drop
+        for text, row, message in [("t,x1\n0,0\r1,1\n", 2, "new-line character"),
+                                   ("t\r,x1\n0,0\n", 1, "new-line character"),
+                                   ("t,x1\n0,0\n \r \n1,1\n", 3, "new-line character"),
+                                   ("t,x1\n0,0\n1," + " " * 140_000 + "1\n", 3, "field larger"),
+                                   ("t,x1\n0,0\n" + " " * 140_000 + "\n", 3, "field larger")]:
+            with pytest.raises(StreamParseError, match=rf"^<stream>: row {row}: {message}"):
+                ingest_csv(io.StringIO(text))
+        csv_path.write_text("t,x1\n0,0\n1," + " " * 140_000 + "1\n")
+        with pytest.raises(StreamParseError, match=r"\.csv: row 3: field larger than field limit"):
+            ingest_csv(csv_path)
 
 
 class TestTransforms:
