@@ -114,6 +114,8 @@ def _cmd_develop(args) -> dict:
         raise DimensionMismatchError("policy u field disagrees with generators")
     result = develop(policy, ingest_csv(args.stream))
     psi = result.psi
+    if not np.isfinite(psi).all():  # which unitarity_defect refuses
+        raise NonFiniteResultError("the result is not finite")
     return {
         "u": policy.size,
         "interval": list(result.interval),

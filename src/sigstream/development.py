@@ -12,6 +12,7 @@ expectation.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +109,15 @@ def develop(policy: UnitaryPolicy, s: Stream) -> DevelopmentResult:
 
 
 def unitarity_defect(psi: np.ndarray) -> float:
-    """Frobenius norm of Psi* Psi - I."""
+    """Frobenius norm of Psi* Psi - I, for a square matrix Psi of finite real or complex
+    numbers."""
+    try:
+        psi = np.asarray(psi)
+    except ValueError:  # ragged
+        psi = np.asarray(None)
+    if (psi.dtype.kind not in "iufc" or psi.ndim != 2 or psi.shape[0] != psi.shape[1]
+            or not np.isfinite(psi).all()):
+        raise DomainError("psi must be a square 2-D array of finite real or complex numbers")
     u = psi.conj().T @ psi
     return float(np.linalg.norm(u - np.eye(u.shape[0])))
 
@@ -129,13 +138,14 @@ def expected_development(
     combines real and imaginary scatter.  Samples are drawn in batches of at
     most ``_SLICE`` and reduced in draw order, so results are reproducible.
     """
-    count = _count("count", count, 1)
+    count, sampler = _count("count", count, 1), _instance("sampler", sampler, Callable)
     rng = np.random.default_rng(_count("seed", seed, 0))
     u = _instance("policy", policy, UnitaryPolicy).size
     total = np.zeros((u, u), dtype=complex)
     total_sq = np.zeros((u, u))
     for start in range(0, count, _SLICE):
-        samples = [sampler(rng) for _ in range(min(_SLICE, count - start))]
+        samples = [_instance("each sample of sampler", sampler(rng), Stream)
+                   for _ in range(min(_SLICE, count - start))]
         psis = np.empty((len(samples), u, u), dtype=complex)
         shapes = [s.points.shape for s in samples]
         for shape in dict.fromkeys(shapes):

@@ -3,9 +3,10 @@
 Feature vectors are the coordinate iterated integrals up to a depth; their
 shuffle structure makes them an algebra, so linear models in these features
 approximate generic smooth functionals of the path.  Provides ridge and
-LASSO fits, two-class score reports (KS / ROC / AUC / accuracy), regression
-from input-stream signatures to expected output-stream signatures, and the
-synthetic two-class stream task used to exercise the pipeline end to end.
+LASSO fits, two-class score reports (KS / ROC / AUC / accuracy; one descending
+sweep over the scores gives the ROC curve, its AUC and the exact KS statistic),
+regression from input-stream signatures to expected output-stream signatures,
+and the synthetic two-class stream task used to exercise the pipeline end to end.
 """
 
 from __future__ import annotations
@@ -254,7 +255,7 @@ def lasso_kkt_residual(model: LinearModel, X, y) -> tuple[float, float]:
     |g_j| <= lam for beta_j = 0 and g_j = lam sign(beta_j) otherwise, with
     g the (1/n) X^T residual gradient.
     """
-    if model.method != "lasso":
+    if _instance("model", model, LinearModel).method != "lasso":
         raise DomainError("KKT residuals are defined for LASSO models")
     z, _, sigma, usable, y, yc = _standardize(X, y)
     beta_std = model.coefficients[1:] * sigma
@@ -284,45 +285,28 @@ class ClassificationReport:
         object.__setattr__(self, "roc", _frozen(self.roc))
 
 
-def roc_points(scores, labels) -> np.ndarray:
-    """ROC curve by descending threshold sweep over unique scores, ties grouped."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    pos = labels == 1
-    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_pos = pos[order].astype(float)
-    distinct = np.nonzero(np.diff(sorted_scores))[0]
-    cut = np.concatenate([distinct, [scores.size - 1]])
-    tp = np.concatenate([[0.0], np.cumsum(sorted_pos)[cut]])
-    fp = np.concatenate([[0.0], np.cumsum(1.0 - sorted_pos)[cut]])
-    return np.column_stack([fp / n_neg, tp / n_pos])
-
-
-def trapezoid_auc(roc: np.ndarray) -> float:
-    return float(np.trapezoid(roc[:, 1], roc[:, 0]))
-
-
 def classification_report(scores, labels, threshold: float = 0.5) -> ClassificationReport:
-    """KS, AUC, accuracy-at-threshold and the ROC curve for binary labels."""
+    """KS, AUC, accuracy-at-threshold and the ROC curve for binary labels, from one
+    descending sweep that counts the positives tp and negatives fp at or above each distinct
+    score (ties grouped): the ROC curve (fp / n0, tp / n1), its trapezoid AUC, and the KS
+    statistic max |tp n0 - fp n1| / (n1 n0) as the exact fraction h / lcm(n1, n0)."""
     scores, threshold = _points("scores", scores, (None,)), _real("threshold", threshold)
     labels = _points("labels", labels, scores.shape, DimensionMismatchError)
-    if not set(np.unique(labels)) <= {0, 1}:
+    classes = set(np.unique(labels))
+    if not classes <= {0, 1}:
         raise DomainError("labels must be 0/1")
-    labels = labels.astype(int)
-    if len(np.unique(labels)) < 2:
+    if len(classes) < 2:
         raise DegenerateReportError("need both classes to build a report")
-    # two-sample KS statistic, the largest gap between the classes' ECDFs at any
-    # score, as the exact fraction h / lcm(n1, n2)
-    pos, neg = np.sort(scores[labels == 1]), np.sort(scores[labels == 0])
-    n1, n2 = pos.size, neg.size
-    gap = np.searchsorted(pos, scores, side="right") * n2
-    gap -= np.searchsorted(neg, scores, side="right") * n1
-    g = math.gcd(n1, n2)
-    ks = int(np.abs(gap).max()) // g / (n1 // g * n2)
-    roc = roc_points(scores, labels)
-    auc = trapezoid_auc(roc)
+    labels = labels.astype(int)
+    order = np.argsort(-scores, kind="stable")
+    cut = np.append(np.flatnonzero(np.diff(scores[order])), scores.size - 1)
+    tp = np.append(0, np.cumsum(labels[order])[cut])
+    fp = np.append(0, cut + 1 - tp[1:])
+    n1, n0 = int(tp[-1]), int(fp[-1])
+    roc = np.column_stack([fp / n0, tp / n1])
+    g = math.gcd(n1, n0)
+    ks = int(np.abs(tp * n0 - fp * n1).max()) // g / (n1 // g * n0)
+    auc = float(np.trapezoid(roc[:, 1], roc[:, 0]))
     accuracy = float(np.mean((scores >= threshold).astype(int) == labels))
     return ClassificationReport(ks, auc, accuracy, roc)
 
@@ -331,6 +315,7 @@ def score_and_report(
     model: LinearModel, X_learn, y_learn, X_test, y_test
 ) -> tuple[ClassificationReport, ClassificationReport]:
     """In-sample and out-of-sample reports for a fitted score model."""
+    model = _instance("model", model, LinearModel)
     return (
         classification_report(model.predict(X_learn), y_learn),
         classification_report(model.predict(X_test), y_test),

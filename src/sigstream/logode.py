@@ -344,7 +344,7 @@ class LogOdeSchedule:
     substeps: int = 16
 
     def __post_init__(self):
-        arr = _frozen(self.boundaries).reshape(-1)
+        arr = _frozen(_points("boundaries", self.boundaries, (None,)))
         if arr.size < 2 or not np.all(np.diff(arr) > 0):
             raise DomainError("boundaries must be increasing with at least two entries")
         object.__setattr__(self, "boundaries", arr)

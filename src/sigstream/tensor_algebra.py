@@ -73,10 +73,14 @@ class Word:
 
     @classmethod
     def from_string(cls, text: str) -> "Word":
-        text = text.strip()
+        text = _instance("text", text, str).strip()
         if not text:
             return cls(())
-        return cls(tuple(int(tok) for tok in text.split(",")))
+        try:
+            letters = tuple(int(tok) for tok in text.split(","))
+        except ValueError:
+            raise DomainError(f"not a word of comma-joined letters: {text!r}") from None
+        return cls(letters)
 
 
 EMPTY_WORD = Word(())
@@ -352,14 +356,28 @@ def _represent(a: TruncatedTensor, mats: np.ndarray) -> np.ndarray:
 
 
 def _exp_tail(x: float, depth: int) -> float:
-    """sum_{k > depth} x^k / k!, the remainder of exp(x) after its depth-N partial sum."""
-    term = x ** (depth + 1) / math.factorial(depth + 1)
-    total, k = 0.0, depth + 1
+    """sum_{k > depth} x^k / k!, the remainder of exp(x) after its depth-N partial sum.
+
+    The first term is x^k / k! (k = N + 1) where x^k and k! are floats (k! up to 170!);
+    elsewhere it is taken in log space, so the tail is inf where it overflows and a
+    subnormal or 0.0 where it underflows.
+    """
+    k = depth + 1
+    try:
+        term = x ** k / math.factorial(k) if k <= 170 else None
+    except OverflowError:  # x^k is past the float range
+        term = None
+    if term is None:
+        try:
+            term = math.exp(k * math.log(x) - math.lgamma(k + 1)) if x else 0.0
+        except OverflowError:
+            term = math.inf
+    total = 0.0
     while True:
         total += term
         k += 1
         term *= x / k
-        if term <= 1e-17 * total or k > 10_000:
+        if term <= 1e-17 * total or k > depth + 10_000:
             break
     return total
 

@@ -10,7 +10,7 @@ raises its ``StreamParseError``, so that its results compare with ``ingest_csv``
 import csv
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import numpy as np
 import scipy.linalg
@@ -164,6 +164,32 @@ def lasso_full_sweeps(A, y, lam, max_iter=10_000, tol=1e-10):
             break
     raw = np.where(sigma > 0, beta / np.where(sigma > 0, sigma, 1.0), 0.0)
     return np.concatenate([[y.mean() - mu @ raw], raw]), biggest < tol, sweep
+
+
+def two_pass_report(scores, labels, threshold=0.5):
+    """(ks, auc, accuracy, roc) of a two-class score, in two tabulations of the classes as
+    the package first computed them: the KS statistic from each class sorted apart, as
+    the largest gap between their ECDFs at any score (the exact fraction h / lcm(n1, n2),
+    by searchsorted), and the ROC curve from a second, descending sort of all the scores
+    with ties grouped, whose trapezoid area is the AUC.  labels are 0/1, both present."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels).astype(int)
+    pos, neg = np.sort(scores[labels == 1]), np.sort(scores[labels == 0])
+    n1, n2 = pos.size, neg.size
+    gap = np.searchsorted(pos, scores, side="right") * n2
+    gap -= np.searchsorted(neg, scores, side="right") * n1
+    g = gcd(n1, n2)
+    ks = int(np.abs(gap).max()) // g / (n1 // g * n2)
+    order = np.argsort(-scores, kind="stable")
+    sorted_pos = (labels == 1)[order].astype(float)
+    distinct = np.nonzero(np.diff(scores[order]))[0]
+    cut = np.concatenate([distinct, [scores.size - 1]])
+    tp = np.concatenate([[0.0], np.cumsum(sorted_pos)[cut]])
+    fp = np.concatenate([[0.0], np.cumsum(1.0 - sorted_pos)[cut]])
+    roc = np.column_stack([fp / n2, tp / n1])
+    auc = float(np.trapezoid(roc[:, 1], roc[:, 0]))
+    accuracy = float(np.mean((scores >= threshold).astype(int) == labels))
+    return ks, auc, accuracy, roc
 
 
 def polyline_signature(points, depth):

@@ -2,9 +2,10 @@
 
 Each row gives a valid call and the kind of each argument that the shared checks in
 ``sigstream.errors`` take: a count (an integer in [lo, hi], not a bool), a real (finite,
-in an interval), a point (a finite real array of a shape) or an instance (a tensor, a
-stream, a system, schedule, coordinates, policy, linear system, grid or domain, or an
-iterable of streams or stream pairs).  ``hypothesis`` puts
+in an interval), a point (a finite real array of a shape), a square matrix of finite real
+or complex numbers, a sampler (a callable that returns a stream) or an instance (a tensor,
+a stream, a system, schedule, coordinates, policy, linear system, grid, domain or model,
+or an iterable of streams or stream pairs).  ``hypothesis`` puts
 values outside each argument's valid set in its place, one argument at a time, and the
 call must raise DomainError or DimensionMismatchError with no warning.  Every name in
 a module's ``__all__`` needs a row, or an entry in ``RESULT_TYPES`` naming the row
@@ -14,7 +15,7 @@ whose call builds it.
 import io
 import math
 import warnings
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ from sigstream.expected_sig import (
 )
 from sigstream.learn import (
     classification_report, coordinate_r2, featurize, featurize_logsig, fit_conditional_law,
-    fit_lasso, fit_ridge, lasso_kkt_residual, lasso_max_penalty, score_and_report,
+    fit_lasso, fit_ridge, lasso_kkt_residual, lasso_max_penalty, LinearModel, score_and_report,
     stability_selection, two_class_streams,
 )
 from sigstream.lie_algebra import (
@@ -107,11 +108,35 @@ class Point:
 
     def bad(self, valid):
         valid = np.asarray(valid, dtype=float)
-        wrong = [valid[..., :-1], valid[None], valid.ravel()[0], str(valid.tolist()),
+        # a shorter last axis is still a valid shape where that axis is free
+        shorter = [] if self.shape[-1] is None else [valid[..., :-1]]
+        wrong = [*shorter, valid[None], valid.ravel()[0], str(valid.tolist()),
                  valid.astype(bool)]
         entry = st.tuples(st.integers(0, valid.size - 1),
                           st.sampled_from([math.nan, math.inf, -math.inf]))
         return st.one_of(st.sampled_from(wrong), entry.map(lambda e: _with_entry(valid, *e)))
+
+
+@dataclass(frozen=True)
+class Matrix:
+    """A square 2-D array of finite real or complex numbers."""
+
+    def bad(self, valid):
+        valid = np.asarray(valid)
+        wrong = [valid[:, :-1], valid[None], valid[0], valid[0, 0], valid.astype(bool),
+                 valid.astype(str), [[1.0, 2.0], [3.0]], "abc", None, True]
+        entry = st.tuples(st.integers(0, valid.size - 1),
+                          st.sampled_from([math.nan, math.inf, complex(0.0, -math.inf)]))
+        return st.one_of(st.sampled_from(wrong), entry.map(lambda e: _with_entry(valid, *e)))
+
+
+@dataclass(frozen=True)
+class Sampler:
+    """A callable that takes the generator and returns a Stream."""
+
+    def bad(self, valid):
+        returns = STREAM.bad(S).map(lambda sample: lambda rng: sample)
+        return st.one_of(Instance(Callable).bad(valid), returns)
 
 
 @dataclass(frozen=True)
@@ -131,6 +156,7 @@ SYSTEM, LINEAR, COORDINATES = (Instance(VectorFieldSystem), Instance(LinearSyste
                                Instance(LieCoordinates))
 A_SCHEDULE, A_POLICY = Instance(LogOdeSchedule), Instance(UnitaryPolicy)
 A_GRID, A_DOMAIN = Instance(GridDomain), Instance(expected_sig.Domain)
+A_MODEL = Instance(LinearModel)
 
 
 def _with_entry(valid, index, value):
@@ -155,6 +181,7 @@ FIELD = solve_recurrence(GRID, 3)
 X = np.column_stack([np.ones(8), np.arange(8.0), np.sin(np.arange(8.0))])
 Y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
 MODEL = fit_ridge(X, Y, 0.1)
+LASSO = fit_lasso(X, Y, 0.01)
 PAIRS = [(S, reverse(S)), (reverse(S), S), (concat(S, S), S)]
 CSV = "t,x1\n0,0\n1,1\n"
 FIELDS = [np.sin, np.cos]
@@ -226,8 +253,10 @@ ROWS = {
         {"state_dim": (2, Count(1)), "driver_dim": (2, Count(1)), "smoothness": (3, Count(0)),
          "validate_at": ([[0.1, -0.3]], Point((None, 2)))}),
     "LinearSystem": (lambda: LinearSystem(np.ones((2, 3, 3))), {}),
-    "LogOdeSchedule": (lambda depth, substeps: LogOdeSchedule([0.0, 0.5, 1.0], depth, substeps),
-                       {"depth": (2, Count(1)), "substeps": (4, Count(1))}),
+    "LogOdeSchedule": (lambda boundaries, depth, substeps: LogOdeSchedule(boundaries, depth,
+                                                                          substeps),
+                       {"boundaries": ([0.0, 0.5, 1.0], Point((None,))), "depth": (2, Count(1)),
+                        "substeps": (4, Count(1))}),
     "LogOdeSchedule.uniform": (lambda stream, steps: LogOdeSchedule.uniform(stream, steps, 2),
                                {"stream": (S, STREAM),
                                 "steps": (4, Count(1, errors._COEFF_BUDGET))}),
@@ -255,17 +284,18 @@ ROWS = {
     "UnitaryPolicy": (lambda: UnitaryPolicy(POLICY.generators), {}),
     "develop": (lambda policy, s: develop(policy, s),
                 {"policy": (POLICY, A_POLICY), "s": (S, STREAM)}),
-    "expected_development": (lambda policy, count, seed: expected_development(
-                                 policy, lambda rng: S, count, seed),
-                             {"policy": (POLICY, A_POLICY), "count": (3, Count(1)),
-                              "seed": (5, Count(0))}),
+    "expected_development": (lambda policy, sampler, count, seed: expected_development(
+                                 policy, sampler, count, seed),
+                             {"policy": (POLICY, A_POLICY), "sampler": (lambda rng: S, Sampler()),
+                              "count": (3, Count(1)), "seed": (5, Count(0))}),
     "evaluate_signature": (lambda policy, sig: evaluate_signature(policy, sig),
                            {"policy": (POLICY, A_POLICY), "sig": (SIG, TENSOR)}),
     "development_tail_bound": (lambda policy, l1_length, depth: development_tail_bound(
                                    policy, l1_length, depth),
                                {"policy": (POLICY, A_POLICY), "l1_length": (1.5, Real(0.0)),
                                 "depth": (3, Count(0))}),
-    "unitarity_defect": (lambda: unitarity_defect(develop(POLICY, S).psi), {}),
+    "unitarity_defect": (lambda psi: unitarity_defect(psi),
+                         {"psi": (develop(POLICY, S).psi, Matrix())}),
     "random_policy": (lambda size, driver_dim, seed: random_policy(size, driver_dim, seed),
                       {"size": (3, Count(2)), "driver_dim": (2, Count(1)), "seed": (4, Count(0))}),
     # expected_sig
@@ -300,10 +330,12 @@ ROWS = {
                    "tol": (1e-8, Real(0.0, lo_open=True))}),
     "LinearModel.predict": (lambda X_: MODEL.predict(X_), {"X_": (X[:2], Point((None, 3)))}),
     "lasso_max_penalty": (lambda: lasso_max_penalty(X, Y), {}),
-    "lasso_kkt_residual": (lambda: lasso_kkt_residual(fit_lasso(X, Y, 0.01), X, Y), {}),
+    "lasso_kkt_residual": (lambda model: lasso_kkt_residual(model, X, Y),
+                           {"model": (LASSO, A_MODEL)}),
     "classification_report": (lambda threshold: classification_report(X[:, 2], Y, threshold),
                               {"threshold": (0.5, Real())}),
-    "score_and_report": (lambda: score_and_report(MODEL, X, Y, X, Y), {}),
+    "score_and_report": (lambda model: score_and_report(model, X, Y, X, Y),
+                         {"model": (MODEL, A_MODEL)}),
     "fit_conditional_law": (
         lambda pairs, depth_in, depth_out, lam: fit_conditional_law(pairs, depth_in, depth_out,
                                                                     lam),

@@ -27,13 +27,12 @@ from sigstream.learn import (
     lasso_max_penalty,
     score_and_report,
     stability_selection,
-    trapezoid_auc,
     two_class_streams,
 )
 from sigstream.streams import TRANSFORMS, Stream, log_signature, signature
 from sigstream.tensor_algebra import Word, shuffle
 
-from oracles import best_subset_support, lasso_full_sweeps
+from oracles import best_subset_support, lasso_full_sweeps, two_pass_report
 
 
 def random_streams(rng, count, d, n_samples, scale=0.6):
@@ -336,6 +335,22 @@ class TestLasso:
         assert not model.converged
 
 
+@st.composite
+def score_cases(draw):
+    """Scores of 2-200 samples in two classes of any sizes: untied normals, a few integers
+    (many ties) or rounded uniforms, in a seeded order; and a threshold."""
+    n = draw(st.integers(2, 200))
+    n1 = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = draw(st.sampled_from([
+        lambda: rng.standard_normal(n),
+        lambda: rng.integers(-3, 4, n).astype(float),
+        lambda: np.round(rng.uniform(size=n), 1),
+    ]))()
+    labels = rng.permutation(np.repeat([1, 0], [n1, n - n1]))
+    return scores, labels, draw(st.floats(-2.0, 2.0))
+
+
 class TestReports:
     def test_perfect_separation(self):
         scores = np.array([0.9, 0.8, 0.95, 0.1, 0.2, 0.05])
@@ -374,7 +389,16 @@ class TestReports:
         rep = classification_report(scores, labels)
         assert np.all(np.diff(rep.roc[:, 0]) >= 0)
         assert np.all(np.diff(rep.roc[:, 1]) >= 0)
-        assert rep.auc == pytest.approx(trapezoid_auc(rep.roc))
+        assert rep.auc == pytest.approx(np.trapezoid(rep.roc[:, 1], rep.roc[:, 0]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=score_cases())
+    def test_one_sweep_equals_the_two_pass_report(self, case):
+        scores, labels, threshold = case
+        rep = classification_report(scores, labels, threshold)
+        ks, auc, accuracy, roc = two_pass_report(scores, labels, threshold)
+        assert (rep.ks, rep.auc, rep.accuracy) == (ks, auc, accuracy)
+        assert rep.roc.shape == roc.shape and rep.roc.tobytes() == roc.tobytes()
 
     def test_roc_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(13)

@@ -3,11 +3,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sigstream import logode
+from sigstream.development import development_tail_bound, random_policy
 from sigstream.errors import CapabilityError, DivergenceError, DomainError
 from sigstream.lie_algebra import LieCoordinates, lyndon_basis
 from sigstream.logode import (
@@ -603,6 +604,42 @@ class TestLinearOracle:
                 float(np.linalg.norm(y0)),
             )
             assert np.linalg.norm(exact - truncated) <= bound * (1 + 1e-9) + 1e-14
+
+
+# (x, depth, the tail bound at |y0| = 1 as the direct formula x^(N+1) / (N+1)! first gave it)
+PINNED_TAILS = [
+    (0.0, 0, "0x0.0p+0"), (0.0, 169, "0x0.0p+0"), (1e-300, 3, "0x0.0p+0"),
+    (0.5, 0, "0x1.4c2531c3c0d37p-1"), (1.0, 169, "0x1.8ea87ca8d9b10p-1020"),
+    (2.0, 7, "0x1.098ae9d8a988ap-7"), (3.0, 3, "0x1.c5796fdbec419p+2"),
+    (10.0, 20, "0x1.17dec25b11b8cp+5"), (100.0, 12, "0x1.3494a9b171bf8p+144"),
+    (150.0, 100, "0x1.52c9f9a693578p+216"), (700.0, 5, "0x1.d945df4f8ec99p+1009"),
+    (709.0, 1, "0x1.d422d2be5dcacp+1022"), (800.0, 2, "inf"), (1e-5, 100, "0x0.0p+0"),
+    (50.0, 169, "0x1.7fa830abe8eb7p-60"), (1e100, 1, "inf"),
+]
+
+
+@pytest.mark.parametrize("x, depth, bits", PINNED_TAILS)
+def test_tail_bound_keeps_the_direct_formula_bits(x, depth, bits):
+    assert series_tail_bound(x, 1.0, depth, 1.0) == float.fromhex(bits)
+
+
+POLICY = random_policy(2, 2, seed=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(0.0, 1e308), depth=st.integers(0, 10**6))
+@example(x=1e200, depth=2)  # x^(N+1) overflows: inf
+@example(x=1.0, depth=171)  # (N+1)! leaves the float range: a subnormal
+@example(x=200.0, depth=150)  # x^(N+1) overflows, x^(N+1) / (N+1)! does not
+@example(x=1e308, depth=10**6)
+@example(x=3.6e5, depth=10**6)
+def test_tail_bounds_return_a_non_increasing_value_for_every_accepted_input(x, depth):
+    bound = series_tail_bound(x, 1.0, depth, 1.0)
+    assert bound >= 0.0
+    # non-increasing in depth, up to rounding: where x >> N consecutive tails agree to
+    # about 1e-12 and are summed apart
+    assert series_tail_bound(x, 1.0, depth + 1, 1.0) <= bound * (1 + 1e-10)
+    assert development_tail_bound(POLICY, x, depth) >= 0.0
 
 
 LINE = Stream([0.0, 1.0], [[0.0], [1.0]])

@@ -509,10 +509,15 @@ def test_array_holders_keep_read_only_copies(values, build, held):
         (lambda: shuffle(Word((1,)), "2"), DomainError, "v must be a Word"),
         (lambda: shuffle_inner(Word((1,)), (2,), TruncatedTensor(2, 2)), DomainError,
          "v must be a Word"),
+        (lambda: Word.from_string("1,a"), DomainError, "not a word .*'1,a'"),
+        (lambda: Word.from_string("1,,2"), DomainError, "not a word .*'1,,2'"),
+        (lambda: Word.from_string(12), DomainError, "text must be a str, got int"),
+        (lambda: Word.from_string("1,0"), DomainError, "letter must be an integer >= 1"),
     ],
     ids=["letter-zero", "letter-over-dim", "level-count", "level-size", "dim-zero",
          "level-index", "extend", "add-non-tensor", "shuffle-depth", "inner-tuple-word",
-         "shuffle-tuple-word", "shuffle-string-word", "shuffle-inner-tuple-word"],
+         "shuffle-tuple-word", "shuffle-string-word", "shuffle-inner-tuple-word",
+         "word-text-letter", "word-text-empty-letter", "word-text-int", "word-text-zero"],
 )
 def test_input_checks(call, error, match):
     with pytest.raises(error, match=match):
